@@ -30,6 +30,14 @@ from .errors import (
     ResourceLimitError,
 )
 from .mps import MpsModel
+from .tensors import (
+    chain_close,
+    chain_march,
+    chain_open,
+    tree_down_step,
+    tree_pair_densities,
+    tree_up_step,
+)
 from .ttn import TtnModel
 
 logger = logging.getLogger(__name__)
@@ -197,7 +205,12 @@ def _finalize_rdm(rho, sites, requested, phys_dim) -> ReducedDensityMatrix:
     )
 
 
-def _mps_rdm(model: MpsModel, targets, conditions, max_dim) -> ReducedDensityMatrix:
+def _identity_object(bond: int) -> np.ndarray:
+    """Two-sided object with no open legs: the identity on one bond."""
+    return np.eye(bond).reshape(bond, 1, 1, bond)
+
+
+def _mps_rdm(model: MpsModel, targets, conditions) -> ReducedDensityMatrix:
     n = model.phys_dim
     targets_sorted = tuple(sorted(targets))
     involved = sorted(set(targets_sorted) | set(conditions))
@@ -205,25 +218,21 @@ def _mps_rdm(model: MpsModel, targets, conditions, max_dim) -> ReducedDensityMat
     work.canonicalize(involved[0])
 
     cond_vecs = {s: orthonormal_basis(n, x) for s, x in conditions.items()}
-    d0 = work.cores[involved[0]].shape[0]
-    marching = np.eye(d0).reshape(1, 1, d0, d0)
+    marching = _identity_object(work.cores[involved[0]].shape[0])
     for site in range(involved[0], involved[-1] + 1):
         core = work.cores[site]
         if site in targets_sorted:
-            kk, bb = marching.shape[0], marching.shape[1]
-            marching = np.einsum(
-                "KBls,lpr,squ->KpBqru", marching, core, core, optimize=True
-            ).reshape(kk * n, bb * n, core.shape[2], core.shape[2])
+            marching = chain_open(marching, core)
         elif site in cond_vecs:
             pinned = np.einsum("lpr,p->lr", core, cond_vecs[site])
-            marching = np.einsum("KBls,lr,su->KBru", marching, pinned, pinned, optimize=True)
+            marching = chain_march(marching, pinned[:, None, :])
         else:
-            marching = np.einsum("KBls,lpr,spu->KBru", marching, core, core, optimize=True)
-    rho = np.einsum("KBrr->KB", marching)
+            marching = chain_march(marching, core)
+    rho = np.einsum("rKBr->KB", marching)
     return _finalize_rdm(rho, targets_sorted, targets, n)
 
 
-def _ttn_rdm(model: TtnModel, targets, conditions, max_dim) -> ReducedDensityMatrix:
+def _ttn_rdm(model: TtnModel, targets, conditions) -> ReducedDensityMatrix:
     n = model.phys_dim
     work = _analysis_copy(model)
     cond_vecs = {f: orthonormal_basis(n, x) for f, x in conditions.items()}
@@ -366,9 +375,9 @@ def reduced_density_matrix(
     sites = tuple(int(s) for s in sites)
     _check_subsystem(model, sites, max_dim)
     if isinstance(model, MpsModel):
-        return _mps_rdm(model, sites, {}, max_dim)
+        return _mps_rdm(model, sites, {})
     if isinstance(model, TtnModel):
-        return _ttn_rdm(model, sites, {}, max_dim)
+        return _ttn_rdm(model, sites, {})
     raise DataError(f"unsupported model type {type(model).__name__}")
 
 
@@ -395,9 +404,9 @@ def conditional_rdm(
         if not 0.0 <= v <= 1.0:
             raise DataError(f"condition value {v} for feature {s} outside [0, 1]")
     if isinstance(model, MpsModel):
-        return _mps_rdm(model, target_sites, conditions, max_dim)
+        return _mps_rdm(model, target_sites, conditions)
     if isinstance(model, TtnModel):
-        return _ttn_rdm(model, target_sites, conditions, max_dim)
+        return _ttn_rdm(model, target_sites, conditions)
     raise DataError(f"unsupported model type {type(model).__name__}")
 
 
@@ -524,122 +533,95 @@ def mutual_information(model, sites_x, sites_y, max_dim: int = DEFAULT_MAX_SUBSY
 # all-to-all mutual information (single-site pairs, structure-aware paths)
 
 
-def _mps_single_and_pair_rdms(model: MpsModel):
+def _unit_density(rho: np.ndarray) -> np.ndarray:
+    """Symmetrized, trace-normalized copy of a density matrix."""
+    rho = 0.5 * (rho + rho.T)
+    return rho / np.trace(rho)
+
+
+def _mps_single_and_pair_entropies(model: MpsModel):
     work = model.copy()
-    work.canonicalize(0)
-    n = model.phys_dim
     length = model.n_sites
-    singles: list[np.ndarray] = []
     pair_entropy = np.zeros((length, length))
     single_entropy = np.zeros(length)
     for i in range(length):
         work.canonicalize(i)
         core = work.cores[i]
-        rho_i = np.einsum("lpr,lqr->pq", core, core)
-        singles.append(0.5 * (rho_i + rho_i.T))
-        single_entropy[i] = von_neumann_entropy(singles[i] / np.trace(singles[i]))
+        start = _identity_object(core.shape[0])
+        single_entropy[i] = von_neumann_entropy(_unit_density(chain_close(start, core)))
         # march a two-open-leg object to every j > i; sites between are
         # marginalized, sites right of j close to the identity
-        obj = np.einsum("lpr,lqs->pqrs", core, core)
+        obj = chain_open(start, core)
         for j in range(i + 1, length):
             other = work.cores[j]
-            rho = np.einsum("pqrs,rat,sbt->paqb", obj, other, other, optimize=True)
-            rho = rho.reshape(n * n, n * n)
-            rho = 0.5 * (rho + rho.T)
-            pair_entropy[i, j] = von_neumann_entropy(rho / np.trace(rho))
+            pair_entropy[i, j] = von_neumann_entropy(_unit_density(chain_close(obj, other)))
             if j < length - 1:
-                obj = np.einsum("pqrs,rat,sau->pqtu", obj, other, other, optimize=True)
+                obj = chain_march(obj, other)
     return single_entropy, pair_entropy
+
+
+def _ttn_bond_densities(work: TtnModel):
+    """Density on every node's parent bond and every feature's leg.
+
+    ``work`` must be canonical at the root. Returns ``(down, singles)``:
+    ``down[u]`` is the rest of the tree seen from node ``u``'s parent bond,
+    ``(d, D)``, and ``singles[f]`` the unnormalized density of padded-domain
+    feature ``f``.
+    """
+    down = {0: np.ones((1, 1))}
+    singles: dict[int, np.ndarray] = {}
+    for u in range(work.n_nodes):  # parents come before their children
+        left, right = tree_down_step(down[u], _parent_first(work, u))
+        if work.children[u] is None:
+            f0, f1 = work.leaf_features[u]
+            singles[f0], singles[f1] = left, right
+        else:
+            c0, c1 = work.children[u]
+            down[c0], down[c1] = left, right
+    return down, singles
+
+
+def _parent_first(work: TtnModel, u: int) -> np.ndarray:
+    """Node tensor as ``(parent bond, first lower leg, second lower leg)``."""
+    t = work.tensors[u]
+    return t[None] if work.parents[u] < 0 else t
 
 
 def _ttn_single_and_pair_entropies(model: TtnModel):
     work = _analysis_copy(model)
     work.canonicalize(0)
     n = work.phys_dim
-
-    # downward bond densities: the rest of the tree seen from each parent bond
-    down: dict[int, np.ndarray] = {}
-    for u in range(work.n_nodes):
-        if work.children[u] is None:
-            continue
-        c0, c1 = work.children[u]
-        t = work.tensors[u]
-        if work.parents[u] < 0:
-            down[c0] = np.einsum("lr,mr->lm", t, t)
-            down[c1] = np.einsum("lr,ls->rs", t, t)
-        else:
-            e = down[u]
-            down[c0] = np.einsum("dD,dlr,DLr->lL", e, t, t, optimize=True)
-            down[c1] = np.einsum("dD,dlr,DlR->rR", e, t, t, optimize=True)
-
-    # upward messages with one open feature: (p, pbar, bond, bondbar)
-    real = [f for f in range(work.padded_features) if f < work.n_features]
-    up: dict[tuple[int, int], np.ndarray] = {}
-    feats_below: dict[int, list[int]] = {}
-    for u in reversed(range(work.n_nodes)):
-        t = work.tensors[u]
-        if work.children[u] is None:
-            f0, f1 = work.leaf_features[u]
-            feats_below[u] = [f for f in (f0, f1) if f in real]
-            if f0 in real:
-                up[(u, f0)] = np.einsum("dpc,DPc->pPdD", t, t, optimize=True)
-            if f1 in real:
-                up[(u, f1)] = np.einsum("dcp,DcP->pPdD", t, t, optimize=True)
-        elif work.parents[u] >= 0:
-            c0, c1 = work.children[u]
-            feats_below[u] = feats_below[c0] + feats_below[c1]
-            for f in feats_below[c0]:
-                up[(u, f)] = np.einsum("pPlL,dlr,DLr->pPdD", up[(c0, f)], t, t, optimize=True)
-            for f in feats_below[c1]:
-                up[(u, f)] = np.einsum("pPrR,dlr,DlR->pPdD", up[(c1, f)], t, t, optimize=True)
-
     length = work.n_features
-    single_entropy = np.zeros(length)
-    leaf_of = {f: work.leaf_of_feature(f)[0] for f in range(length)}
-    for f in range(length):
-        leaf = leaf_of[f]
-        rho = np.einsum("dD,pPdD->pP", down[leaf], up[(leaf, f)], optimize=True)
-        rho = 0.5 * (rho + rho.T)
-        single_entropy[f] = von_neumann_entropy(rho / np.trace(rho))
+    down, singles = _ttn_bond_densities(work)
+    single_entropy = np.array(
+        [von_neumann_entropy(_unit_density(singles[f])) for f in range(length)]
+    )
 
-    # ancestors for LCA lookup
-    depth = [0] * work.n_nodes
-    for u in range(1, work.n_nodes):
-        depth[u] = depth[work.parents[u]] + 1
-
-    def lca(a: int, b: int) -> int:
-        while a != b:
-            if depth[a] >= depth[b]:
-                a = work.parents[a]
-            else:
-                b = work.parents[b]
-        return a
-
+    # bottom-up: at each node, every pair split between its two lower legs
+    # closes against the node; then the one-feature messages of both legs,
+    # stacked, move up to the parent bond, (bond, features, p, pbar, bondbar)
+    identity = np.multiply.outer(np.eye(n), np.eye(n)).reshape(n, 1, n, n, n)
+    up: dict[int, tuple[list[int], np.ndarray]] = {}
     pair_entropy = np.zeros((length, length))
-    for fi in range(length):
-        for fj in range(fi + 1, length):
-            li, lj = leaf_of[fi], leaf_of[fj]
-            if li == lj:
-                t = work.tensors[li]
-                rho = np.einsum("dD,dpq,DPQ->pqPQ", down[li], t, t, optimize=True)
-            else:
-                w = lca(li, lj)
-                c0, c1 = work.children[w]
-                # in-order leaf layout puts the smaller feature in the left subtree
-                mi = up[(c0, fi)]
-                mj = up[(c1, fj)]
-                t = work.tensors[w]
-                if work.parents[w] < 0:
-                    rho = np.einsum(
-                        "lr,LR,pPlL,qQrR->pqPQ", t, t, mi, mj, optimize=True
-                    )
-                else:
-                    rho = np.einsum(
-                        "dD,dlr,DLR,pPlL,qQrR->pqPQ", down[w], t, t, mi, mj, optimize=True
-                    )
-            rho = rho.reshape(n * n, n * n)
-            rho = 0.5 * (rho + rho.T)
-            pair_entropy[fi, fj] = von_neumann_entropy(rho / np.trace(rho))
+    for u in reversed(range(work.n_nodes)):
+        node = _parent_first(work, u)
+        if work.children[u] is None:
+            # a leaf's features are its lower legs; the pad has no message
+            sides = [([f], identity) if f < length else ([], identity[:, :0])
+                     for f in work.leaf_features[u]]
+        else:
+            sides = [up.pop(c) for c in work.children[u]]
+        (left_feats, left), (right_feats, right) = sides
+        if left_feats and right_feats:
+            # in-order leaf layout puts the smaller feature on the left leg
+            rho = tree_pair_densities(left, down[u], node, right)
+            for a, fi in enumerate(left_feats):
+                for b, fj in enumerate(right_feats):
+                    pair_entropy[fi, fj] = von_neumann_entropy(_unit_density(rho[a, b]))
+        if u != 0:
+            up[u] = (left_feats + right_feats, np.concatenate(
+                [tree_up_step(left, node, 0), tree_up_step(right, node, 1)], axis=1
+            ))
     return single_entropy, pair_entropy
 
 
@@ -650,7 +632,7 @@ def all_to_all_mi(model) -> MiMatrices:
     rescaled to [0, 1] by the largest off-diagonal entry.
     """
     if isinstance(model, MpsModel):
-        single, pair = _mps_single_and_pair_rdms(model)
+        single, pair = _mps_single_and_pair_entropies(model)
     elif isinstance(model, TtnModel):
         single, pair = _ttn_single_and_pair_entropies(model)
     else:
@@ -680,37 +662,13 @@ def _single_site_rdms(model) -> list[np.ndarray]:
         for i in range(model.n_sites):
             work.canonicalize(i)
             core = work.cores[i]
-            rho = np.einsum("lpr,lqr->pq", core, core)
-            rho = 0.5 * (rho + rho.T)
-            out.append(rho / np.trace(rho))
+            out.append(_unit_density(chain_close(_identity_object(core.shape[0]), core)))
         return out
     if isinstance(model, TtnModel):
         work = _analysis_copy(model)
         work.canonicalize(0)
-        down: dict[int, np.ndarray] = {}
-        for u in range(work.n_nodes):
-            if work.children[u] is None:
-                continue
-            c0, c1 = work.children[u]
-            t = work.tensors[u]
-            if work.parents[u] < 0:
-                down[c0] = np.einsum("lr,mr->lm", t, t)
-                down[c1] = np.einsum("lr,ls->rs", t, t)
-            else:
-                e = down[u]
-                down[c0] = np.einsum("dD,dlr,DLr->lL", e, t, t, optimize=True)
-                down[c1] = np.einsum("dD,dlr,DlR->rR", e, t, t, optimize=True)
-        out = []
-        for f in range(work.n_features):
-            leaf, slot = work.leaf_of_feature(f)
-            t = work.tensors[leaf]
-            if slot == 1:
-                rho = np.einsum("dpc,DPc,dD->pP", t, t, down[leaf], optimize=True)
-            else:
-                rho = np.einsum("dcp,DcP,dD->pP", t, t, down[leaf], optimize=True)
-            rho = 0.5 * (rho + rho.T)
-            out.append(rho / np.trace(rho))
-        return out
+        _, singles = _ttn_bond_densities(work)
+        return [_unit_density(singles[f]) for f in range(work.n_features)]
     raise DataError(f"unsupported model type {type(model).__name__}")
 
 

@@ -17,7 +17,10 @@ Layout (all integers little-endian):
 
 Models are written canonicalized to a fixed convention (site 0 for MPS,
 right-most leaf for TTN) so the center never needs to be stored; scoring
-uses exactly the training-time rescaler embedded in the file.
+uses exactly the training-time rescaler embedded in the file. A file whose
+tensors are not finite, or not isometric toward that center, is refused:
+the explanation paths contract everything outside a subsystem to the
+identity, which is exact only for a canonical state.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ MAGIC = b"TNAD"
 FORMAT_VERSION = 1
 _KIND_MPS = 0
 _KIND_TTN = 1
+# largest entrywise isometry defect a stored (QR-canonicalized) model may show
+_ISOMETRY_TOLERANCE = 1e-8
 
 
 def save_model(path, model) -> None:
@@ -93,7 +98,9 @@ def load_model(path):
     """Load a model file; returns an :class:`MpsModel` or :class:`TtnModel`.
 
     The returned model carries a :class:`LegendreFeatureMap` built from the
-    embedded rescaler, so it can score raw samples directly.
+    embedded rescaler, so it can score raw samples directly. Raises
+    :class:`DataError` for a malformed or corrupt file, and for one whose
+    tensors hold non-finite entries or are not canonical.
     """
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 4:
@@ -128,7 +135,7 @@ def load_model(path):
             cores.append(_read_tensor(raw, offset, shape, path))
             offset += 8 * int(np.prod(shape))
         _expect_end(raw, offset, path)
-        return MpsModel(cores, center=0, encoder=encoder)
+        return _checked(MpsModel(cores, center=0, encoder=encoder), cores, path)
 
     if kind == _KIND_TTN:
         (n_nodes,) = struct.unpack_from("<I", raw, offset)
@@ -167,12 +174,26 @@ def load_model(path):
             tensors.append(_read_tensor(raw, offset, shape, path))
             offset += 8 * int(np.prod(shape))
         _expect_end(raw, offset, path)
-        return TtnModel(
+        model = TtnModel(
             tensors, parents, children, leaf_features, n_features, padding,
             center=leaf_ids[-1], encoder=encoder,
         )
+        return _checked(model, tensors, path)
 
     raise DataError(f"{path}: unknown model kind {kind}")
+
+
+def _checked(model, tensors, path):
+    """Return ``model`` if its tensors are finite and canonical, else raise."""
+    if not all(np.isfinite(t).all() for t in tensors):
+        raise DataError(f"{path}: model tensors hold non-finite entries")
+    defect = model.isometry_defect()
+    if defect > _ISOMETRY_TOLERANCE:
+        raise DataError(
+            f"{path}: model is not canonical (isometry defect {defect:.2e} "
+            f"> {_ISOMETRY_TOLERANCE:.0e})"
+        )
+    return model
 
 
 def _read_tensor(raw: bytes, offset: int, shape: tuple, path) -> np.ndarray:

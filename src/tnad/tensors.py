@@ -9,6 +9,14 @@ discarded weight. Two reductions, :func:`ordered_matmul` and
 :func:`frobenius_norm`, sum in an order fixed by the operands' shapes,
 so their results do not depend on how many threads the BLAS runs.
 
+The density-matrix kernels below contract a network with its own copy
+(ket and bra) as chains of reshapes and :func:`ordered_matmul` products,
+the cached-environment scheme of Han et al. 2018 (PRX 8, 031012). A
+*two-sided object* has axes ``(l, K, B, s)``: the ket copy of one bond,
+the flattened open ket and bra legs gathered so far, then the bra copy
+of the bond. That order lets every step reshape without moving the
+fastest-running axis.
+
 All functions are pure: they never mutate their inputs and hold no state,
 so they are safe to call concurrently.
 """
@@ -56,6 +64,127 @@ def ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def frobenius_norm(a: np.ndarray) -> float:
     """Frobenius norm summed by numpy rather than by a (threaded) BLAS dot."""
     return float(np.sqrt(np.sum(np.square(a))))
+
+
+def _contiguous_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`ordered_matmul` on C-ordered operands, copying transposed views.
+
+    On OpenBLAS 0.3.31 a product whose right operand is a transposed view
+    rounds differently at 1 and 2 threads even for an inner dimension of
+    64 (for example 100 x 64 x 100), while C-ordered operands repeat.
+    """
+    return ordered_matmul(np.ascontiguousarray(a), np.ascontiguousarray(b))
+
+
+def chain_march(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Carry a two-sided object across a core whose middle leg is summed.
+
+    ``obj`` is ``(l, K, B, s)`` and ``core`` is ``(l, n, r)``; returns
+    ``sum core[l,a,r] obj[l,K,B,s] core[s,a,u]`` with axes ``(r, K, B, u)``.
+    For an MPS this marginalizes a site (or, with ``n == 1``, applies a
+    pinned one); for a tree node ``(d, l, r)`` seen as ``(l, r, d)`` it is
+    the upward message step with the other child bond marginalized. The
+    sum over ``a`` runs one matrix slice at a time, in order, so no
+    intermediate is ``n`` times the size of ``obj``.
+    """
+    dl, k, b, _ = obj.shape
+    _, n, dr = core.shape
+    flat = obj.reshape(dl * k * b, dl)
+    ket = np.ascontiguousarray(core.transpose(1, 2, 0))  # (a, r, l)
+    bra = np.ascontiguousarray(core.transpose(1, 0, 2))  # (a, s, u)
+    out = ordered_matmul(ket[0], ordered_matmul(flat, bra[0]).reshape(dl, k * b * dr))
+    for a in range(1, n):
+        out += ordered_matmul(ket[a], ordered_matmul(flat, bra[a]).reshape(dl, k * b * dr))
+    return out.reshape(dr, k, b, dr)
+
+
+def chain_open(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Carry a two-sided object across a core whose middle leg stays open.
+
+    Returns ``sum core[l,p,r] obj[l,K,B,s] core[s,q,u]`` with axes
+    ``(r, K*n, B*n, u)``: the core's leg joins the open ket and bra legs
+    as their fastest-running index.
+    """
+    dl, k, b, _ = obj.shape
+    _, n, dr = core.shape
+    half = _contiguous_matmul(obj.reshape(dl * k * b, dl), core.reshape(dl, n * dr))
+    out = _contiguous_matmul(core.reshape(dl, n * dr).T, half.reshape(dl, k * b * n * dr))
+    out = out.reshape(n, dr, k, b, n, dr).transpose(1, 2, 0, 3, 4, 5)
+    return out.reshape(dr, k * n, b * n, dr)
+
+
+def chain_close(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Close a two-sided object with a last open core into a density matrix.
+
+    Equals :func:`chain_open` with its two right bonds traced, shape
+    ``(K*n, B*n)``: the core's ``sum core[l,p,t] core[s,q,t]`` is built
+    once as a ``(l*s, p*q)`` matrix and ``obj`` meets it in one product.
+    """
+    dl, k, b, _ = obj.shape
+    _, n, dr = core.shape
+    rows = core.reshape(dl * n, dr)
+    pair = _contiguous_matmul(rows, rows.T)
+    pair = pair.reshape(dl, n, dl, n).transpose(0, 2, 1, 3).reshape(dl * dl, n * n)
+    out = _contiguous_matmul(obj.transpose(1, 2, 0, 3).reshape(k * b, dl * dl), pair)
+    return out.reshape(k, b, n, n).transpose(0, 2, 1, 3).reshape(k * n, b * n)
+
+
+def tree_down_step(density: np.ndarray, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bond densities of a tree node's two lower legs from its parent bond's.
+
+    ``density`` is ``(d, D)``, ``node`` is ``(d, l, r)``; returns
+    ``sum density[d,D] node[d,l,r] node[D,L,r]`` as ``(l, L)`` and the
+    same with ``l`` summed as ``(r, R)``. At a leaf the lower legs are the
+    two features and the results are their single-feature densities.
+    """
+    d, dl, dr = node.shape
+    half = _contiguous_matmul(density, node.reshape(d, dl * dr)).reshape(d, dl, dr)
+    left = _contiguous_matmul(
+        node.transpose(1, 0, 2).reshape(dl, d * dr), half.transpose(0, 2, 1).reshape(d * dr, dl)
+    )
+    right = _contiguous_matmul(node.reshape(d * dl, dr).T, half.reshape(d * dl, dr))
+    return left, right
+
+
+def tree_up_step(messages: np.ndarray, node: np.ndarray, leg: int) -> np.ndarray:
+    """Move stacked one-feature messages from a lower leg of a tree node up.
+
+    ``messages`` is ``(l, F, n, n, L)``, a two-sided object over lower leg
+    ``leg`` (0 or 1) of ``node`` ``(d, leg0, leg1)`` with one open feature
+    per slice ``F``; the other lower leg is marginalized. Returns
+    ``(d, F, n, n, D)`` on the node's parent bond.
+    """
+    dl, f, n = messages.shape[:3]
+    d = node.shape[0]
+    oriented = node.transpose(1, 2, 0) if leg == 0 else node.transpose(2, 1, 0)
+    out = chain_march(messages.reshape(dl, f * n, n, dl), oriented)
+    return out.reshape(d, f, n, n, d)
+
+
+def tree_pair_densities(
+    left: np.ndarray, density: np.ndarray, node: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Two-feature densities for every feature pair split at a tree node.
+
+    ``left`` stacks one-feature messages ``(l, F0, n, n, L)`` over the
+    node's first lower leg (see :func:`tree_up_step`), ``right`` likewise
+    ``(r, F1, n, n, R)`` over the second; ``density`` is ``(d, D)`` on the
+    parent bond of ``node`` ``(d, l, r)``. The node's ``density``-weighted
+    ``t (x) t`` is built once as a ``(l*L, r*R)`` matrix ``M`` and every
+    pair is ``A @ M @ B.T``. Returns ``(F0, F1, n*n, n*n)`` with rows
+    ``(p, q)`` and columns ``(P, Q)``.
+    """
+    d, dl, dr = node.shape
+    f0, n = left.shape[1], left.shape[2]
+    f1 = right.shape[1]
+    flat = node.reshape(d, dl * dr)
+    kernel = _contiguous_matmul(flat.T, _contiguous_matmul(density, flat))
+    kernel = kernel.reshape(dl, dr, dl, dr).transpose(0, 2, 1, 3).reshape(dl * dl, dr * dr)
+    a = left.transpose(1, 2, 3, 0, 4).reshape(f0 * n * n, dl * dl)
+    b = right.transpose(1, 2, 3, 0, 4).reshape(f1 * n * n, dr * dr)
+    rho = _contiguous_matmul(_contiguous_matmul(a, kernel), b.T)
+    rho = rho.reshape(f0, n, n, f1, n, n).transpose(0, 3, 1, 4, 2, 5)
+    return rho.reshape(f0, f1, n * n, n * n)
 
 
 def contract_pair(

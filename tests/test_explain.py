@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import helpers
+import tnad
 from tnad import (
     ConditioningError,
     DataError,
@@ -105,6 +111,13 @@ class TestReducedDensityMatrix:
             reduced_density_matrix(model, (9,))
 
 
+def wide_model(kind):
+    """Models wide enough to reach every branch of the structured paths."""
+    if kind == "mps":
+        return MpsModel.random(8, 3, init_bond=5, seed=21)
+    return TtnModel.random(7, 3, init_bond=5, seed=22)
+
+
 class TestConditionalRdm:
     def test_no_conditions_equals_marginal(self):
         model = MpsModel.random(4, 2, init_bond=3, seed=1)
@@ -133,6 +146,24 @@ class TestConditionalRdm:
             rdm = conditional_rdm(model, targets, conditions)
             rdm_invariants(rdm)
             np.testing.assert_allclose(rdm.matrix, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["mps", "ttn"])
+    @pytest.mark.parametrize(
+        "targets, conditions",
+        [  # comments name where the targets sit in the 7-feature tree
+            ((0, 1), {3: 0.2}),  # one leaf
+            ((2, 5), {0: 0.3, 4: 0.7, 6: 0.1}),  # common ancestor is the root
+            ((2, 1), {0: 0.9, 5: 0.4}),  # common ancestor is an inner node
+            ((6,), {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4, 4: 0.5, 5: 0.6}),  # next to the pad
+        ],
+    )
+    def test_matches_brute_force_at_width(self, kind, targets, conditions):
+        model = wide_model(kind)
+        theta = helpers.full_tensor(model)
+        expected = helpers.brute_rdm(theta, targets, conditions, phys_dim=3)
+        rdm = conditional_rdm(model, targets, conditions)
+        rdm_invariants(rdm)
+        np.testing.assert_allclose(rdm.matrix, expected, atol=1e-10)
 
     def test_impossible_condition_raises(self):
         # site-0 vector orthogonal to the encoding of a = 0.75
@@ -311,6 +342,23 @@ class TestAllToAllMi:
                 expected = mutual_information(model, (i,), (j,))
                 assert result.raw[i, j] == pytest.approx(expected, abs=1e-8)
 
+    @pytest.mark.parametrize("kind", ["mps", "ttn"])
+    def test_matches_brute_force_at_width(self, kind):
+        # mps: 8 sites at phys_dim 3, bonds up to 5 > phys_dim. ttn: 7 features,
+        # so padded; leaves (0, 1), (2, 3), (4, 5), (6, pad) under two inner nodes
+        model = wide_model(kind)
+        theta = helpers.full_tensor(model)
+        n_features = theta.ndim
+        single = [
+            helpers.brute_entropy(helpers.brute_rdm(theta, (i,), phys_dim=3))
+            for i in range(n_features)
+        ]
+        result = all_to_all_mi(model)
+        for i in range(n_features):
+            for j in range(i + 1, n_features):
+                pair = helpers.brute_entropy(helpers.brute_rdm(theta, (i, j), phys_dim=3))
+                assert result.raw[i, j] == pytest.approx(single[i] + single[j] - pair, abs=1e-10)
+
     def test_display_normalization(self):
         model = MpsModel.random(4, 2, init_bond=3, seed=8)
         result = all_to_all_mi(model)
@@ -424,3 +472,45 @@ class TestConditionalExpectations:
         assert payload["sample_id"] == 17
         assert payload["threshold"] == 1.0
         assert len(payload["features"]) == 6
+
+
+# Child process for the thread-count test: one explanation result, printed
+# as the hex of its bytes. The BLAS reads its thread count when numpy
+# loads, so the count is set in the child's environment.
+EXPLAIN_CHILD = """
+import sys
+import numpy as np
+from tnad import MpsModel, TtnModel, all_to_all_mi, conditional_rdm, reduced_density_matrix
+case = sys.argv[1]
+mps = MpsModel.random(8, 7, init_bond=40, seed=0)
+if case == "mps-mi":
+    result = all_to_all_mi(mps).raw
+elif case == "ttn-mi":
+    result = all_to_all_mi(TtnModel.random(16, 5, init_bond=20, seed=0)).raw
+elif case == "mps-rdm":
+    result = reduced_density_matrix(mps, (0, 7)).matrix
+else:
+    result = conditional_rdm(mps, (3, 5), {0: 0.2, 1: 0.9, 4: 0.5, 7: 0.35}).matrix
+print(np.ascontiguousarray(result).tobytes().hex())
+"""
+
+
+def explain_in_child(case, threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    source = str(Path(tnad.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", EXPLAIN_CHILD, case],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 CPUs")
+@pytest.mark.parametrize("case", ["mps-mi", "ttn-mi", "mps-rdm", "mps-conditional"])
+def test_explanations_repeat_across_blas_thread_counts(case):
+    # MPS at bond 40 and phys_dim 7 (bond x phys_dim = 280) and a tree at
+    # bond 20 (bond x bond = 400): contractions deep enough that a threaded
+    # BLAS would split them
+    assert explain_in_child(case, 1) == explain_in_child(case, 2)

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -5,11 +8,14 @@ from tnad import (
     DataError,
     LegendreFeatureMap,
     MpsModel,
+    TrainConfig,
     TtnModel,
+    fit,
     fit_rescaler,
     load_model,
     save_model,
     score_samples,
+    toy_correlated_pairs,
 )
 
 
@@ -113,3 +119,63 @@ class TestFileIntegrity:
         model = MpsModel.random(3, 2, seed=0)
         with pytest.raises(DataError, match="feature map"):
             save_model(tmp_path / "x.tnad", model)
+
+
+def rewrite_tensor(path, stored, replacement):
+    """Swap one stored tensor's bytes in a model file and re-seal its CRC."""
+    blob = bytearray(path.read_bytes()[:-4])
+    old = np.ascontiguousarray(stored, dtype="<f8").tobytes()
+    offset = bytes(blob).find(old)
+    assert offset > 0 and bytes(blob).count(old) == 1
+    blob[offset : offset + len(old)] = np.ascontiguousarray(replacement, dtype="<f8").tobytes()
+    blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
+    path.write_bytes(bytes(blob))
+
+
+class TestContentChecks:
+    """CRC-valid files whose tensors the canonical shortcuts would get wrong."""
+
+    @pytest.mark.parametrize("kind, value", [("mps", np.nan), ("ttn", np.nan), ("mps", np.inf)])
+    def test_non_finite_entry_refused(self, tmp_path, kind, value):
+        path, stored = self.saved(tmp_path, kind)
+        bad = stored.copy()
+        bad.flat[0] = value
+        rewrite_tensor(path, stored, bad)
+        with pytest.raises(DataError, match="non-finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["mps", "ttn"])
+    def test_non_isometric_tensor_refused(self, tmp_path, kind):
+        path, stored = self.saved(tmp_path, kind)
+        rewrite_tensor(path, stored, stored * (1.0 + 1e-6))
+        with pytest.raises(DataError, match="not canonical"):
+            load_model(path)
+
+    @staticmethod
+    def saved(tmp_path, kind):
+        """A saved model and one of its stored tensors that must be an isometry."""
+        encoder, _ = fitted_encoder(3, 6, seed=6)
+        path = tmp_path / f"{kind}.tnad"
+        if kind == "mps":
+            save_model(path, MpsModel.random(6, 3, init_bond=4, seed=6, encoder=encoder))
+            return path, load_model(path).cores[2]
+        save_model(path, TtnModel.random(6, 3, init_bond=4, seed=6, encoder=encoder))
+        return path, load_model(path).tensors[1]
+
+    @pytest.mark.parametrize("kind", ["mps", "ttn"])
+    def test_trained_model_loads(self, tmp_path, kind):
+        data = toy_correlated_pairs(400, 6, pairs=((1, 2), (3, 4)), seed=2)
+        encoder = LegendreFeatureMap(4, fit_rescaler(data))
+        model_class = MpsModel if kind == "mps" else TtnModel
+        model = model_class.random(6, 4, init_bond=2, seed=1, encoder=encoder)
+        fit(model, encoder.encode_batch(data),
+            TrainConfig(learning_rate=5e-3, sweeps=2, batch_size=None, max_bond=8, seed=1))
+        path = tmp_path / f"trained-{kind}.tnad"
+        save_model(path, model)
+        loaded = load_model(path)
+        assert loaded.isometry_defect() <= 1e-8
+        np.testing.assert_allclose(
+            score_samples(loaded, loaded.encoder.encode_batch(data)),
+            score_samples(model, encoder.encode_batch(data)),
+            rtol=1e-10, atol=1e-10,
+        )

@@ -147,3 +147,37 @@ class TestTruncatedSvd:
         m = np.outer([1.0, 2.0], [3.0, 4.0, 5.0])
         r = truncated_svd(m, rel_threshold=1e-12)
         assert r.rank == 1
+
+
+class TestGramFallback:
+    """``truncated_svd`` when LAPACK's SVD fails to converge."""
+
+    @pytest.fixture(autouse=True)
+    def failing_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5)], ids=["wide", "tall"])
+    def test_isometric_factors_and_reconstruction(self, shape):
+        m = np.random.default_rng(10).standard_normal(shape)
+        r = truncated_svd(m)
+        k = min(shape)
+        assert r.rank == k
+        u, vt = r.left_isometry, r.right_isometry
+        assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-10
+        assert np.abs(vt @ vt.T - np.eye(k)).max() <= 1e-10
+        recon = u * r.singular_values @ vt
+        assert np.abs(m - recon).max() <= 1e-10
+        assert (np.diff(r.singular_values) <= 0).all()
+
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5)], ids=["wide", "tall"])
+    def test_discarded_weight(self, shape):
+        m = np.random.default_rng(11).standard_normal(shape)
+        sigma_sq = np.sort(np.linalg.eigvalsh(m.T @ m if shape[0] > shape[1] else m @ m.T))[::-1]
+        r = truncated_svd(m, max_rank=2)
+        assert r.rank == 2
+        np.testing.assert_allclose(r.discarded_weight, sigma_sq[2:].sum(), rtol=1e-10)
+        recon = r.left_isometry * r.singular_values @ r.right_isometry
+        np.testing.assert_allclose(np.sum((m - recon) ** 2), r.discarded_weight, rtol=1e-10)
