@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .tensors import frobenius_norm, truncated_svd
+from .tensors import batched_transfer, frobenius_norm, renormalize_rows, truncated_svd
 
 if TYPE_CHECKING:
     from .encoding import LegendreFeatureMap
@@ -164,14 +164,9 @@ class MpsModel:
                 f"(n, {self.n_sites}, {self.phys_dim})"
             )
         batch = encoded.shape[0]
-        vec = np.ones((batch, 1))
-        log_scale = np.zeros(batch)
+        vec, log_scale = np.ones((batch, 1)), np.zeros(batch)
         for i, core in enumerate(self.cores):
-            vec = np.einsum("bl,lpr,bp->br", vec, core, encoded[:, i, :], optimize=True)
-            norms = np.linalg.norm(vec, axis=1)
-            with np.errstate(divide="ignore"):
-                log_scale += np.log(norms)
-            vec = vec / np.where(norms > 0.0, norms, 1.0)[:, None]
+            vec, log_scale = _transfer(vec, log_scale, core, encoded[:, i, :])
         amp = vec[:, 0]
         with np.errstate(divide="ignore"):
             log_abs = log_scale + np.log(np.abs(amp))
@@ -350,14 +345,10 @@ class MpsEnvironments:
         phys = self.encoded[:, src, :]
         if dst == src + 1:
             inner, inner_log = self.message(src - 1, src)
-            vec = np.einsum("bl,lpr,bp->br", inner, core, phys, optimize=True)
+            vec, log_scale = _transfer(inner, inner_log, core, phys)
         else:
             inner, inner_log = self.message(src + 1, src)
-            vec = np.einsum("br,lpr,bp->bl", inner, core, phys, optimize=True)
-        norms = np.linalg.norm(vec, axis=1)
-        with np.errstate(divide="ignore"):
-            log_scale = inner_log + np.log(norms)
-        vec = vec / np.where(norms > 0.0, norms, 1.0)[:, None]
+            vec, log_scale = _transfer(inner, inner_log, core.transpose(2, 1, 0), phys)
         self._messages[(src, dst)] = (vec, log_scale)
         self._messages.pop((dst, src), None)
 
@@ -384,3 +375,13 @@ class MpsEnvironments:
     def advance(self, edge) -> None:
         """Refresh the message along ``edge`` after a split moved the center."""
         self.push(edge[0], edge[1])
+
+
+def _transfer(inner, inner_log, core, phys):
+    """One message step: carry ``inner`` across a core seen as ``(in, phys, out)``.
+
+    Contracts the per-sample message ``(b, in)`` and encoding ``(b, phys)``
+    with the core and renormalizes each row, adding its log norm to
+    ``inner_log``. Amplitudes and training environments both run it.
+    """
+    return renormalize_rows(batched_transfer(inner, core, phys), inner_log)

@@ -20,7 +20,10 @@ right-most leaf for TTN) so the center never needs to be stored; scoring
 uses exactly the training-time rescaler embedded in the file. A file whose
 tensors are not finite, or not isometric toward that center, is refused:
 the explanation paths contract everything outside a subsystem to the
-identity, which is exact only for a canonical state.
+identity, which is exact only for a canonical state. So is a file whose
+rescaler has a non-finite bound, a width that overflows, or an empty or
+reversed interval, which would map every value of that feature to NaN or
+to one end.
 """
 
 from __future__ import annotations
@@ -99,8 +102,9 @@ def load_model(path):
 
     The returned model carries a :class:`LegendreFeatureMap` built from the
     embedded rescaler, so it can score raw samples directly. Raises
-    :class:`DataError` for a malformed or corrupt file, and for one whose
-    tensors hold non-finite entries or are not canonical.
+    :class:`DataError` for a malformed or corrupt file, for one whose
+    tensors hold non-finite entries or are not canonical, and for one whose
+    rescaler has a non-finite interval or a maximum not above its minimum.
     """
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 4:
@@ -122,6 +126,14 @@ def load_model(path):
     for i in range(n_features):
         minimum[i], maximum[i] = struct.unpack_from("<dd", raw, offset)
         offset += 16
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = maximum - minimum
+    if not np.isfinite(span).all():
+        bad = int(np.argmin(np.isfinite(span)))
+        raise DataError(f"{path}: rescaler interval of feature {bad} is non-finite")
+    if np.any(span <= 0.0):
+        bad = int(np.argmax(span <= 0.0))
+        raise DataError(f"{path}: rescaler maximum <= minimum for feature {bad}")
     encoder = LegendreFeatureMap(
         n_functions=phys_dim, rescaler=FeatureRescaler(minimum=minimum, maximum=maximum)
     )

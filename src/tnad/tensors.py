@@ -9,6 +9,11 @@ discarded weight. Two reductions, :func:`ordered_matmul` and
 :func:`frobenius_norm`, sum in an order fixed by the operands' shapes,
 so their results do not depend on how many threads the BLAS runs.
 
+:func:`batched_transfer` is the per-sample message step of amplitudes
+and training environments, for an MPS core and for a tree node alike;
+:func:`renormalize_rows` keeps those messages at unit norm with a log
+scale on the side.
+
 The density-matrix kernels below contract a network with its own copy
 (ket and bra) as chains of reshapes and :func:`ordered_matmul` products,
 the cached-environment scheme of Han et al. 2018 (PRX 8, 031012). A
@@ -51,8 +56,13 @@ def ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     boundaries depend on the thread count, which changes the rounding of
     the sum. Here the inner dimension is cut into blocks of 64 and the
     block products are added one after another, so the result is the
-    same at any thread count.
+    same at any thread count. Both operands are first copied to C order:
+    on OpenBLAS 0.3.31 a product whose right operand is a transposed view
+    rounds differently at 1 and 2 threads even for an inner dimension of
+    64 (for example 100 x 64 x 100), while C-ordered operands repeat.
     """
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
     depth = a.shape[1]
     out = a[:, :_REDUCTION_BLOCK] @ b[:_REDUCTION_BLOCK]
     for start in range(_REDUCTION_BLOCK, depth, _REDUCTION_BLOCK):
@@ -66,14 +76,39 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.square(a))))
 
 
-def _contiguous_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`ordered_matmul` on C-ordered operands, copying transposed views.
+def batched_transfer(left: np.ndarray, tensor: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per-sample transfer of a three-leg tensor between two vectors.
 
-    On OpenBLAS 0.3.31 a product whose right operand is a transposed view
-    rounds differently at 1 and 2 threads even for an inner dimension of
-    64 (for example 100 x 64 x 100), while C-ordered operands repeat.
+    ``left`` is ``(b, m)``, ``tensor`` is ``(m, k, n)`` and ``right`` is
+    ``(b, k)``; returns ``sum_{m,k} left[b,m] tensor[m,k,n] right[b,k]``
+    as ``(b, n)``. The sum over ``k`` runs one slice at a time, in order:
+    each slice is one :func:`ordered_matmul` of ``left`` with the C-ordered
+    ``(m, n)`` slice, scaled per sample by ``right[:, j]``. So no
+    intermediate is ``k`` times the size of the output, and the result
+    does not depend on the BLAS thread count. This is the message step of
+    an MPS (core ``(l, p, r)``) and of a tree node seen as ``(l, r, d)``.
     """
-    return ordered_matmul(np.ascontiguousarray(a), np.ascontiguousarray(b))
+    slices = np.ascontiguousarray(tensor.transpose(1, 0, 2))  # (k, m, n)
+    out = ordered_matmul(left, slices[0])
+    out *= right[:, :1]
+    for j in range(1, slices.shape[0]):
+        term = ordered_matmul(left, slices[j])
+        term *= right[:, j : j + 1]
+        out += term
+    return out
+
+
+def renormalize_rows(vec: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each row of ``vec`` to unit norm and add the log of its norm to ``log_scale``.
+
+    A zero row stays zero and its log scale becomes ``-inf``. Messages of
+    long networks carry their magnitude this way, so they neither under-
+    nor overflow.
+    """
+    norms = np.sqrt(np.sum(np.square(vec), axis=1))
+    with np.errstate(divide="ignore"):
+        log_scale = log_scale + np.log(norms)
+    return vec / np.where(norms > 0.0, norms, 1.0)[:, None], log_scale
 
 
 def chain_march(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -107,8 +142,8 @@ def chain_open(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
     """
     dl, k, b, _ = obj.shape
     _, n, dr = core.shape
-    half = _contiguous_matmul(obj.reshape(dl * k * b, dl), core.reshape(dl, n * dr))
-    out = _contiguous_matmul(core.reshape(dl, n * dr).T, half.reshape(dl, k * b * n * dr))
+    half = ordered_matmul(obj.reshape(dl * k * b, dl), core.reshape(dl, n * dr))
+    out = ordered_matmul(core.reshape(dl, n * dr).T, half.reshape(dl, k * b * n * dr))
     out = out.reshape(n, dr, k, b, n, dr).transpose(1, 2, 0, 3, 4, 5)
     return out.reshape(dr, k * n, b * n, dr)
 
@@ -123,9 +158,9 @@ def chain_close(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
     dl, k, b, _ = obj.shape
     _, n, dr = core.shape
     rows = core.reshape(dl * n, dr)
-    pair = _contiguous_matmul(rows, rows.T)
+    pair = ordered_matmul(rows, rows.T)
     pair = pair.reshape(dl, n, dl, n).transpose(0, 2, 1, 3).reshape(dl * dl, n * n)
-    out = _contiguous_matmul(obj.transpose(1, 2, 0, 3).reshape(k * b, dl * dl), pair)
+    out = ordered_matmul(obj.transpose(1, 2, 0, 3).reshape(k * b, dl * dl), pair)
     return out.reshape(k, b, n, n).transpose(0, 2, 1, 3).reshape(k * n, b * n)
 
 
@@ -138,11 +173,11 @@ def tree_down_step(density: np.ndarray, node: np.ndarray) -> tuple[np.ndarray, n
     two features and the results are their single-feature densities.
     """
     d, dl, dr = node.shape
-    half = _contiguous_matmul(density, node.reshape(d, dl * dr)).reshape(d, dl, dr)
-    left = _contiguous_matmul(
+    half = ordered_matmul(density, node.reshape(d, dl * dr)).reshape(d, dl, dr)
+    left = ordered_matmul(
         node.transpose(1, 0, 2).reshape(dl, d * dr), half.transpose(0, 2, 1).reshape(d * dr, dl)
     )
-    right = _contiguous_matmul(node.reshape(d * dl, dr).T, half.reshape(d * dl, dr))
+    right = ordered_matmul(node.reshape(d * dl, dr).T, half.reshape(d * dl, dr))
     return left, right
 
 
@@ -178,11 +213,11 @@ def tree_pair_densities(
     f0, n = left.shape[1], left.shape[2]
     f1 = right.shape[1]
     flat = node.reshape(d, dl * dr)
-    kernel = _contiguous_matmul(flat.T, _contiguous_matmul(density, flat))
+    kernel = ordered_matmul(flat.T, ordered_matmul(density, flat))
     kernel = kernel.reshape(dl, dr, dl, dr).transpose(0, 2, 1, 3).reshape(dl * dl, dr * dr)
     a = left.transpose(1, 2, 3, 0, 4).reshape(f0 * n * n, dl * dl)
     b = right.transpose(1, 2, 3, 0, 4).reshape(f1 * n * n, dr * dr)
-    rho = _contiguous_matmul(_contiguous_matmul(a, kernel), b.T)
+    rho = ordered_matmul(ordered_matmul(a, kernel), b.T)
     rho = rho.reshape(f0, n, n, f1, n, n).transpose(0, 3, 1, 4, 2, 5)
     return rho.reshape(f0, f1, n * n, n * n)
 

@@ -21,14 +21,14 @@ import numpy as np
 
 from .encoding import orthonormal_basis
 from .errors import DataError, DimensionError
-from .tensors import frobenius_norm, truncated_svd
+from .tensors import (
+    batched_transfer, frobenius_norm, ordered_matmul, renormalize_rows, truncated_svd,
+)
 
 if TYPE_CHECKING:
     from .encoding import LegendreFeatureMap
 
 __all__ = ["TtnModel", "TtnEnvironments"]
-
-_AXIS_LETTERS = "acdefghij"  # einsum labels; 'b' is reserved for the batch axis
 
 
 class TtnModel:
@@ -280,33 +280,20 @@ class TtnModel:
     def log_amplitudes(self, encoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Log magnitude and sign of the amplitude for a batch (n, L, N)."""
         enc = self.pad_batch(encoded)
-        batch = enc.shape[0]
-        log_scale = np.zeros(batch)
-        msgs: dict[int, np.ndarray] = {}
-
-        def renorm(vec: np.ndarray) -> np.ndarray:
-            norms = np.linalg.norm(vec, axis=1)
-            nonlocal log_scale
-            with np.errstate(divide="ignore"):
-                log_scale = log_scale + np.log(norms)
-            return vec / np.where(norms > 0.0, norms, 1.0)[:, None]
-
-        for u in reversed(range(self.n_nodes)):
-            t = self.tensors[u]
+        msgs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        zero = np.zeros(enc.shape[0])
+        for u in reversed(range(1, self.n_nodes)):
             if self.children[u] is None:
                 f0, f1 = self.leaf_features[u]
-                vec = np.einsum("dpq,bp,bq->bd", t, enc[:, f0, :], enc[:, f1, :], optimize=True)
-            elif self.parents[u] < 0:
-                c0, c1 = self.children[u]
-                amp = np.einsum("lr,bl,br->b", t, msgs.pop(c0), msgs.pop(c1), optimize=True)
-                break
+                operands, log_scale = [enc[:, f0, :], enc[:, f1, :]], zero
             else:
-                c0, c1 = self.children[u]
-                vec = np.einsum("dlr,bl,br->bd", t, msgs.pop(c0), msgs.pop(c1), optimize=True)
-            msgs[u] = renorm(vec)
-
+                (m0, log0), (m1, log1) = (msgs.pop(c) for c in self.children[u])
+                operands, log_scale = [m0, m1], log0 + log1
+            msgs[u] = _node_message(self.tensors[u], 0, operands, log_scale)
+        (m0, log0), (m1, log1) = (msgs.pop(c) for c in self.children[0])
+        amp = (ordered_matmul(m0, self.tensors[0]) * m1).sum(axis=1)
         with np.errstate(divide="ignore"):
-            log_abs = log_scale + np.log(np.abs(amp))
+            log_abs = log0 + log1 + np.log(np.abs(amp))
         sign = np.where(amp < 0.0, -1.0, 1.0)
         return log_abs, sign
 
@@ -478,19 +465,9 @@ class TtnEnvironments:
 
     def push(self, u: int, v: int) -> None:
         """Recompute the message ``u -> v`` from node ``u``'s current tensor."""
-        t = self.model.tensors[u]
         ax_uv = self.model.axis_to(u, v)
         arrays, logs = self._axis_operands(u, ax_uv)
-        subs_t = _AXIS_LETTERS[: t.ndim]
-        in_subs = [subs_t] + ["b" + subs_t[ax] for ax in range(t.ndim) if ax != ax_uv]
-        vec = np.einsum(
-            ",".join(in_subs) + "->b" + subs_t[ax_uv], t, *arrays, optimize=True
-        )
-        norms = np.linalg.norm(vec, axis=1)
-        with np.errstate(divide="ignore"):
-            logs = logs + np.log(norms)
-        vec = vec / np.where(norms > 0.0, norms, 1.0)[:, None]
-        self._messages[(u, v)] = (vec, logs)
+        self._messages[(u, v)] = _node_message(self.model.tensors[u], ax_uv, arrays, logs)
         self._messages.pop((v, u), None)
 
     def factors(self, edge, rows=None):
@@ -510,3 +487,20 @@ class TtnEnvironments:
     def advance(self, edge) -> None:
         """Refresh the message along ``edge`` after a split moved the center."""
         self.push(edge[0], edge[1])
+
+
+def _node_message(tensor, out_axis, operands, log_scale):
+    """Message out of a node along ``out_axis``, renormalized per sample.
+
+    ``operands`` holds one per-sample vector ``(b, d)`` for every other
+    axis of ``tensor``, in axis order; ``log_scale`` is the sum of their
+    log scales. A three-leg node is seen as ``(first, second, out)`` for
+    :func:`batched_transfer`; the two-leg root is one matrix product.
+    Amplitudes and training environments both run it.
+    """
+    others = [ax for ax in range(tensor.ndim) if ax != out_axis]
+    if len(others) == 1:
+        vec = ordered_matmul(operands[0], tensor.transpose(others[0], out_axis))
+    else:
+        vec = batched_transfer(operands[0], tensor.transpose(*others, out_axis), operands[1])
+    return renormalize_rows(vec, log_scale)

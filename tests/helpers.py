@@ -1,13 +1,37 @@
-"""Brute-force oracles shared by the test modules.
+"""Brute-force oracles and a child-process runner shared by the test modules.
 
-Everything here goes through full coefficient tensors and explicit
+The oracles go through full coefficient tensors and explicit
 einsum/tensordot calls, independent of the library's contraction,
-canonicalization, and environment code paths it is used to check.
+canonicalization, and environment code paths they are used to check.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import tnad
 from tnad import orthonormal_basis
+
+
+def run_in_child(source, arg, threads):
+    """Run the Python ``source`` with ``arg`` in a child at a BLAS thread count.
+
+    The BLAS reads its thread count when numpy loads, so the count is set
+    in the child's environment, never in this process. Returns the
+    child's standard output, stripped; a failing child fails the test.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    package_root = str(Path(tnad.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", source, arg],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
 
 
 def mps_full_tensor(model):

@@ -1,13 +1,9 @@
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
-import tnad
 from tnad import (
     ConditioningError,
     DataError,
@@ -495,22 +491,11 @@ print(np.ascontiguousarray(result).tobytes().hex())
 """
 
 
-def explain_in_child(case, threads):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
-    source = str(Path(tnad.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", EXPLAIN_CHILD, case],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.strip()
-
-
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 CPUs")
 @pytest.mark.parametrize("case", ["mps-mi", "ttn-mi", "mps-rdm", "mps-conditional"])
 def test_explanations_repeat_across_blas_thread_counts(case):
     # MPS at bond 40 and phys_dim 7 (bond x phys_dim = 280) and a tree at
     # bond 20 (bond x bond = 400): contractions deep enough that a threaded
     # BLAS would split them
-    assert explain_in_child(case, 1) == explain_in_child(case, 2)
+    one, two = (helpers.run_in_child(EXPLAIN_CHILD, case, n) for n in (1, 2))
+    assert one == two

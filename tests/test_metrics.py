@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,28 @@ class TestHistogramMi:
     def test_too_few_samples(self):
         with pytest.raises(DataError):
             histogram_mi(np.ones((10, 2)), 0, 1)
+
+
+# Child process for the thread-count test: log amplitudes of 5,000 encoded
+# rows under one seeded model, printed as a hash of their bytes.
+SCORE_CHILD = """
+import hashlib, sys
+import numpy as np
+from tnad import LegendreFeatureMap, MpsModel, TtnModel
+if sys.argv[1] == "mps":
+    model, width = MpsModel.random(36, 5, init_bond=40, seed=0), 36
+else:
+    model, width = TtnModel.random(57, 5, init_bond=16, seed=0), 57
+unit = np.random.default_rng(4).uniform(size=(5000, width))
+log_abs, sign = model.log_amplitudes(LegendreFeatureMap(5).encode_unit(unit))
+print(hashlib.sha256(log_abs.tobytes() + sign.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 CPUs")
+@pytest.mark.parametrize("kind", ["mps", "ttn"])
+def test_log_amplitudes_repeat_across_blas_thread_counts(kind):
+    # MPS at bond 40 over 36 features and a 57-feature tree at bond 16:
+    # the scoring path, which fit's thread-count test does not reach
+    one, two = (helpers.run_in_child(SCORE_CHILD, kind, n) for n in (1, 2))
+    assert one == two

@@ -17,6 +17,7 @@ from tnad import (
     score_samples,
     toy_correlated_pairs,
 )
+from tnad.persist import MAGIC
 
 
 def fitted_encoder(n_functions, n_features, seed=0):
@@ -149,6 +150,28 @@ class TestContentChecks:
         path, stored = self.saved(tmp_path, kind)
         rewrite_tensor(path, stored, stored * (1.0 + 1e-6))
         with pytest.raises(DataError, match="not canonical"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ([(0, 0, np.nan)], "feature 0 is non-finite"),
+            ([(1, 1, -1e300)], "maximum <= minimum for feature 1"),
+            ([(2, 0, -1e308), (2, 1, 1e308)], "feature 2 is non-finite"),  # width overflows
+        ],
+        ids=["nan-minimum", "maximum-below-minimum", "width-overflows"],
+    )
+    def test_broken_rescaler_refused(self, tmp_path, edits, message):
+        """Each edit is (feature, 0 for its minimum or 1 for its maximum, new value)."""
+        path, _ = self.saved(tmp_path, "mps")
+        blob = bytearray(path.read_bytes()[:-4])
+        start = len(MAGIC) + struct.calcsize("<IBIII")
+        for feature, bound, value in edits:
+            offset = start + 16 * feature + 8 * bound
+            blob[offset : offset + 8] = struct.pack("<d", value)
+        blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=message):
             load_model(path)
 
     @staticmethod

@@ -1,7 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
+import helpers
 from tnad import DegenerateInputError, DimensionError, contract_pair, reorder_axes, truncated_svd
+from tnad.tensors import batched_transfer
 
 
 class TestContractPair:
@@ -80,6 +84,48 @@ class TestReorderAxes:
     def test_non_bijective_rejected(self):
         with pytest.raises(DimensionError, match="bijection"):
             reorder_axes(np.ones((2, 2)), [0, 0])
+
+
+def assert_transfer_matches_einsum(left, tensor, right):
+    got = batched_transfer(left, tensor, right)
+    expected = np.einsum("bm,mkn,bk->bn", left, tensor, right)
+    assert got.shape == expected.shape
+    # relative to the sum of absolute terms, so an entry that cancels to
+    # near zero is not held to a relative tolerance it cannot meet
+    scale = np.einsum("bm,mkn,bk->bn", abs(left), abs(tensor), abs(right))
+    assert (np.abs(got - expected) <= 1e-13 * scale).all()
+
+
+class TestBatchedTransfer:
+    """``batched_transfer`` against an ``np.einsum`` reference."""
+
+    @pytest.mark.parametrize(
+        "b, m, k, n",
+        [
+            (9, 1, 5, 7),  # MPS left boundary bond
+            (9, 7, 5, 1),  # MPS right boundary bond
+            (9, 6, 1, 4),  # phys_dim 1
+            (1, 4, 3, 5),  # one sample
+            (3, 1, 1, 1),
+            (40, 130, 3, 20),  # m > 64: the blocked inner sum
+            (25, 200, 5, 40),
+        ],
+    )
+    def test_matches_einsum(self, b, m, k, n):
+        rng = np.random.default_rng(b * m + k * n)
+        assert_transfer_matches_einsum(
+            rng.standard_normal((b, m)), rng.standard_normal((m, k, n)), rng.standard_normal((b, k))
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_shapes_and_strided_operands(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        b, m, k, n = rng.integers(1, 9, size=4)
+        assert_transfer_matches_einsum(
+            rng.standard_normal((m, b)).T,  # transposed and strided views, as callers pass
+            rng.standard_normal((n, k, m)).transpose(2, 1, 0),
+            rng.standard_normal((b, 3, k))[:, 1, :],
+        )
 
 
 class TestTruncatedSvd:
@@ -181,3 +227,25 @@ class TestGramFallback:
         np.testing.assert_allclose(r.discarded_weight, sigma_sq[2:].sum(), rtol=1e-10)
         recon = r.left_isometry * r.singular_values @ r.right_isometry
         np.testing.assert_allclose(np.sum((m - recon) ** 2), r.discarded_weight, rtol=1e-10)
+
+
+# Child process for the thread-count test: the Gram-route SVD of one
+# seeded matrix, printed as a hash of its factors' bytes.
+GRAM_CHILD = """
+import hashlib, sys
+import numpy as np
+from tnad.tensors import _svd_via_gram
+rows, cols = map(int, sys.argv[1].split("x"))
+m = np.random.default_rng(7).standard_normal((rows, cols))
+factors = _svd_via_gram(m)
+print(hashlib.sha256(b"".join(np.ascontiguousarray(f).tobytes() for f in factors)).hexdigest())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 CPUs")
+@pytest.mark.parametrize("shape", ["200x130", "130x200"], ids=["tall", "wide"])
+def test_gram_svd_repeats_across_blas_thread_counts(shape):
+    # the Gram route multiplies by transposed views (m.T, u.T) and by
+    # eigh's column-major eigenvectors
+    one, two = (helpers.run_in_child(GRAM_CHILD, shape, n) for n in (1, 2))
+    assert one == two

@@ -1,14 +1,10 @@
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
-import tnad
 from tnad import training
 from tnad import (
     DataError,
@@ -350,18 +346,6 @@ print(json.dumps({"trace": [x.hex() for x in report.nll_trace], "bonds": report.
 """
 
 
-def fit_in_child(case, threads):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
-    source = str(Path(tnad.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", FIT_CHILD, json.dumps(case)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
-
-
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 CPUs")
 @pytest.mark.parametrize(
     "case",
@@ -376,7 +360,7 @@ def fit_in_child(case, threads):
     ids=["mps-full-batch", "ttn-full-batch", "mps-large-merge", "ttn-large-merge"],
 )
 def test_fit_repeats_across_blas_thread_counts(case):
-    one, two = fit_in_child(case, 1), fit_in_child(case, 2)
+    one, two = (json.loads(helpers.run_in_child(FIT_CHILD, json.dumps(case), n)) for n in (1, 2))
     assert one["trace"] == two["trace"]
     assert one["bonds"] == two["bonds"]
     assert one["tensors"] == two["tensors"]
