@@ -65,7 +65,7 @@ from .explain import (
 from .metrics import auc_roc, eer_threshold, histogram_bin_count, histogram_mi, score_samples
 from .mps import MpsModel
 from .persist import load_model, save_model
-from .tensors import SvdResult, contract_pair, reorder_axes, truncated_svd
+from .tensors import SvdResult, truncated_svd
 from .training import StepStats, TrainConfig, TrainReport, fit, nll_loss, two_site_gradient, two_site_step
 from .ttn import TtnModel
 
@@ -105,7 +105,6 @@ __all__ = [
     "build_pollution",
     "conditional_expectations",
     "conditional_rdm",
-    "contract_pair",
     "eer_threshold",
     "explain_sample",
     "fit",
@@ -123,7 +122,6 @@ __all__ = [
     "orthonormal_basis",
     "quasi_density",
     "reduced_density_matrix",
-    "reorder_axes",
     "run_benchmark",
     "save_model",
     "score_samples",

@@ -16,7 +16,6 @@ conditional expected values for flagged features.
 from __future__ import annotations
 
 import logging
-import string
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,10 +30,12 @@ from .errors import (
 )
 from .mps import MpsModel
 from .tensors import (
+    aligned_matmul,
     chain_close,
     chain_march,
     chain_open,
     tree_down_step,
+    tree_join,
     tree_pair_densities,
     tree_up_step,
 )
@@ -60,7 +61,6 @@ __all__ = [
     "explain_sample",
 ]
 
-_SYMBOLS = string.ascii_letters
 DEFAULT_MAX_SUBSYSTEM_DIM = 256
 _MIN_CONDITIONAL_TRACE = 1e-30
 
@@ -157,26 +157,30 @@ class MiMatrices(NamedTuple):
 # reduced density matrices
 
 
-def _analysis_copy(model):
-    """Copy of the model with any padded slot pinned to its fixed encoding.
+def _analysis_copy(model: TtnModel, center: int, conditions=None) -> TtnModel:
+    """Copy of the tree with the pad and every condition pinned, canonical at ``center``.
 
-    The dummy feature is never free: the state is only ever evaluated with
-    it at the interval midpoint, so for density-matrix work it acts as a
-    condition, not a marginal. Absorbing the pad vector into the leaf (in
-    a single basis slot) makes the ordinary identity-trace of that slot
-    reproduce the pinned contraction, so every analysis path can treat the
-    pad like any marginalized feature. The copy must be re-canonicalized
-    before isometry-based shortcuts are used.
+    ``conditions`` maps a feature to its rescaled value. Each pinned
+    feature's encoding is absorbed into its leaf and the result placed in
+    slot 0 of that leg, so the ordinary identity-trace of the leg
+    reproduces the pinned contraction. The dummy feature is pinned like
+    this too: the state is only ever evaluated with it at the interval
+    midpoint, so for density-matrix work it is a condition, not a
+    marginal. Every analysis path can then treat a pinned feature like any
+    marginalized one, and the canonical form lets every subtree without an
+    open leg contract to the identity.
     """
+    pins = dict(conditions or {})
+    if model.padding:
+        pins[model.padded_features - 1] = 0.5
     work = model.copy()
-    if isinstance(work, TtnModel) and work.padding:
-        pad_feature = work.padded_features - 1
-        leaf, slot = work.leaf_of_feature(pad_feature)
+    for feature, value in pins.items():
+        leaf, slot = work.leaf_of_feature(feature)
         tensor = work.tensors[leaf]
-        pinned = np.tensordot(tensor, orthonormal_basis(work.phys_dim, 0.5), axes=(slot, 0))
-        replacement = np.zeros_like(tensor)
-        replacement[:, :, 0] = pinned
-        work.tensors[leaf] = replacement
+        pinned = np.tensordot(tensor, orthonormal_basis(work.phys_dim, value), axes=(slot, 0))
+        work.tensors[leaf] = np.zeros_like(tensor)
+        np.moveaxis(work.tensors[leaf], slot, 0)[0] = pinned
+    work.canonicalize(center)
     return work
 
 
@@ -217,133 +221,71 @@ def _mps_rdm(model: MpsModel, targets, conditions) -> ReducedDensityMatrix:
     work = model.copy()
     work.canonicalize(involved[0])
 
-    cond_vecs = {s: orthonormal_basis(n, x) for s, x in conditions.items()}
     marching = _identity_object(work.cores[involved[0]].shape[0])
     for site in range(involved[0], involved[-1] + 1):
         core = work.cores[site]
         if site in targets_sorted:
             marching = chain_open(marching, core)
-        elif site in cond_vecs:
-            pinned = np.einsum("lpr,p->lr", core, cond_vecs[site])
+        elif site in conditions:
+            pinned = orthonormal_basis(n, conditions[site]) @ core
             marching = chain_march(marching, pinned[:, None, :])
         else:
             marching = chain_march(marching, core)
-    rho = np.einsum("rKBr->KB", marching)
+    rho = np.trace(marching, axis1=0, axis2=3)
     return _finalize_rdm(rho, targets_sorted, targets, n)
 
 
-def _ttn_rdm(model: TtnModel, targets, conditions) -> ReducedDensityMatrix:
-    n = model.phys_dim
-    work = _analysis_copy(model)
-    cond_vecs = {f: orthonormal_basis(n, x) for f, x in conditions.items()}
-    involved = set(targets) | set(cond_vecs)
-    involved_leaves = sorted({work.leaf_of_feature(f)[0] for f in involved})
-    anchor = involved_leaves[0]
-    work.canonicalize(anchor)
+def _ttn_rdm(work: TtnModel, targets) -> ReducedDensityMatrix:
+    """Density matrix of ``targets`` on a pinned copy canonical at their common ancestor.
 
-    # a tree edge belongs to the spanning subtree iff involved leaves sit on both sides
-    in_subtree = {anchor}
-    for u in range(work.n_nodes):
-        p = work.parents[u]
-        if p < 0:
-            continue
-        behind = work.features_behind(u, p)
-        if (involved & behind) and (involved - behind):
-            in_subtree.add(u)
-            in_subtree.add(p)
-
-    target_set = set(targets)
-
-    def rec(u: int, toward: int):
-        """Message covering node ``u``'s side of edge (u, toward).
-
-        Returns ``(array, ket_features)`` with axes
-        ``(*ket_opens, *bra_opens, bond, bond~)``.
-        """
-        tensor = work.tensors[u]
-        spec = work.axis_spec(u)
-        symbols = iter(_SYMBOLS)
-        ket_sub = [next(symbols) for _ in spec]
-        bra_sub = list(ket_sub)
-        operands: list[np.ndarray] = []
-        subs: list[str] = []
-        ket_opens: list[str] = []
-        bra_opens: list[str] = []
-        open_feats: list[int] = []
-        out_bond = ("", "")
-
-        for ax, (kind, ref) in enumerate(spec):
-            if kind == "bond" and ref == toward:
-                bra_sub[ax] = next(symbols)
-                out_bond = (ket_sub[ax], bra_sub[ax])
-            elif kind == "phys":
-                if ref in target_set:
-                    bra_sub[ax] = next(symbols)
-                    ket_opens.append(ket_sub[ax])
-                    bra_opens.append(bra_sub[ax])
-                    open_feats.append(ref)
-                elif ref in cond_vecs:
-                    bra_sub[ax] = next(symbols)
-                    operands += [cond_vecs[ref], cond_vecs[ref]]
-                    subs += [ket_sub[ax], bra_sub[ax]]
-                # else: marginalized, shared symbol contracts ket with bra
-            else:  # bond to a non-toward neighbor
-                if ref in in_subtree:
-                    child_msg, child_feats = rec(ref, u)
-                    bra_sub[ax] = next(symbols)
-                    child_subs = [next(symbols) for _ in range(2 * len(child_feats))]
-                    operands.append(child_msg)
-                    subs.append("".join(child_subs) + ket_sub[ax] + bra_sub[ax])
-                    half = len(child_feats)
-                    ket_opens.extend(child_subs[:half])
-                    bra_opens.extend(child_subs[half:])
-                    open_feats.extend(child_feats)
-                # else: exterior region is isometric toward the center and
-                # contracts to the identity, so ket and bra share the symbol
-        out = "".join(ket_opens) + "".join(bra_opens) + out_bond[0] + out_bond[1]
-        expr = ",".join(["".join(ket_sub), "".join(bra_sub)] + subs) + "->" + out
-        return np.einsum(expr, tensor, tensor, *operands, optimize=True), open_feats
-
-    # close the contraction at the anchor: treat it like a message with no out bond
-    t = work.tensors[anchor]
-    spec = work.axis_spec(anchor)
-    symbols = iter(_SYMBOLS)
-    ket_sub = [next(symbols) for _ in spec]
-    bra_sub = list(ket_sub)
-    operands: list[np.ndarray] = []
-    subs: list[str] = []
-    ket_opens: list[str] = []
-    bra_opens: list[str] = []
-    open_feats: list[int] = []
-    for ax, (kind, ref) in enumerate(spec):
-        if kind == "phys":
-            if ref in target_set:
-                bra_sub[ax] = next(symbols)
-                ket_opens.append(ket_sub[ax])
-                bra_opens.append(bra_sub[ax])
-                open_feats.append(ref)
-            elif ref in cond_vecs:
-                bra_sub[ax] = next(symbols)
-                operands += [cond_vecs[ref], cond_vecs[ref]]
-                subs += [ket_sub[ax], bra_sub[ax]]
+    One bottom-up pass from the leaves to that ancestor, the canonical
+    center: a target leg is the open identity, a leg without targets below
+    it the bond identity, and a node without targets below it has no
+    object. Each node below the center joins the two-sided objects of its
+    lower legs (:func:`tree_join`); the center closes them, since the rest
+    of the tree contracts to the identity on its parent bond.
+    """
+    n = work.phys_dim
+    open_leg = np.multiply.outer(np.eye(n), np.eye(n))
+    up: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for u in reversed(range(work.center, work.n_nodes)):
+        node = _parent_first(work, u)
+        if work.children[u] is None:
+            sides = [(open_leg, [f]) if f in targets else None for f in work.leaf_features[u]]
         else:
-            if ref in in_subtree:
-                child_msg, child_feats = rec(ref, anchor)
-                bra_sub[ax] = next(symbols)
-                child_subs = [next(symbols) for _ in range(2 * len(child_feats))]
-                operands.append(child_msg)
-                subs.append("".join(child_subs) + ket_sub[ax] + bra_sub[ax])
-                half = len(child_feats)
-                ket_opens.extend(child_subs[:half])
-                bra_opens.extend(child_subs[half:])
-                open_feats.extend(child_feats)
-    out = "".join(ket_opens) + "".join(bra_opens)
-    expr = ",".join(["".join(ket_sub), "".join(bra_sub)] + subs) + "->" + out
-    rho_tensor = np.einsum(expr, t, t, *operands, optimize=True)
+            sides = [up.pop(c, None) for c in work.children[u]]
+        if not any(sides):
+            continue
+        (obj0, feats0), (obj1, feats1) = (
+            side or (_identity_object(node.shape[1 + leg]), []) for leg, side in enumerate(sides)
+        )
+        if u == work.center:
+            rho = tree_pair_densities(obj0[:, None], np.eye(node.shape[0]), node, obj1[:, None])
+            return _finalize_rdm(rho[0, 0], tuple(feats0 + feats1), targets, n)
+        up[u] = (tree_join(obj0, obj1, node), feats0 + feats1)
 
-    k = len(open_feats)
-    rho = rho_tensor.reshape(n**k, n**k)
-    return _finalize_rdm(rho, tuple(open_feats), targets, n)
+
+def _common_ancestor(model: TtnModel, features) -> int:
+    """Lowest node whose subtree holds every given feature (parents precede children)."""
+    leaves = [model.leaf_of_feature(f)[0] for f in features]
+    anchor = leaves[0]
+    for leaf in leaves[1:]:
+        while anchor != leaf:
+            if anchor > leaf:
+                anchor = model.parents[anchor]
+            else:
+                leaf = model.parents[leaf]
+    return anchor
+
+
+def _rdm(model, targets, conditions) -> ReducedDensityMatrix:
+    """Density matrix of ``targets`` with ``conditions`` pinned, for either model kind."""
+    if isinstance(model, MpsModel):
+        return _mps_rdm(model, targets, conditions)
+    if isinstance(model, TtnModel):
+        center = _common_ancestor(model, targets)
+        return _ttn_rdm(_analysis_copy(model, center, conditions), targets)
+    raise DataError(f"unsupported model type {type(model).__name__}")
 
 
 def _check_subsystem(model, sites, max_dim) -> None:
@@ -374,11 +316,7 @@ def reduced_density_matrix(
     """
     sites = tuple(int(s) for s in sites)
     _check_subsystem(model, sites, max_dim)
-    if isinstance(model, MpsModel):
-        return _mps_rdm(model, sites, {})
-    if isinstance(model, TtnModel):
-        return _ttn_rdm(model, sites, {})
-    raise DataError(f"unsupported model type {type(model).__name__}")
+    return _rdm(model, sites, {})
 
 
 def conditional_rdm(
@@ -403,11 +341,7 @@ def conditional_rdm(
             raise DataError(f"condition feature {s} out of range (model has {n_features})")
         if not 0.0 <= v <= 1.0:
             raise DataError(f"condition value {v} for feature {s} outside [0, 1]")
-    if isinstance(model, MpsModel):
-        return _mps_rdm(model, target_sites, conditions)
-    if isinstance(model, TtnModel):
-        return _ttn_rdm(model, target_sites, conditions)
-    raise DataError(f"unsupported model type {type(model).__name__}")
+    return _rdm(model, target_sites, conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -416,24 +350,20 @@ def conditional_rdm(
 
 def _density_on_grid(rdm: ReducedDensityMatrix, axes_points) -> np.ndarray:
     """Quasi-density evaluated on a tensor grid (one point array per site)."""
-    n = rdm.phys_dim
-    k = rdm.n_sites
-    bases = [orthonormal_basis(n, pts).T for pts in axes_points]  # (n_pts, N) each
-    tensor = rdm.matrix.reshape((n,) * (2 * k))
-    ket = _SYMBOLS[:k]
-    bra = _SYMBOLS[k : 2 * k]
-    grid = _SYMBOLS[2 * k : 3 * k]
-    subs = [ket + bra] + [grid[i] + ket[i] for i in range(k)] + [
-        grid[i] + bra[i] for i in range(k)
-    ]
-    expr = ",".join(subs) + "->" + grid
-    return np.einsum(expr, tensor, *bases, *bases, optimize=True)
+    basis = np.ones((1, 1))  # row per grid point, column per basis product
+    for pts in axes_points:
+        basis = np.kron(basis, orthonormal_basis(rdm.phys_dim, pts).T)
+    values = (aligned_matmul(basis, rdm.matrix) * basis).sum(axis=1)
+    return values.reshape([len(pts) for pts in axes_points])
 
 
 def _quadrature(rdm: ReducedDensityMatrix):
+    """Gauss-Legendre nodes and the weighted unnormalized density on their tensor grid."""
     nodes, weights = gauss_legendre_unit(2 * rdm.phys_dim)
-    values = _density_on_grid(rdm, [nodes] * rdm.n_sites)
-    return nodes, weights, values
+    w = weights
+    for _ in range(rdm.n_sites - 1):
+        w = np.multiply.outer(w, weights)
+    return nodes, w * _density_on_grid(rdm, [nodes] * rdm.n_sites)
 
 
 def quasi_density(rdm: ReducedDensityMatrix, point) -> float:
@@ -448,15 +378,9 @@ def quasi_density(rdm: ReducedDensityMatrix, point) -> float:
         raise DataError(f"point has shape {point.shape}, expected ({rdm.n_sites},)")
     if np.any(point < 0.0) or np.any(point > 1.0):
         raise DataError("quasi-density points live in the rescaled domain [0, 1]")
-    nodes, weights, values = _quadrature(rdm)
-    w = weights
-    for _ in range(rdm.n_sites - 1):
-        w = np.multiply.outer(w, weights)
-    total = float((w * values).sum())
-    vec = orthonormal_basis(rdm.phys_dim, point[0])
-    for x in point[1:]:
-        vec = np.kron(vec, orthonormal_basis(rdm.phys_dim, x))
-    return float(vec @ rdm.matrix @ vec) / total
+    _, wq = _quadrature(rdm)
+    total = float(wq.sum())
+    return _density_on_grid(rdm, point[:, None]).item() / total
 
 
 def marginal_moments(rdm: ReducedDensityMatrix, rescaler=None, max_sites: int = 3) -> MarginalStats:
@@ -470,12 +394,8 @@ def marginal_moments(rdm: ReducedDensityMatrix, rescaler=None, max_sites: int = 
         raise ResourceLimitError(
             f"moments over {rdm.n_sites} features exceed the {max_sites}-site grid budget"
         )
-    nodes, weights, values = _quadrature(rdm)
+    nodes, wq = _quadrature(rdm)
     k = rdm.n_sites
-    w = weights
-    for _ in range(k - 1):
-        w = np.multiply.outer(w, weights)
-    wq = w * values
     total = float(wq.sum())
     coords = np.meshgrid(*([nodes] * k), indexing="ij")
     mean = np.array([float((wq * c).sum()) / total for c in coords])
@@ -588,8 +508,7 @@ def _parent_first(work: TtnModel, u: int) -> np.ndarray:
 
 
 def _ttn_single_and_pair_entropies(model: TtnModel):
-    work = _analysis_copy(model)
-    work.canonicalize(0)
+    work = _analysis_copy(model, 0)
     n = work.phys_dim
     length = work.n_features
     down, singles = _ttn_bond_densities(work)
@@ -665,8 +584,7 @@ def _single_site_rdms(model) -> list[np.ndarray]:
             out.append(_unit_density(chain_close(_identity_object(core.shape[0]), core)))
         return out
     if isinstance(model, TtnModel):
-        work = _analysis_copy(model)
-        work.canonicalize(0)
+        work = _analysis_copy(model, 0)
         _, singles = _ttn_bond_densities(work)
         return [_unit_density(singles[f]) for f in range(work.n_features)]
     raise DataError(f"unsupported model type {type(model).__name__}")

@@ -107,13 +107,9 @@ class MpsModel:
     def phys_dim(self) -> int:
         return self.cores[0].shape[1]
 
-    @property
-    def bond_dimensions(self) -> list[int]:
+    def bond_profile(self) -> list[int]:
         """Interior bond extents, left to right (length ``n_sites - 1``)."""
         return [core.shape[2] for core in self.cores[:-1]]
-
-    def bond_profile(self) -> list[int]:
-        return list(self.bond_dimensions)
 
     def state_norm(self) -> float:
         """Norm of the represented state (Frobenius norm of the center core)."""
@@ -209,64 +205,7 @@ class MpsModel:
         self.cores[c - 1] = np.tensordot(self.cores[c - 1], r.T, axes=(2, 0))
         self.center = c - 1
 
-    # -- two-site primitives -----------------------------------------------
-
-    def merge_bond(self, site: int) -> np.ndarray:
-        """Contract cores ``site`` and ``site + 1`` into one rank-4 tensor.
-
-        Requires the canonical center at one of the two sites. The model
-        itself is not modified; apply :meth:`split_bond` to write back.
-        """
-        if not 0 <= site < self.n_sites - 1:
-            raise DataError(f"no bond at site {site}")
-        if self.center not in (site, site + 1):
-            raise DataError(
-                f"canonical center is at {self.center}, expected {site} or {site + 1}"
-            )
-        return np.tensordot(self.cores[site], self.cores[site + 1], axes=(2, 0))
-
-    def split_bond(
-        self,
-        site: int,
-        merged: np.ndarray,
-        direction: str,
-        rel_threshold: float = 0.0,
-        max_rank: int | None = None,
-    ) -> float:
-        """Split a merged two-site tensor back into cores via truncated SVD.
-
-        The singular values are absorbed into the core on the traversal
-        side (``direction``), which becomes the new canonical center and is
-        renormalized to unit state norm. Returns the discarded weight (sum
-        of squared truncated singular values).
-        """
-        if direction not in ("left", "right"):
-            raise DataError(f"direction must be 'left' or 'right', got {direction!r}")
-        dl, n1, n2, dr = (
-            self.cores[site].shape[0],
-            self.phys_dim,
-            self.phys_dim,
-            self.cores[site + 1].shape[2],
-        )
-        merged = np.asarray(merged, dtype=np.float64)
-        if merged.shape != (dl, n1, n2, dr):
-            raise DimensionError(
-                f"merged tensor has shape {merged.shape}, expected {(dl, n1, n2, dr)}"
-            )
-        result = truncated_svd(merged.reshape(dl * n1, n2 * dr), rel_threshold, max_rank)
-        k = result.rank
-        weight = result.singular_values / frobenius_norm(result.singular_values)
-        if direction == "right":
-            self.cores[site] = result.left_isometry.reshape(dl, n1, k)
-            self.cores[site + 1] = (weight[:, None] * result.right_isometry).reshape(k, n2, dr)
-            self.center = site + 1
-        else:
-            self.cores[site + 1] = result.right_isometry.reshape(k, n2, dr)
-            self.cores[site] = (result.left_isometry * weight).reshape(dl, n1, k)
-            self.center = site
-        return result.discarded_weight
-
-    # -- generic trainer interface -----------------------------------------
+    # -- two-site primitives and the generic trainer interface ------------
 
     def sweep_start(self) -> int:
         """Site the canonical center must occupy when a sweep begins."""
@@ -279,10 +218,20 @@ class MpsModel:
         return right + left
 
     def merge_edge(self, edge: tuple[int, int]) -> np.ndarray:
+        """Contract the cores of the adjacent sites ``edge`` into one rank-4 tensor.
+
+        The result has axes ``(D_left, N, N, D_right)`` of the lower site
+        then the upper one. Requires the canonical center at one of the two
+        sites. The model itself is not modified; apply :meth:`split_edge`
+        to write back.
+        """
         a, b = edge
-        if abs(a - b) != 1:
+        site = min(a, b)
+        if abs(a - b) != 1 or not 0 <= site < self.n_sites - 1:
             raise DataError(f"{edge} is not an adjacent pair of sites")
-        return self.merge_bond(min(a, b))
+        if self.center not in edge:
+            raise DataError(f"canonical center is at {self.center}, expected {a} or {b}")
+        return np.tensordot(self.cores[site], self.cores[site + 1], axes=(2, 0))
 
     def split_edge(
         self,
@@ -291,14 +240,32 @@ class MpsModel:
         rel_threshold: float = 0.0,
         max_rank: int | None = None,
     ) -> float:
-        a, b = edge
-        direction = "right" if b > a else "left"
-        return self.split_bond(min(a, b), merged, direction, rel_threshold, max_rank)
+        """Split a merged two-site tensor back into cores via truncated SVD.
 
-    def edge_sites(self, edge: tuple[int, int]) -> tuple[int, int]:
-        """Feature indices whose encodings enter the merged tensor, in axis order."""
-        site = min(edge)
-        return site, site + 1
+        The singular values are absorbed into the core at ``edge[1]``, the
+        direction of travel, which becomes the new canonical center and is
+        renormalized to unit state norm. Returns the discarded weight (sum
+        of squared truncated singular values).
+        """
+        a, b = edge
+        site = min(a, b)
+        dl, n, dr = self.cores[site].shape[0], self.phys_dim, self.cores[site + 1].shape[2]
+        merged = np.asarray(merged, dtype=np.float64)
+        if merged.shape != (dl, n, n, dr):
+            raise DimensionError(
+                f"merged tensor has shape {merged.shape}, expected {(dl, n, n, dr)}"
+            )
+        result = truncated_svd(merged.reshape(dl * n, n * dr), rel_threshold, max_rank)
+        k = result.rank
+        weight = result.singular_values / frobenius_norm(result.singular_values)
+        if b > a:
+            self.cores[site] = result.left_isometry.reshape(dl, n, k)
+            self.cores[site + 1] = (weight[:, None] * result.right_isometry).reshape(k, n, dr)
+        else:
+            self.cores[site + 1] = result.right_isometry.reshape(k, n, dr)
+            self.cores[site] = (result.left_isometry * weight).reshape(dl, n, k)
+        self.center = b
+        return result.discarded_weight
 
     def environment_cache(self, encoded: np.ndarray) -> "MpsEnvironments":
         return MpsEnvironments(self, encoded)

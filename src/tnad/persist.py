@@ -23,7 +23,8 @@ the explanation paths contract everything outside a subsystem to the
 identity, which is exact only for a canonical state. So is a file whose
 rescaler has a non-finite bound, a width that overflows, or an empty or
 reversed interval, which would map every value of that feature to NaN or
-to one end.
+to one end, and a tree whose node ids are not in pre-order (see
+:func:`tnad.ttn.tree_layout`), which the tree passes rely on.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .encoding import FeatureRescaler, LegendreFeatureMap
 from .errors import DataError
 from .mps import MpsModel
-from .ttn import TtnModel
+from .ttn import TtnModel, node_shapes, tree_layout
 
 __all__ = ["save_model", "load_model", "MAGIC", "FORMAT_VERSION"]
 
@@ -103,8 +104,9 @@ def load_model(path):
     The returned model carries a :class:`LegendreFeatureMap` built from the
     embedded rescaler, so it can score raw samples directly. Raises
     :class:`DataError` for a malformed or corrupt file, for one whose
-    tensors hold non-finite entries or are not canonical, and for one whose
-    rescaler has a non-finite interval or a maximum not above its minimum.
+    tensors hold non-finite entries or are not canonical, for one whose
+    rescaler has a non-finite interval or a maximum not above its minimum,
+    and for a tree whose node ids are not in pre-order.
     """
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 4:
@@ -158,31 +160,16 @@ def load_model(path):
             offset += 8
             parents.append(p)
             parent_bond.append(b)
-        children: list = [None] * n_nodes
-        for u in range(n_nodes):
-            if parents[u] >= 0:
-                p = parents[u]
-                children[p] = (children[p] or ()) + (u,)
-        children = [tuple(c) if c else None for c in children]
-        for u, c in enumerate(children):
-            if c is not None and len(c) != 2:
-                raise DataError(f"{path}: node {u} has {len(c)} children, expected 2")
-
-        leaf_features: list = [None] * n_nodes
+        try:
+            children, leaf_features = tree_layout(parents)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
         leaf_ids = [u for u in range(n_nodes) if children[u] is None]
-        for k, u in enumerate(leaf_ids):
-            leaf_features[u] = (2 * k, 2 * k + 1)
         if 2 * len(leaf_ids) != n_features + padding:
             raise DataError(f"{path}: leaf count inconsistent with feature count")
 
         tensors = []
-        for u in range(n_nodes):
-            if children[u] is None:
-                shape = (parent_bond[u] if parents[u] >= 0 else 1, phys_dim, phys_dim)
-            elif parents[u] < 0:
-                shape = (parent_bond[children[u][0]], parent_bond[children[u][1]])
-            else:
-                shape = (parent_bond[u], parent_bond[children[u][0]], parent_bond[children[u][1]])
+        for shape in node_shapes(parents, children, parent_bond, phys_dim):
             tensors.append(_read_tensor(raw, offset, shape, path))
             offset += 8 * int(np.prod(shape))
         _expect_end(raw, offset, path)

@@ -2,12 +2,14 @@
 
 Tensors are plain ``numpy.ndarray`` objects with ``float64`` entries and
 row-major layout; axis meaning (bond, physical, ...) is a documented
-convention of each caller. This module provides the three primitives the
-network code is built on: pairwise contraction, axis reordering, and a
-truncated singular value decomposition with an explicit account of the
-discarded weight. Two reductions, :func:`ordered_matmul` and
-:func:`frobenius_norm`, sum in an order fixed by the operands' shapes,
-so their results do not depend on how many threads the BLAS runs.
+convention of each caller. This module provides the named contraction
+kernels the network code is built on and a truncated singular value
+decomposition with an explicit account of the discarded weight. Every
+kernel reduces through :func:`ordered_matmul` (or, for a norm,
+:func:`frobenius_norm`), which sums in an order fixed by the operands'
+shapes rather than by how many threads the BLAS runs; the density-matrix
+kernels go through :func:`aligned_matmul`, which also keeps a threaded
+BLAS from splitting their output columns where the rounding would move.
 
 :func:`batched_transfer` is the per-sample message step of amplitudes
 and training environments, for an MPS core and for a tree node alike;
@@ -20,7 +22,9 @@ the cached-environment scheme of Han et al. 2018 (PRX 8, 031012). A
 *two-sided object* has axes ``(l, K, B, s)``: the ket copy of one bond,
 the flattened open ket and bra legs gathered so far, then the bra copy
 of the bond. That order lets every step reshape without moving the
-fastest-running axis.
+fastest-running axis. The ``chain_*`` kernels carry such an object along
+an MPS; :func:`tree_join` merges the objects of a tree node's two lower
+legs, and the ``tree_*`` kernels serve all-to-all mutual information.
 
 All functions are pure: they never mutate their inputs and hold no state,
 so they are safe to call concurrently.
@@ -29,24 +33,23 @@ so they are safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
 
-__all__ = ["SvdResult", "contract_pair", "reorder_axes", "truncated_svd", "as_tensor"]
-
-
-def as_tensor(values) -> np.ndarray:
-    """Coerce ``values`` to a float64 ndarray (no copy when already one)."""
-    return np.asarray(values, dtype=np.float64)
+__all__ = ["SvdResult", "truncated_svd"]
 
 
 # Inner-dimension width of one ordered_matmul block. Far below the depth
 # at which a BLAS splits a matrix product's inner dimension, so each block
 # is one pass whose rounding does not depend on the thread count.
 _REDUCTION_BLOCK = 64
+# Column count that a threaded BLAS may split between threads without
+# changing the rounding of any column (see aligned_matmul), and the most
+# multiply-adds OpenBLAS leaves to a single thread.
+_COLUMN_ALIGN = 8
+_SINGLE_THREAD_WORK = 4 * 65536
 
 
 def ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,6 +72,26 @@ def ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         stop = start + _REDUCTION_BLOCK
         out += a[:, start:stop] @ b[start:stop]
     return out
+
+
+def aligned_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`ordered_matmul` with the columns of ``b`` padded to a multiple of 8.
+
+    OpenBLAS 0.3.31 may split the output columns of a product between
+    threads, and then rounds the columns next to a split differently
+    unless the column count is a multiple of 8 (for example 512 x 20 x 201,
+    or 137 x 122 x 190). So a product large enough to be threaded gets
+    zero columns appended up to that multiple, dropped from the result;
+    the density-matrix kernels then repeat at any thread count whatever
+    the bond extents. Smaller products run on one thread as they are.
+    """
+    depth, n = b.shape
+    pad = -n % _COLUMN_ALIGN
+    if not pad or a.shape[0] * n * min(depth, _REDUCTION_BLOCK) <= _SINGLE_THREAD_WORK:
+        return ordered_matmul(a, b)
+    wide = np.zeros((depth, n + pad))
+    wide[:, :n] = b
+    return ordered_matmul(a, wide)[:, :n]
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -127,9 +150,9 @@ def chain_march(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
     flat = obj.reshape(dl * k * b, dl)
     ket = np.ascontiguousarray(core.transpose(1, 2, 0))  # (a, r, l)
     bra = np.ascontiguousarray(core.transpose(1, 0, 2))  # (a, s, u)
-    out = ordered_matmul(ket[0], ordered_matmul(flat, bra[0]).reshape(dl, k * b * dr))
+    out = aligned_matmul(ket[0], aligned_matmul(flat, bra[0]).reshape(dl, k * b * dr))
     for a in range(1, n):
-        out += ordered_matmul(ket[a], ordered_matmul(flat, bra[a]).reshape(dl, k * b * dr))
+        out += aligned_matmul(ket[a], aligned_matmul(flat, bra[a]).reshape(dl, k * b * dr))
     return out.reshape(dr, k, b, dr)
 
 
@@ -142,8 +165,8 @@ def chain_open(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
     """
     dl, k, b, _ = obj.shape
     _, n, dr = core.shape
-    half = ordered_matmul(obj.reshape(dl * k * b, dl), core.reshape(dl, n * dr))
-    out = ordered_matmul(core.reshape(dl, n * dr).T, half.reshape(dl, k * b * n * dr))
+    half = aligned_matmul(obj.reshape(dl * k * b, dl), core.reshape(dl, n * dr))
+    out = aligned_matmul(core.reshape(dl, n * dr).T, half.reshape(dl, k * b * n * dr))
     out = out.reshape(n, dr, k, b, n, dr).transpose(1, 2, 0, 3, 4, 5)
     return out.reshape(dr, k * n, b * n, dr)
 
@@ -158,10 +181,35 @@ def chain_close(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
     dl, k, b, _ = obj.shape
     _, n, dr = core.shape
     rows = core.reshape(dl * n, dr)
-    pair = ordered_matmul(rows, rows.T)
+    pair = aligned_matmul(rows, rows.T)
     pair = pair.reshape(dl, n, dl, n).transpose(0, 2, 1, 3).reshape(dl * dl, n * n)
-    out = ordered_matmul(obj.transpose(1, 2, 0, 3).reshape(k * b, dl * dl), pair)
+    out = aligned_matmul(obj.transpose(1, 2, 0, 3).reshape(k * b, dl * dl), pair)
     return out.reshape(k, b, n, n).transpose(0, 2, 1, 3).reshape(k * n, b * n)
+
+
+def tree_join(obj0: np.ndarray, obj1: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """Merge the two-sided objects of a tree node's lower legs through the node.
+
+    ``obj0`` is ``(l, K0, B0, L)`` over the node's first lower leg,
+    ``obj1`` is ``(r, K1, B1, R)`` over its second, and ``node`` is
+    ``(d, l, r)``. Returns ``sum node[d,l,r] obj0[l,K0,B0,L] obj1[r,K1,B1,R]
+    node[D,L,R]`` with axes ``(d, K0*K1, B0*B1, D)``: the open legs of the
+    first side run slower than those of the second. The bra node meets
+    ``obj0`` over ``L``, then ``obj1`` over ``R``, and the ket node closes
+    ``l`` and ``r`` in one product. A side without open legs is the bond
+    identity with ``K = B = 1``.
+    """
+    dl, k0, b0, _ = obj0.shape
+    dr, k1, b1, _ = obj1.shape
+    d = node.shape[0]
+    bra = node.transpose(1, 0, 2).reshape(dl, d * dr)
+    half = aligned_matmul(obj0.reshape(dl * k0 * b0, dl), bra)  # (l, K0, B0, D, R)
+    side = obj1.transpose(3, 0, 1, 2).reshape(dr, dr * k1 * b1)
+    both = aligned_matmul(half.reshape(dl * k0 * b0 * d, dr), side)  # (l, K0, B0, D, r, K1, B1)
+    both = both.reshape(dl, k0 * b0 * d, dr, k1 * b1).transpose(0, 2, 1, 3)
+    out = aligned_matmul(node.reshape(d, dl * dr), both.reshape(dl * dr, k0 * b0 * d * k1 * b1))
+    out = out.reshape(d, k0, b0, d, k1, b1).transpose(0, 1, 4, 2, 5, 3)
+    return out.reshape(d, k0 * k1, b0 * b1, d)
 
 
 def tree_down_step(density: np.ndarray, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,11 +221,11 @@ def tree_down_step(density: np.ndarray, node: np.ndarray) -> tuple[np.ndarray, n
     two features and the results are their single-feature densities.
     """
     d, dl, dr = node.shape
-    half = ordered_matmul(density, node.reshape(d, dl * dr)).reshape(d, dl, dr)
-    left = ordered_matmul(
+    half = aligned_matmul(density, node.reshape(d, dl * dr)).reshape(d, dl, dr)
+    left = aligned_matmul(
         node.transpose(1, 0, 2).reshape(dl, d * dr), half.transpose(0, 2, 1).reshape(d * dr, dl)
     )
-    right = ordered_matmul(node.reshape(d * dl, dr).T, half.reshape(d * dl, dr))
+    right = aligned_matmul(node.reshape(d * dl, dr).T, half.reshape(d * dl, dr))
     return left, right
 
 
@@ -199,89 +247,28 @@ def tree_up_step(messages: np.ndarray, node: np.ndarray, leg: int) -> np.ndarray
 def tree_pair_densities(
     left: np.ndarray, density: np.ndarray, node: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
-    """Two-feature densities for every feature pair split at a tree node.
+    """Close stacked two-sided objects of a tree node's two lower legs.
 
-    ``left`` stacks one-feature messages ``(l, F0, n, n, L)`` over the
-    node's first lower leg (see :func:`tree_up_step`), ``right`` likewise
-    ``(r, F1, n, n, R)`` over the second; ``density`` is ``(d, D)`` on the
-    parent bond of ``node`` ``(d, l, r)``. The node's ``density``-weighted
-    ``t (x) t`` is built once as a ``(l*L, r*R)`` matrix ``M`` and every
-    pair is ``A @ M @ B.T``. Returns ``(F0, F1, n*n, n*n)`` with rows
-    ``(p, q)`` and columns ``(P, Q)``.
+    ``left`` stacks two-sided objects ``(l, F0, K0, B0, L)`` over the
+    node's first lower leg (for example one-feature messages, see
+    :func:`tree_up_step`), ``right`` likewise ``(r, F1, K1, B1, R)`` over
+    the second; ``density`` is ``(d, D)`` on the parent bond of ``node``
+    ``(d, l, r)``. The node's ``density``-weighted ``t (x) t`` is built
+    once as a ``(l*L, r*R)`` matrix ``M`` and every pair is
+    ``A @ M @ B.T``. Returns ``(F0, F1, K0*K1, B0*B1)``: the density matrix
+    of every pair, rows ``(K0, K1)`` and columns ``(B0, B1)``.
     """
     d, dl, dr = node.shape
-    f0, n = left.shape[1], left.shape[2]
-    f1 = right.shape[1]
+    _, f0, k0, b0, _ = left.shape
+    _, f1, k1, b1, _ = right.shape
     flat = node.reshape(d, dl * dr)
-    kernel = ordered_matmul(flat.T, ordered_matmul(density, flat))
+    kernel = aligned_matmul(flat.T, aligned_matmul(density, flat))
     kernel = kernel.reshape(dl, dr, dl, dr).transpose(0, 2, 1, 3).reshape(dl * dl, dr * dr)
-    a = left.transpose(1, 2, 3, 0, 4).reshape(f0 * n * n, dl * dl)
-    b = right.transpose(1, 2, 3, 0, 4).reshape(f1 * n * n, dr * dr)
-    rho = ordered_matmul(ordered_matmul(a, kernel), b.T)
-    rho = rho.reshape(f0, n, n, f1, n, n).transpose(0, 3, 1, 4, 2, 5)
-    return rho.reshape(f0, f1, n * n, n * n)
-
-
-def contract_pair(
-    a: np.ndarray,
-    b: np.ndarray,
-    axis_pairs: Sequence[tuple[int, int]] = (),
-) -> np.ndarray:
-    """Contract two tensors along the given axis pairs.
-
-    Parameters
-    ----------
-    a, b : np.ndarray
-        Operands of arbitrary rank.
-    axis_pairs : sequence of (int, int)
-        Pairs ``(axis_of_a, axis_of_b)`` to sum over. Empty pairs give the
-        outer product.
-
-    Returns
-    -------
-    np.ndarray
-        Result whose axes are the unpaired axes of ``a`` in order followed
-        by the unpaired axes of ``b`` in order. Contracting all axes yields
-        a rank-0 tensor.
-
-    Raises
-    ------
-    DimensionError
-        If a paired axis is out of range, appears twice, or the paired
-        extents differ.
-    """
-    a = as_tensor(a)
-    b = as_tensor(b)
-    a_axes = [p[0] for p in axis_pairs]
-    b_axes = [p[1] for p in axis_pairs]
-    for axes, t, name in ((a_axes, a, "a"), (b_axes, b, "b")):
-        for ax in axes:
-            if not -t.ndim <= ax < t.ndim:
-                raise DimensionError(f"axis {ax} out of range for operand {name} of rank {t.ndim}")
-        normalized = [ax % t.ndim for ax in axes]
-        if len(set(normalized)) != len(normalized):
-            raise DimensionError(f"duplicate contraction axis in operand {name}: {axes}")
-    for ax_a, ax_b in axis_pairs:
-        if a.shape[ax_a] != b.shape[ax_b]:
-            raise DimensionError(
-                f"extent mismatch: a-axis {ax_a} has extent {a.shape[ax_a]}, "
-                f"b-axis {ax_b} has extent {b.shape[ax_b]}"
-            )
-    return np.tensordot(a, b, axes=(a_axes, b_axes))
-
-
-def reorder_axes(a: np.ndarray, permutation: Sequence[int]) -> np.ndarray:
-    """Permute tensor axes so that output axis ``k`` is input axis ``permutation[k]``.
-
-    The identity permutation returns an equal tensor. Raises
-    :class:`DimensionError` if ``permutation`` is not a bijection over the
-    axis indices.
-    """
-    a = as_tensor(a)
-    perm = list(permutation)
-    if sorted(perm) != list(range(a.ndim)):
-        raise DimensionError(f"permutation {perm} is not a bijection over {a.ndim} axes")
-    return np.transpose(a, perm)
+    a = left.transpose(1, 2, 3, 0, 4).reshape(f0 * k0 * b0, dl * dl)
+    b = right.transpose(1, 2, 3, 0, 4).reshape(f1 * k1 * b1, dr * dr)
+    rho = aligned_matmul(aligned_matmul(a, kernel), b.T)
+    rho = rho.reshape(f0, k0, b0, f1, k1, b1).transpose(0, 3, 1, 4, 2, 5)
+    return rho.reshape(f0, f1, k0 * k1, b0 * b1)
 
 
 @dataclass(frozen=True)
@@ -323,7 +310,7 @@ def truncated_svd(
     DegenerateInputError
         If ``m`` is entirely zero (no meaningful decomposition exists).
     """
-    m = as_tensor(m)
+    m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"truncated_svd expects a matrix, got rank {m.ndim}")
     if not 0.0 <= rel_threshold < 1.0:

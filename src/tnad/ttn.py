@@ -103,28 +103,19 @@ class TtnModel:
             raise DataError("phys_dim and init_bond must be >= 1")
         padding = n_features % 2
         padded = n_features + padding
-        n_leaves = padded // 2
 
         parents: list[int] = []
-        children: list = []
 
-        def build(count: int, parent: int) -> int:
+        def build(count: int, parent: int) -> None:
             idx = len(parents)
             parents.append(parent)
-            children.append(None)
             if count > 1:
-                left = build((count + 1) // 2, idx)
-                right = build(count - (count + 1) // 2, idx)
-                children[idx] = (left, right)
-            return idx
+                build((count + 1) // 2, idx)
+                build(count - (count + 1) // 2, idx)
 
-        build(n_leaves, -1)
+        build(padded // 2, -1)
+        children, leaf_features = tree_layout(parents)
         n_nodes = len(parents)
-
-        leaf_features: list = [None] * n_nodes
-        leaf_ids = [u for u in range(n_nodes) if children[u] is None]
-        for k, u in enumerate(leaf_ids):
-            leaf_features[u] = (2 * k, 2 * k + 1)
 
         # exact-rank cap per parent bond: phys dimensions below vs above the cut
         phys_below = [0] * n_nodes
@@ -133,28 +124,21 @@ class TtnModel:
                 phys_below[u] = 2
             else:
                 phys_below[u] = phys_below[children[u][0]] + phys_below[children[u][1]]
-        bond = [1] * n_nodes
-        for u in range(1, n_nodes):
-            bond[u] = min(
-                init_bond, phys_dim ** phys_below[u], phys_dim ** (padded - phys_below[u])
-            )
+        bond = [
+            min(init_bond, phys_dim ** phys_below[u], phys_dim ** (padded - phys_below[u]))
+            for u in range(n_nodes)
+        ]
 
         rng = np.random.default_rng(seed)
-        tensors = []
-        for u in range(n_nodes):
-            if children[u] is None:
-                shape = (bond[u] if parents[u] >= 0 else 1, phys_dim, phys_dim)
-            elif parents[u] < 0:
-                shape = (bond[children[u][0]], bond[children[u][1]])
-            else:
-                shape = (bond[u], bond[children[u][0]], bond[children[u][1]])
-            tensors.append(rng.standard_normal(shape) / np.sqrt(np.prod(shape)))
-
+        tensors = [
+            rng.standard_normal(shape) / np.sqrt(np.prod(shape))
+            for shape in node_shapes(parents, children, bond, phys_dim)
+        ]
         model = cls(
             tensors, parents, children, leaf_features, n_features, padding,
-            center=leaf_ids[-1], encoder=encoder,
+            center=0, encoder=encoder,
         )
-        model.canonicalize(leaf_ids[-1])
+        model.canonicalize(model.sweep_start())
         model.normalize()
         return model
 
@@ -218,21 +202,6 @@ class TtnModel:
     def bond_profile(self) -> list[int]:
         """Parent-bond extent of every non-root node, in node-id order."""
         return [self.tensors[u].shape[0] for u in range(1, self.n_nodes)]
-
-    def features_behind(self, u: int, v: int) -> set[int]:
-        """Padded-domain features in the component of ``u`` when edge (u, v) is cut."""
-        seen = {v, u}
-        stack = [u]
-        feats: set[int] = set()
-        while stack:
-            w = stack.pop()
-            if self.children[w] is None:
-                feats.update(self.leaf_features[w])
-            for x in self.neighbors(w):
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        return feats
 
     def copy(self) -> "TtnModel":
         return TtnModel(
@@ -424,6 +393,54 @@ class TtnModel:
 
     def environment_cache(self, encoded: np.ndarray) -> "TtnEnvironments":
         return TtnEnvironments(self, encoded)
+
+
+def tree_layout(parents) -> tuple[list, list]:
+    """Children and leaf features of the binary tree given by each node's parent id.
+
+    The tree must be numbered in pre-order, the layout every tree
+    algorithm here relies on: node 0 is the only root, every parent id is
+    smaller than its children's, and each subtree's ids are contiguous.
+    Every inner node has two children; leaves carry features ``(2k,
+    2k + 1)`` left to right. Raises :class:`DataError` otherwise.
+    """
+    n_nodes = len(parents)
+    if n_nodes < 3:
+        raise DataError(f"a tree needs a root and two leaves, got {n_nodes} nodes")
+    if parents[0] != -1 or any(not 0 <= p < u for u, p in enumerate(parents) if u):
+        raise DataError("node 0 must be the only root and every parent id smaller than its child's")
+    below: list[list[int]] = [[] for _ in parents]
+    for u, p in enumerate(parents[1:], start=1):
+        below[p].append(u)
+    for u, c in enumerate(below):
+        if len(c) not in (0, 2):
+            raise DataError(f"node {u} has {len(c)} children, expected 2")
+    order, stack = [], [0]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(reversed(below[u]))
+    if order != list(range(n_nodes)):
+        raise DataError("node ids are not in pre-order")
+    children = [tuple(c) if c else None for c in below]
+    leaf_ids = [u for u in range(n_nodes) if children[u] is None]
+    leaf_features: list = [None] * n_nodes
+    for k, u in enumerate(leaf_ids):
+        leaf_features[u] = (2 * k, 2 * k + 1)
+    return children, leaf_features
+
+
+def node_shapes(parents, children, bond, phys_dim: int) -> list[tuple[int, ...]]:
+    """Tensor shape of every node, given the extent ``bond[u]`` of each node's parent bond.
+
+    The root is ``(left, right)``, an inner node ``(parent, left, right)``
+    and a leaf ``(parent, phys_dim, phys_dim)``.
+    """
+    shapes = []
+    for u, c in enumerate(children):
+        lower = (phys_dim, phys_dim) if c is None else (bond[c[0]], bond[c[1]])
+        shapes.append(lower if parents[u] < 0 else (bond[u],) + lower)
+    return shapes
 
 
 class TtnEnvironments:

@@ -69,7 +69,7 @@ class TestReducedDensityMatrix:
             rdm_invariants(rdm)
             np.testing.assert_allclose(rdm.matrix, expected, atol=1e-10)
 
-    @pytest.mark.parametrize("sites", [(0,), (3,), (1, 2), (0, 4), (2, 3)])
+    @pytest.mark.parametrize("sites", [(0,), (3,), (1, 2), (0, 4), (2, 3), (4, 0, 3)])
     def test_ttn_matches_brute_force(self, sites):
         for n_features, seed in ((4, 0), (5, 1), (6, 2)):
             if max(sites) >= n_features:
@@ -273,7 +273,7 @@ class TestEntropy:
                 s_left = von_neumann_entropy(left)
                 s_right = von_neumann_entropy(right)
                 assert s_left == pytest.approx(s_right, abs=1e-8)
-                assert s_left <= np.log(model.bond_dimensions[cut - 1]) + 1e-10
+                assert s_left <= np.log(model.bond_profile()[cut - 1]) + 1e-10
 
 
 class TestMutualInformation:
@@ -485,14 +485,21 @@ elif case == "ttn-mi":
     result = all_to_all_mi(TtnModel.random(16, 5, init_bond=20, seed=0)).raw
 elif case == "mps-rdm":
     result = reduced_density_matrix(mps, (0, 7)).matrix
-else:
+elif case == "mps-conditional":
     result = conditional_rdm(mps, (3, 5), {0: 0.2, 1: 0.9, 4: 0.5, 7: 0.35}).matrix
+elif case == "ttn-rdm":
+    result = reduced_density_matrix(TtnModel.random(16, 5, init_bond=20, seed=0), (2, 9)).matrix
+else:
+    tree = TtnModel.random(16, 5, init_bond=20, seed=0)
+    result = conditional_rdm(tree, (4, 11), {0: 0.2, 6: 0.9, 9: 0.5, 15: 0.35}).matrix
 print(np.ascontiguousarray(result).tobytes().hex())
 """
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 CPUs")
-@pytest.mark.parametrize("case", ["mps-mi", "ttn-mi", "mps-rdm", "mps-conditional"])
+@pytest.mark.parametrize(
+    "case", ["mps-mi", "ttn-mi", "mps-rdm", "mps-conditional", "ttn-rdm", "ttn-conditional"]
+)
 def test_explanations_repeat_across_blas_thread_counts(case):
     # MPS at bond 40 and phys_dim 7 (bond x phys_dim = 280) and a tree at
     # bond 20 (bond x bond = 400): contractions deep enough that a threaded

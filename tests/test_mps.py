@@ -19,12 +19,12 @@ class TestInit:
 
     def test_bonds_capped_at_exact_ranks(self):
         m = MpsModel.random(4, 2, init_bond=8, seed=0)
-        assert m.bond_dimensions == [2, 4, 2]
+        assert m.bond_profile() == [2, 4, 2]
 
     def test_bond_cap_invariant(self):
         for seed in range(5):
             m = MpsModel.random(6, 2, init_bond=50, seed=seed)
-            for j, d in enumerate(m.bond_dimensions, start=1):
+            for j, d in enumerate(m.bond_profile(), start=1):
                 assert d <= min(2**j, 2 ** (6 - j))
 
     def test_canonical_after_init(self):
@@ -117,22 +117,22 @@ class TestMergeSplit:
         u = np.array([0.6, 0.8]).reshape(1, 2, 1)
         v = np.array([0.8, -0.6]).reshape(1, 2, 1)
         m = MpsModel([u, v], center=0)
-        merged = m.merge_bond(0)
+        merged = m.merge_edge((0, 1))
         np.testing.assert_allclose(
             merged[0, :, :, 0], np.outer(u[0, :, 0], v[0, :, 0]), atol=1e-14
         )
 
     def test_merge_shape_contract(self):
         m = MpsModel.random(4, 2, init_bond=3, seed=0)
-        assert m.bond_dimensions == [2, 3, 2]
+        assert m.bond_profile() == [2, 3, 2]
         m.canonicalize(1)
-        assert m.merge_bond(1).shape == (2, 2, 2, 2)
+        assert m.merge_edge((1, 2)).shape == (2, 2, 2, 2)
 
     def test_merge_requires_center_at_bond(self):
         m = MpsModel.random(5, 2, init_bond=2, seed=1)
         m.canonicalize(0)
         with pytest.raises(DataError, match="center"):
-            m.merge_bond(3)
+            m.merge_edge((3, 4))
 
     def test_split_roundtrip_preserves_amplitudes(self):
         rng = np.random.default_rng(5)
@@ -141,8 +141,8 @@ class TestMergeSplit:
             batch = helpers.random_encoded(rng, 10, 5, 2)
             reference, _ = m.log_amplitudes(batch)
             m.canonicalize(2)
-            merged = m.merge_bond(2)
-            m.split_bond(2, merged, "right", rel_threshold=0.0)
+            merged = m.merge_edge((2, 3))
+            m.split_edge((2, 3), merged, rel_threshold=0.0)
             assert m.center == 3
             log_abs, _ = m.log_amplitudes(batch)
             np.testing.assert_allclose(log_abs, reference, rtol=1e-10, atol=1e-10)
@@ -151,34 +151,34 @@ class TestMergeSplit:
         u = np.array([0.6, 0.8]).reshape(1, 2, 1)
         v = np.array([0.8, -0.6]).reshape(1, 2, 1)
         m = MpsModel([u, v], center=0)
-        merged = m.merge_bond(0)
-        m.split_bond(0, merged, "right", rel_threshold=1e-10)
-        assert m.bond_dimensions == [1]
+        merged = m.merge_edge((0, 1))
+        m.split_edge((0, 1), merged, rel_threshold=1e-10)
+        assert m.bond_profile() == [1]
 
     def test_max_rank_truncation_matches_svd_oracle(self):
         m = MpsModel.random(2, 2, init_bond=2, seed=13)
         m.canonicalize(0)
-        merged = m.merge_bond(0)
+        merged = m.merge_edge((0, 1))
         matrix = merged.reshape(2, 2)
         sigma_sq = np.sort(np.linalg.eigvalsh(matrix.T @ matrix))[::-1]
-        discarded = m.split_bond(0, merged, "right", max_rank=1)
+        discarded = m.split_edge((0, 1), merged, max_rank=1)
         assert discarded > 0
         np.testing.assert_allclose(discarded, sigma_sq[1], rtol=1e-10)
-        assert m.bond_dimensions == [1]
+        assert m.bond_profile() == [1]
 
     def test_unit_norm_after_split(self):
         m = MpsModel.random(4, 3, init_bond=4, seed=2)
         m.canonicalize(1)
-        merged = m.merge_bond(1)
-        m.split_bond(1, merged, "left", rel_threshold=0.2)
+        merged = m.merge_edge((2, 1))
+        m.split_edge((2, 1), merged, rel_threshold=0.2)
         assert m.state_norm() == pytest.approx(1.0, abs=1e-8)
         assert m.isometry_defect() <= 1e-10
 
     def test_split_left_moves_center(self):
         m = MpsModel.random(4, 2, init_bond=2, seed=3)
         m.canonicalize(2)
-        merged = m.merge_bond(1)
-        m.split_bond(1, merged, "left")
+        merged = m.merge_edge((2, 1))
+        m.split_edge((2, 1), merged)
         assert m.center == 1
 
 

@@ -133,6 +133,23 @@ def rewrite_tensor(path, stored, replacement):
     path.write_bytes(bytes(blob))
 
 
+def relabeled(model, order):
+    """The same tree with node ``order[k]`` renumbered ``k``; leaves take features in id order."""
+    new_id = {old: k for k, old in enumerate(order)}
+    parents = [new_id.get(model.parents[old], -1) for old in order]
+    children = [
+        None if model.children[old] is None else tuple(new_id[c] for c in model.children[old])
+        for old in order
+    ]
+    leaves = [k for k, c in enumerate(children) if c is None]
+    leaf_features = [(2 * leaves.index(k), 2 * leaves.index(k) + 1) if k in leaves else None
+                     for k in range(len(order))]
+    return TtnModel(
+        [model.tensors[old] for old in order], parents, children, leaf_features,
+        model.n_features, model.padding, new_id[model.center], model.encoder,
+    )
+
+
 class TestContentChecks:
     """CRC-valid files whose tensors the canonical shortcuts would get wrong."""
 
@@ -171,6 +188,35 @@ class TestContentChecks:
             blob[offset : offset + 8] = struct.pack("<d", value)
         blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
         path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    def test_parent_id_out_of_range_refused(self, tmp_path):
+        encoder, _ = fitted_encoder(3, 4, seed=6)
+        path = tmp_path / "tree.tnad"
+        save_model(path, TtnModel.random(4, 3, init_bond=4, seed=6, encoder=encoder))
+        blob = bytearray(path.read_bytes()[:-4])
+        # three nodes: the root and two leaves; point node 1 at a parent 7
+        offset = len(MAGIC) + struct.calcsize("<IBIII") + 16 * 4 + 4 + 8 * 1
+        blob[offset : offset + 4] = struct.pack("<i", 7)
+        blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="smaller than its child"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ([0, 2, 1, 3, 4], "smaller than its child"),  # leaf 1 hangs below inner node 2
+            ([0, 1, 4, 2, 3], "pre-order"),  # breadth-first ids: leaf 2 is the right-most
+        ],
+        ids=["child-before-parent", "breadth-first"],
+    )
+    def test_node_ids_not_in_pre_order_refused(self, tmp_path, order, message):
+        encoder, _ = fitted_encoder(3, 6, seed=6)
+        model = TtnModel.random(6, 3, init_bond=4, seed=6, encoder=encoder)
+        path = tmp_path / "tree.tnad"
+        save_model(path, relabeled(model, order))
         with pytest.raises(DataError, match=message):
             load_model(path)
 

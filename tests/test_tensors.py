@@ -1,89 +1,13 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
-from tnad import DegenerateInputError, DimensionError, contract_pair, reorder_axes, truncated_svd
-from tnad.tensors import batched_transfer
-
-
-class TestContractPair:
-    def test_identity_contraction(self):
-        result = contract_pair(np.eye(2), np.array([3.0, 4.0]), [(1, 0)])
-        np.testing.assert_allclose(result, [3.0, 4.0])
-
-    def test_outer_product(self):
-        result = contract_pair(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        np.testing.assert_allclose(result, [[3.0, 4.0], [6.0, 8.0]])
-
-    def test_matches_triple_loop_matmul(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 5))
-        expected = np.zeros((3, 5))
-        for i in range(3):
-            for j in range(5):
-                for k in range(4):
-                    expected[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(contract_pair(a, b, [(1, 0)]), expected, rtol=1e-13)
-
-    def test_full_contraction_gives_scalar(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((2, 3))
-        result = contract_pair(a, a, [(0, 0), (1, 1)])
-        assert result.ndim == 0
-        np.testing.assert_allclose(float(result), (a * a).sum())
-
-    def test_extent_mismatch_names_both_axes(self):
-        with pytest.raises(DimensionError, match="a-axis 1.*b-axis 0"):
-            contract_pair(np.ones((2, 3)), np.ones((4, 2)), [(1, 0)])
-
-    def test_duplicate_axis_rejected(self):
-        with pytest.raises(DimensionError, match="duplicate"):
-            contract_pair(np.ones((2, 2)), np.ones((2, 2)), [(0, 0), (0, 1)])
-
-    def test_axis_out_of_range(self):
-        with pytest.raises(DimensionError, match="out of range"):
-            contract_pair(np.ones((2, 2)), np.ones((2, 2)), [(5, 0)])
-
-    def test_bilinearity(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            a = rng.standard_normal((3, 2))
-            b = rng.standard_normal((2, 4))
-            alpha = rng.standard_normal()
-            left = contract_pair(alpha * a, b, [(1, 0)])
-            right = alpha * contract_pair(a, b, [(1, 0)])
-            np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-14)
-
-    def test_operand_swap_is_a_reorder(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((3, 4, 2))
-        b = rng.standard_normal((4, 5))
-        ab = contract_pair(a, b, [(1, 0)])  # axes (3, 2, 5)
-        ba = contract_pair(b, a, [(0, 1)])  # axes (5, 3, 2)
-        np.testing.assert_allclose(ba, reorder_axes(ab, [2, 0, 1]), rtol=1e-13)
-
-
-class TestReorderAxes:
-    def test_transpose(self):
-        a = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(reorder_axes(a, [1, 0]), a.T)
-
-    def test_identity(self):
-        a = np.arange(24.0).reshape(2, 3, 4)
-        np.testing.assert_array_equal(reorder_axes(a, [0, 1, 2]), a)
-
-    def test_inverse_composition(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((2, 3, 4))
-        roundtrip = reorder_axes(reorder_axes(a, [2, 0, 1]), [1, 2, 0])
-        np.testing.assert_array_equal(roundtrip, a)
-
-    def test_non_bijective_rejected(self):
-        with pytest.raises(DimensionError, match="bijection"):
-            reorder_axes(np.ones((2, 2)), [0, 0])
+import tnad
+from tnad import DegenerateInputError, DimensionError, truncated_svd
+from tnad.tensors import batched_transfer, tree_join
 
 
 def assert_transfer_matches_einsum(left, tensor, right):
@@ -126,6 +50,42 @@ class TestBatchedTransfer:
             rng.standard_normal((n, k, m)).transpose(2, 1, 0),
             rng.standard_normal((b, 3, k))[:, 1, :],
         )
+
+
+class TestTreeJoin:
+    """``tree_join`` against an ``np.einsum`` reference."""
+
+    @pytest.mark.parametrize(
+        "d, l, r, k0, b0, k1, b1",
+        [
+            (1, 3, 4, 2, 2, 3, 3),  # the root: parent bond 1
+            (2, 1, 1, 3, 3, 2, 2),  # lower legs of extent 1
+            (3, 4, 5, 1, 1, 1, 1),  # K = B = 1 on both sides
+            (4, 3, 5, 3, 3, 1, 1),  # a side without open legs
+            (3, 9, 9, 2, 2, 3, 3),  # l * r = 81 > 64: the blocked sum
+            (5, 70, 3, 1, 1, 2, 2),  # l > 64
+            (2, 3, 2, 4, 2, 1, 3),  # K != B
+        ],
+    )
+    def test_matches_einsum(self, d, l, r, k0, b0, k1, b1):
+        rng = np.random.default_rng(d * l * r + k0 * b1)
+        obj0 = rng.standard_normal((l, k0, b0, l))
+        obj1 = rng.standard_normal((r, k1, b1, r))
+        node = rng.standard_normal((d, l, r))
+        got = tree_join(obj0, obj1, node)
+        expected = np.einsum("dlr,lKBL,rkbR,DLR->dKkBbD", node, obj0, obj1, node)
+        assert got.shape == (d, k0 * k1, b0 * b1, d)
+        scale = np.einsum("dlr,lKBL,rkbR,DLR->dKkBbD", *map(abs, (node, obj0, obj1, node)))
+        assert (np.abs(got - expected.reshape(got.shape)) <= 1e-13 * scale.reshape(got.shape)).all()
+
+
+def test_package_has_no_einsum():
+    """Contractions go through the named kernels, never a hand-written einsum string."""
+    package = Path(tnad.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        assert "np.einsum" not in path.read_text(), f"{path.name} calls np.einsum"
 
 
 class TestTruncatedSvd:
@@ -248,4 +208,25 @@ def test_gram_svd_repeats_across_blas_thread_counts(shape):
     # the Gram route multiplies by transposed views (m.T, u.T) and by
     # eigh's column-major eigenvectors
     one, two = (helpers.run_in_child(GRAM_CHILD, shape, n) for n in (1, 2))
+    assert one == two
+
+
+ALIGNED_CHILD = """
+import hashlib, sys
+import numpy as np
+from tnad.tensors import aligned_matmul
+rows, depth, cols = map(int, sys.argv[1].split("x"))
+rng = np.random.default_rng(8)
+product = aligned_matmul(rng.standard_normal((rows, depth)), rng.standard_normal((depth, cols)))
+assert product.shape == (rows, cols)
+print(hashlib.sha256(np.ascontiguousarray(product).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 CPUs")
+@pytest.mark.parametrize("shape", ["512x20x201", "137x122x190"])
+def test_aligned_matmul_repeats_across_blas_thread_counts(shape):
+    # column counts that are not a multiple of 8, in products large enough
+    # for OpenBLAS to split their columns between threads
+    one, two = (helpers.run_in_child(ALIGNED_CHILD, shape, n) for n in (1, 2))
     assert one == two

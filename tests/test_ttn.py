@@ -24,9 +24,12 @@ class TestBuild:
         t = TtnModel.random(8, 2, init_bond=1000, seed=0)
         for leaf in t.leaf_ids():
             assert t.tensors[leaf].shape[0] <= 4  # two physical legs below
+        below = {}
+        for u in reversed(range(t.n_nodes)):  # children come after their parents
+            kids = t.children[u]
+            below[u] = len(t.leaf_features[u]) if kids is None else below[kids[0]] + below[kids[1]]
         for u in range(1, t.n_nodes):
-            below = len(t.features_behind(u, t.parents[u]))
-            assert t.tensors[u].shape[0] <= min(2**below, 2 ** (t.padded_features - below))
+            assert t.tensors[u].shape[0] <= min(2 ** below[u], 2 ** (t.padded_features - below[u]))
 
     def test_same_seed_identical(self):
         a = TtnModel.random(6, 3, init_bond=3, seed=4)
