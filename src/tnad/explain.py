@@ -10,7 +10,8 @@ by inserting the rank-1 projector onto its encoded value.
 From the (trace-normalized) density matrices this module derives the
 induced quasi-probability density and its moments, von Neumann entropies,
 mutual information between feature groups, per-feature anomaly flags, and
-conditional expected values for flagged features.
+conditional expected values for flagged features. Every public function
+runs under :func:`tnad.tensors.single_blas_thread`.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .errors import (
 )
 from .mps import MpsModel
 from .tensors import (
-    aligned_matmul,
     chain_close,
     chain_march,
     chain_open,
+    single_blas_thread,
     tree_down_step,
     tree_join,
     tree_pair_densities,
@@ -304,6 +305,7 @@ def _check_subsystem(model, sites, max_dim) -> None:
         )
 
 
+@single_blas_thread()
 def reduced_density_matrix(
     model, sites, max_dim: int = DEFAULT_MAX_SUBSYSTEM_DIM
 ) -> ReducedDensityMatrix:
@@ -319,6 +321,7 @@ def reduced_density_matrix(
     return _rdm(model, sites, {})
 
 
+@single_blas_thread()
 def conditional_rdm(
     model, target_sites, conditions, max_dim: int = DEFAULT_MAX_SUBSYSTEM_DIM
 ) -> ReducedDensityMatrix:
@@ -353,7 +356,7 @@ def _density_on_grid(rdm: ReducedDensityMatrix, axes_points) -> np.ndarray:
     basis = np.ones((1, 1))  # row per grid point, column per basis product
     for pts in axes_points:
         basis = np.kron(basis, orthonormal_basis(rdm.phys_dim, pts).T)
-    values = (aligned_matmul(basis, rdm.matrix) * basis).sum(axis=1)
+    values = ((basis @ rdm.matrix) * basis).sum(axis=1)
     return values.reshape([len(pts) for pts in axes_points])
 
 
@@ -366,6 +369,7 @@ def _quadrature(rdm: ReducedDensityMatrix):
     return nodes, w * _density_on_grid(rdm, [nodes] * rdm.n_sites)
 
 
+@single_blas_thread()
 def quasi_density(rdm: ReducedDensityMatrix, point) -> float:
     """Normalized quasi-probability density at a rescaled-domain point.
 
@@ -383,6 +387,7 @@ def quasi_density(rdm: ReducedDensityMatrix, point) -> float:
     return _density_on_grid(rdm, point[:, None]).item() / total
 
 
+@single_blas_thread()
 def marginal_moments(rdm: ReducedDensityMatrix, rescaler=None, max_sites: int = 3) -> MarginalStats:
     """Mean, variance, and covariance of the normalized quasi-density.
 
@@ -418,6 +423,7 @@ def marginal_moments(rdm: ReducedDensityMatrix, rescaler=None, max_sites: int = 
     return MarginalStats(rdm.sites, mean, std, covariance, raw_mean, raw_std)
 
 
+@single_blas_thread()
 def von_neumann_entropy(rdm) -> float:
     """Entropy ``-sum(lam * log(lam))`` over the density matrix spectrum.
 
@@ -435,6 +441,7 @@ def von_neumann_entropy(rdm) -> float:
     return max(float(-(lam * np.log(lam)).sum()), 0.0)
 
 
+@single_blas_thread()
 def mutual_information(model, sites_x, sites_y, max_dim: int = DEFAULT_MAX_SUBSYSTEM_DIM) -> float:
     """Mutual information ``S(X) + S(Y) - S(XY)`` between feature groups."""
     sites_x = tuple(int(s) for s in sites_x)
@@ -544,6 +551,7 @@ def _ttn_single_and_pair_entropies(model: TtnModel):
     return single_entropy, pair_entropy
 
 
+@single_blas_thread()
 def all_to_all_mi(model) -> MiMatrices:
     """Mutual information between every pair of single features.
 
@@ -596,6 +604,7 @@ def _require_encoder(model):
     return model.encoder
 
 
+@single_blas_thread()
 def flag_features(model, raw_sample, k_sigma: float = 1.0) -> AnomalyExplanation:
     """Score a sample and flag features deviating from their learned marginal.
 
@@ -633,6 +642,7 @@ def flag_features(model, raw_sample, k_sigma: float = 1.0) -> AnomalyExplanation
     return AnomalyExplanation(sample_id=0, nll=nll, k_sigma=k_sigma, features=flags)
 
 
+@single_blas_thread()
 def conditional_expectations(model, raw_sample, flagged) -> dict[int, float | None]:
     """Expected raw value of each flagged feature, conditioned on the rest.
 
@@ -664,6 +674,7 @@ def conditional_expectations(model, raw_sample, flagged) -> dict[int, float | No
     return out
 
 
+@single_blas_thread()
 def explain_sample(
     model,
     raw_sample,

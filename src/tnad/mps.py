@@ -18,7 +18,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .tensors import batched_transfer, frobenius_norm, renormalize_rows, truncated_svd
+from .tensors import (
+    batched_transfer, frobenius_norm, renormalize_rows, single_blas_thread, truncated_svd,
+)
 
 if TYPE_CHECKING:
     from .encoding import LegendreFeatureMap
@@ -139,8 +141,9 @@ class MpsModel:
 
     # -- amplitudes --------------------------------------------------------
 
+    @single_blas_thread()
     def log_amplitudes(self, encoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log magnitude and sign of the amplitude for a batch of samples.
+        """Log magnitude and sign of the amplitude for a batch of samples, on one BLAS thread.
 
         Parameters
         ----------

@@ -23,8 +23,8 @@ the explanation paths contract everything outside a subsystem to the
 identity, which is exact only for a canonical state. So is a file whose
 rescaler has a non-finite bound, a width that overflows, or an empty or
 reversed interval, which would map every value of that feature to NaN or
-to one end, and a tree whose node ids are not in pre-order (see
-:func:`tnad.ttn.tree_layout`), which the tree passes rely on.
+to one end, a file with a bond of extent 0, which holds no state, and a
+tree whose node ids are not in pre-order (see :func:`tnad.ttn.tree_layout`).
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def load_model(path):
     embedded rescaler, so it can score raw samples directly. Raises
     :class:`DataError` for a malformed or corrupt file, for one whose
     tensors hold non-finite entries or are not canonical, for one whose
-    rescaler has a non-finite interval or a maximum not above its minimum,
-    and for a tree whose node ids are not in pre-order.
+    rescaler has a non-finite interval or a maximum not above its minimum or
+    a bond of extent 0, and for a tree whose node ids are not in pre-order.
     """
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 4:
@@ -143,6 +143,8 @@ def load_model(path):
     if kind == _KIND_MPS:
         bonds = struct.unpack_from(f"<{n_features + 1}I", raw, offset)
         offset += 4 * (n_features + 1)
+        if 0 in bonds:
+            raise DataError(f"{path}: MPS bond {bonds.index(0)} has extent 0")
         cores = []
         for i in range(n_features):
             shape = (bonds[i], phys_dim, bonds[i + 1])
@@ -164,6 +166,8 @@ def load_model(path):
             children, leaf_features = tree_layout(parents)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
+        if 0 in parent_bond[1:]:  # node 0 is the root, the only node without a parent bond
+            raise DataError(f"{path}: parent bond of node {parent_bond.index(0, 1)} has extent 0")
         leaf_ids = [u for u in range(n_nodes) if children[u] is None]
         if 2 * len(leaf_ids) != n_features + padding:
             raise DataError(f"{path}: leaf count inconsistent with feature count")

@@ -3,13 +3,9 @@
 Tensors are plain ``numpy.ndarray`` objects with ``float64`` entries and
 row-major layout; axis meaning (bond, physical, ...) is a documented
 convention of each caller. This module provides the named contraction
-kernels the network code is built on and a truncated singular value
-decomposition with an explicit account of the discarded weight. Every
-kernel reduces through :func:`ordered_matmul` (or, for a norm,
-:func:`frobenius_norm`), which sums in an order fixed by the operands'
-shapes rather than by how many threads the BLAS runs; the density-matrix
-kernels go through :func:`aligned_matmul`, which also keeps a threaded
-BLAS from splitting their output columns where the rounding would move.
+kernels the network code is built on, a truncated singular value
+decomposition with an explicit account of the discarded weight, and the
+BLAS thread pin the public entry points run under, :func:`single_blas_thread`.
 
 :func:`batched_transfer` is the per-sample message step of amplitudes
 and training environments, for an MPS core and for a tree node alike;
@@ -17,8 +13,8 @@ and training environments, for an MPS core and for a tree node alike;
 scale on the side.
 
 The density-matrix kernels below contract a network with its own copy
-(ket and bra) as chains of reshapes and :func:`ordered_matmul` products,
-the cached-environment scheme of Han et al. 2018 (PRX 8, 031012). A
+(ket and bra) as chains of reshapes and matrix products, the
+cached-environment scheme of Han et al. 2018 (PRX 8, 031012). A
 *two-sided object* has axes ``(l, K, B, s)``: the ket copy of one bond,
 the flattened open ket and bra legs gathered so far, then the bra copy
 of the bond. That order lets every step reshape without moving the
@@ -26,72 +22,78 @@ fastest-running axis. The ``chain_*`` kernels carry such an object along
 an MPS; :func:`tree_join` merges the objects of a tree node's two lower
 legs, and the ``tree_*`` kernels serve all-to-all mutual information.
 
-All functions are pure: they never mutate their inputs and hold no state,
-so they are safe to call concurrently.
+The kernels are pure: they never mutate their inputs and hold no state,
+so they are safe to call concurrently. The pin is process-wide: while
+any thread is inside it, numpy's BLAS runs on one thread for all threads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import logging
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
 
-__all__ = ["SvdResult", "truncated_svd"]
+logger = logging.getLogger(__name__)
+
+__all__ = ["SvdResult", "truncated_svd", "single_blas_thread"]
+
+# Thread-count functions of the OpenBLAS bundled in numpy wheels' ``numpy.libs``
+_OPENBLAS_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+# the BLAS thread count is process-wide, so the pin's state is too
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_restore = 1
 
 
-# Inner-dimension width of one ordered_matmul block. Far below the depth
-# at which a BLAS splits a matrix product's inner dimension, so each block
-# is one pass whose rounding does not depend on the thread count.
-_REDUCTION_BLOCK = 64
-# Column count that a threaded BLAS may split between threads without
-# changing the rounding of any column (see aligned_matmul), and the most
-# multiply-adds OpenBLAS leaves to a single thread.
-_COLUMN_ALIGN = 8
-_SINGLE_THREAD_WORK = 4 * 65536
+@functools.cache
+def _thread_controls():
+    """numpy's OpenBLAS ``(get, set)`` thread-count functions, looked up once.
 
-
-def ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for matrices, with the inner dimension summed in fixed order.
-
-    A threaded BLAS may cut a long inner dimension into chunks whose
-    boundaries depend on the thread count, which changes the rounding of
-    the sum. Here the inner dimension is cut into blocks of 64 and the
-    block products are added one after another, so the result is the
-    same at any thread count. Both operands are first copied to C order:
-    on OpenBLAS 0.3.31 a product whose right operand is a transposed view
-    rounds differently at 1 and 2 threads even for an inner dimension of
-    64 (for example 100 x 64 x 100), while C-ordered operands repeat.
+    If numpy uses another BLAS, one warning is logged and both are no-ops.
     """
-    a = np.ascontiguousarray(a)
-    b = np.ascontiguousarray(b)
-    depth = a.shape[1]
-    out = a[:, :_REDUCTION_BLOCK] @ b[:_REDUCTION_BLOCK]
-    for start in range(_REDUCTION_BLOCK, depth, _REDUCTION_BLOCK):
-        stop = start + _REDUCTION_BLOCK
-        out += a[:, start:stop] @ b[start:stop]
-    return out
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            library = ctypes.CDLL(str(path))
+            get, set_ = (getattr(library, name) for name in _OPENBLAS_SYMBOLS)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    logger.warning("cannot set numpy's BLAS thread count; results repeat only at a fixed count")
+    return (lambda: 1), (lambda count: None)
 
 
-def aligned_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`ordered_matmul` with the columns of ``b`` padded to a multiple of 8.
+@contextmanager
+def single_blas_thread():
+    """Run numpy's OpenBLAS on one thread inside this context (or decorated function).
 
-    OpenBLAS 0.3.31 may split the output columns of a product between
-    threads, and then rounds the columns next to a split differently
-    unless the column count is a multiple of 8 (for example 512 x 20 x 201,
-    or 137 x 122 x 190). So a product large enough to be threaded gets
-    zero columns appended up to that multiple, dropped from the result;
-    the density-matrix kernels then repeat at any thread count whatever
-    the bond extents. Smaller products run on one thread as they are.
+    A threaded BLAS splits products and LAPACK calls by thread count, moving
+    their last bits; inside, they round as in a one-thread process. Reentrant
+    and thread-safe: the outermost pin saves the thread count and restores it.
     """
-    depth, n = b.shape
-    pad = -n % _COLUMN_ALIGN
-    if not pad or a.shape[0] * n * min(depth, _REDUCTION_BLOCK) <= _SINGLE_THREAD_WORK:
-        return ordered_matmul(a, b)
-    wide = np.zeros((depth, n + pad))
-    wide[:, :n] = b
-    return ordered_matmul(a, wide)[:, :n]
+    global _pin_depth, _pin_restore
+    get, set_ = _thread_controls()
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_restore = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_restore)
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -105,17 +107,15 @@ def batched_transfer(left: np.ndarray, tensor: np.ndarray, right: np.ndarray) ->
     ``left`` is ``(b, m)``, ``tensor`` is ``(m, k, n)`` and ``right`` is
     ``(b, k)``; returns ``sum_{m,k} left[b,m] tensor[m,k,n] right[b,k]``
     as ``(b, n)``. The sum over ``k`` runs one slice at a time, in order:
-    each slice is one :func:`ordered_matmul` of ``left`` with the C-ordered
-    ``(m, n)`` slice, scaled per sample by ``right[:, j]``. So no
-    intermediate is ``k`` times the size of the output, and the result
-    does not depend on the BLAS thread count. This is the message step of
-    an MPS (core ``(l, p, r)``) and of a tree node seen as ``(l, r, d)``.
+    each slice is one product of ``left`` with the ``(m, n)`` slice, scaled
+    per sample by ``right[:, j]``. So no intermediate is ``k`` times the
+    size of the output. This is the message step of an MPS (core
+    ``(l, p, r)``) and of a tree node seen as ``(l, r, d)``.
     """
-    slices = np.ascontiguousarray(tensor.transpose(1, 0, 2))  # (k, m, n)
-    out = ordered_matmul(left, slices[0])
+    out = left @ tensor[:, 0, :]
     out *= right[:, :1]
-    for j in range(1, slices.shape[0]):
-        term = ordered_matmul(left, slices[j])
+    for j in range(1, tensor.shape[1]):
+        term = left @ tensor[:, j, :]
         term *= right[:, j : j + 1]
         out += term
     return out
@@ -148,11 +148,9 @@ def chain_march(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
     dl, k, b, _ = obj.shape
     _, n, dr = core.shape
     flat = obj.reshape(dl * k * b, dl)
-    ket = np.ascontiguousarray(core.transpose(1, 2, 0))  # (a, r, l)
-    bra = np.ascontiguousarray(core.transpose(1, 0, 2))  # (a, s, u)
-    out = aligned_matmul(ket[0], aligned_matmul(flat, bra[0]).reshape(dl, k * b * dr))
+    out = core[:, 0, :].T @ (flat @ core[:, 0, :]).reshape(dl, k * b * dr)
     for a in range(1, n):
-        out += aligned_matmul(ket[a], aligned_matmul(flat, bra[a]).reshape(dl, k * b * dr))
+        out += core[:, a, :].T @ (flat @ core[:, a, :]).reshape(dl, k * b * dr)
     return out.reshape(dr, k, b, dr)
 
 
@@ -165,8 +163,8 @@ def chain_open(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
     """
     dl, k, b, _ = obj.shape
     _, n, dr = core.shape
-    half = aligned_matmul(obj.reshape(dl * k * b, dl), core.reshape(dl, n * dr))
-    out = aligned_matmul(core.reshape(dl, n * dr).T, half.reshape(dl, k * b * n * dr))
+    half = obj.reshape(dl * k * b, dl) @ core.reshape(dl, n * dr)
+    out = core.reshape(dl, n * dr).T @ half.reshape(dl, k * b * n * dr)
     out = out.reshape(n, dr, k, b, n, dr).transpose(1, 2, 0, 3, 4, 5)
     return out.reshape(dr, k * n, b * n, dr)
 
@@ -181,9 +179,9 @@ def chain_close(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
     dl, k, b, _ = obj.shape
     _, n, dr = core.shape
     rows = core.reshape(dl * n, dr)
-    pair = aligned_matmul(rows, rows.T)
+    pair = rows @ rows.T
     pair = pair.reshape(dl, n, dl, n).transpose(0, 2, 1, 3).reshape(dl * dl, n * n)
-    out = aligned_matmul(obj.transpose(1, 2, 0, 3).reshape(k * b, dl * dl), pair)
+    out = obj.transpose(1, 2, 0, 3).reshape(k * b, dl * dl) @ pair
     return out.reshape(k, b, n, n).transpose(0, 2, 1, 3).reshape(k * n, b * n)
 
 
@@ -203,11 +201,11 @@ def tree_join(obj0: np.ndarray, obj1: np.ndarray, node: np.ndarray) -> np.ndarra
     dr, k1, b1, _ = obj1.shape
     d = node.shape[0]
     bra = node.transpose(1, 0, 2).reshape(dl, d * dr)
-    half = aligned_matmul(obj0.reshape(dl * k0 * b0, dl), bra)  # (l, K0, B0, D, R)
+    half = obj0.reshape(dl * k0 * b0, dl) @ bra  # (l, K0, B0, D, R)
     side = obj1.transpose(3, 0, 1, 2).reshape(dr, dr * k1 * b1)
-    both = aligned_matmul(half.reshape(dl * k0 * b0 * d, dr), side)  # (l, K0, B0, D, r, K1, B1)
+    both = half.reshape(dl * k0 * b0 * d, dr) @ side  # (l, K0, B0, D, r, K1, B1)
     both = both.reshape(dl, k0 * b0 * d, dr, k1 * b1).transpose(0, 2, 1, 3)
-    out = aligned_matmul(node.reshape(d, dl * dr), both.reshape(dl * dr, k0 * b0 * d * k1 * b1))
+    out = node.reshape(d, dl * dr) @ both.reshape(dl * dr, k0 * b0 * d * k1 * b1)
     out = out.reshape(d, k0, b0, d, k1, b1).transpose(0, 1, 4, 2, 5, 3)
     return out.reshape(d, k0 * k1, b0 * b1, d)
 
@@ -221,11 +219,9 @@ def tree_down_step(density: np.ndarray, node: np.ndarray) -> tuple[np.ndarray, n
     two features and the results are their single-feature densities.
     """
     d, dl, dr = node.shape
-    half = aligned_matmul(density, node.reshape(d, dl * dr)).reshape(d, dl, dr)
-    left = aligned_matmul(
-        node.transpose(1, 0, 2).reshape(dl, d * dr), half.transpose(0, 2, 1).reshape(d * dr, dl)
-    )
-    right = aligned_matmul(node.reshape(d * dl, dr).T, half.reshape(d * dl, dr))
+    half = (density @ node.reshape(d, dl * dr)).reshape(d, dl, dr)
+    left = node.transpose(1, 0, 2).reshape(dl, d * dr) @ half.transpose(0, 2, 1).reshape(d * dr, dl)
+    right = node.reshape(d * dl, dr).T @ half.reshape(d * dl, dr)
     return left, right
 
 
@@ -262,11 +258,11 @@ def tree_pair_densities(
     _, f0, k0, b0, _ = left.shape
     _, f1, k1, b1, _ = right.shape
     flat = node.reshape(d, dl * dr)
-    kernel = aligned_matmul(flat.T, aligned_matmul(density, flat))
+    kernel = flat.T @ (density @ flat)
     kernel = kernel.reshape(dl, dr, dl, dr).transpose(0, 2, 1, 3).reshape(dl * dl, dr * dr)
     a = left.transpose(1, 2, 3, 0, 4).reshape(f0 * k0 * b0, dl * dl)
     b = right.transpose(1, 2, 3, 0, 4).reshape(f1 * k1 * b1, dr * dr)
-    rho = aligned_matmul(aligned_matmul(a, kernel), b.T)
+    rho = (a @ kernel) @ b.T
     rho = rho.reshape(f0, k0, b0, f1, k1, b1).transpose(0, 3, 1, 4, 2, 5)
     return rho.reshape(f0, f1, k0 * k1, b0 * b1)
 
@@ -291,6 +287,7 @@ class SvdResult:
         return len(self.singular_values)
 
 
+@single_blas_thread()
 def truncated_svd(
     m: np.ndarray,
     rel_threshold: float = 0.0,
@@ -302,6 +299,7 @@ def truncated_svd(
     singular value is always kept. The threshold is relative to the largest
     singular value so that truncation is invariant under rescaling of ``m``.
     Ties are broken deterministically by keeping earlier (larger) values.
+    Runs under :func:`single_blas_thread`.
 
     Raises
     ------
@@ -344,19 +342,12 @@ def truncated_svd(
 
 def _svd_via_gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD through the smaller Gram matrix's symmetric eigendecomposition."""
-    rows, cols = m.shape
-    if rows <= cols:
-        w, u = np.linalg.eigh(ordered_matmul(m, m.T))
-        order = np.argsort(w)[::-1]
-        w, u = w[order], u[:, order]
-        s = np.sqrt(np.clip(w, 0.0, None))
-        safe = np.where(s > 0, s, 1.0)
-        vt = ordered_matmul(u.T, m) / safe[:, None]
-        return u, s, vt
-    w, v = np.linalg.eigh(ordered_matmul(m.T, m))
+    if m.shape[0] > m.shape[1]:
+        v, s, ut = _svd_via_gram(m.T)
+        return ut.T, s, v.T
+    w, u = np.linalg.eigh(m @ m.T)
     order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
+    w, u = w[order], u[:, order]
     s = np.sqrt(np.clip(w, 0.0, None))
-    safe = np.where(s > 0, s, 1.0)
-    u = ordered_matmul(m, v) / safe[None, :]
-    return u, s, v.T
+    vt = (u.T @ m) / np.where(s > 0, s, 1.0)[:, None]
+    return u, s, vt

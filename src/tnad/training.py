@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, NumericalError
-from .tensors import ordered_matmul
+from .tensors import single_blas_thread
 
 logger = logging.getLogger(__name__)
 
@@ -121,6 +121,7 @@ class TrainReport:
         }
 
 
+@single_blas_thread()
 def nll_loss(model, encoded: np.ndarray, zero_amplitude_policy: str = "skip") -> float:
     """Mean negative log-likelihood of a batch under the Born rule.
 
@@ -178,7 +179,7 @@ def _contract_fractions(merged: np.ndarray, left: np.ndarray, right: np.ndarray)
     products.
     """
     matrix = merged.reshape(left.shape[1], right.shape[1])
-    return (ordered_matmul(left, matrix) * right).sum(axis=1)
+    return ((left @ matrix) * right).sum(axis=1)
 
 
 def _gradient_from_factors(
@@ -188,9 +189,7 @@ def _gradient_from_factors(
     """NLL gradient with respect to the merged tensor, scales cancelled.
 
     ``psi`` holds the per-sample rescaled amplitudes of the merged tensor
-    (:func:`_contract_fractions`). The sum over samples runs in fixed row
-    blocks, so it does not depend on the BLAS thread count. Returns
-    ``(gradient, n_skipped)``.
+    (:func:`_contract_fractions`). Returns ``(gradient, n_skipped)``.
     """
     valid = psi != 0.0
     n_skipped = int(np.count_nonzero(~valid))
@@ -204,7 +203,7 @@ def _gradient_from_factors(
         raise NumericalError("every sample in the batch has zero amplitude")
     weights = np.where(valid, 1.0, 0.0)
     weights[valid] /= psi[valid]
-    grad_matrix = ordered_matmul((left * weights[:, None]).T, right)
+    grad_matrix = (left * weights[:, None]).T @ right
     return (-2.0 / denom) * grad_matrix.reshape(shape), n_skipped
 
 
@@ -219,6 +218,7 @@ def _local_nll(psi: np.ndarray, log_scale: np.ndarray, zero_amplitude_policy: st
     return float(-2.0 * log_abs[finite].mean())
 
 
+@single_blas_thread()
 def two_site_gradient(
     model,
     edge,
@@ -368,6 +368,7 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
     return StepStats(edge, discarded, loss_before, loss_after, skipped, None)
 
 
+@single_blas_thread()
 def fit(model, encoded: np.ndarray, config: TrainConfig) -> TrainReport:
     """Train ``model`` in place on encoded, unlabeled data.
 
@@ -377,19 +378,7 @@ def fit(model, encoded: np.ndarray, config: TrainConfig) -> TrainReport:
 
     Deterministic: the same seed, config, data and numpy/BLAS build give
     the same trained tensors and report (timings aside), bit for bit, at
-    any BLAS thread count, within one limit. The matrix products of the
-    two-site step sum their inner dimension (samples, or merged-tensor
-    axes) in fixed blocks, and whole-tensor norms are summed by numpy, so
-    a threaded BLAS cannot reorder them. The limit is the SVD of each split, a LAPACK call that
-    OpenBLAS threads internally. On OpenBLAS 0.3.31, comparing 1 and 2
-    threads over 10,168 split shapes (every MPS split at ``phys_dim`` 5
-    and bonds up to 40, every tree split at bonds up to 16), all shapes
-    with at most 150 rows repeated (for an MPS: left bond times
-    ``phys_dim`` at most 150), while 282 shapes with 154 rows or more and
-    70 columns or more did not, for example 175 x 175 (an MPS at bond 35)
-    and 256 x 176 (a tree at bonds 16 and 11). A fit that meets such a
-    shape can part between thread counts. The QR steps of
-    canonicalization repeated for all 2,688 shapes tested.
+    any BLAS thread count (see :func:`tnad.tensors.single_blas_thread`).
     """
     encoded = np.asarray(encoded, dtype=np.float64)
     if encoded.ndim != 3 or encoded.shape[0] == 0:

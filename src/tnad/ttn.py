@@ -22,7 +22,7 @@ import numpy as np
 from .encoding import orthonormal_basis
 from .errors import DataError, DimensionError
 from .tensors import (
-    batched_transfer, frobenius_norm, ordered_matmul, renormalize_rows, truncated_svd,
+    batched_transfer, frobenius_norm, renormalize_rows, single_blas_thread, truncated_svd,
 )
 
 if TYPE_CHECKING:
@@ -246,8 +246,9 @@ class TtnModel:
         pad = np.broadcast_to(self._pad_vector, (encoded.shape[0], 1, self.phys_dim))
         return np.concatenate([encoded, pad], axis=1)
 
+    @single_blas_thread()
     def log_amplitudes(self, encoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log magnitude and sign of the amplitude for a batch (n, L, N)."""
+        """Log magnitude and sign of the amplitude for a batch (n, L, N), on one BLAS thread."""
         enc = self.pad_batch(encoded)
         msgs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         zero = np.zeros(enc.shape[0])
@@ -260,7 +261,7 @@ class TtnModel:
                 operands, log_scale = [m0, m1], log0 + log1
             msgs[u] = _node_message(self.tensors[u], 0, operands, log_scale)
         (m0, log0), (m1, log1) = (msgs.pop(c) for c in self.children[0])
-        amp = (ordered_matmul(m0, self.tensors[0]) * m1).sum(axis=1)
+        amp = ((m0 @ self.tensors[0]) * m1).sum(axis=1)
         with np.errstate(divide="ignore"):
             log_abs = log0 + log1 + np.log(np.abs(amp))
         sign = np.where(amp < 0.0, -1.0, 1.0)
@@ -517,7 +518,7 @@ def _node_message(tensor, out_axis, operands, log_scale):
     """
     others = [ax for ax in range(tensor.ndim) if ax != out_axis]
     if len(others) == 1:
-        vec = ordered_matmul(operands[0], tensor.transpose(others[0], out_axis))
+        vec = operands[0] @ tensor.transpose(others[0], out_axis)
     else:
         vec = batched_transfer(operands[0], tensor.transpose(*others, out_axis), operands[1])
     return renormalize_rows(vec, log_scale)

@@ -133,6 +133,11 @@ def rewrite_tensor(path, stored, replacement):
     path.write_bytes(bytes(blob))
 
 
+def reseal(path, blob):
+    """Write ``blob`` to ``path`` with a valid CRC appended."""
+    path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+
+
 def relabeled(model, order):
     """The same tree with node ``order[k]`` renumbered ``k``; leaves take features in id order."""
     new_id = {old: k for k, old in enumerate(order)}
@@ -218,6 +223,31 @@ class TestContentChecks:
         path = tmp_path / "tree.tnad"
         save_model(path, relabeled(model, order))
         with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    def test_zero_mps_bond_refused(self, tmp_path):
+        encoder, _ = fitted_encoder(3, 3, seed=6)
+        path = tmp_path / "mps.tnad"
+        save_model(path, MpsModel.random(3, 3, init_bond=2, seed=6, encoder=encoder))
+        last = load_model(path).cores[-1]  # (2, 3, 1)
+        # bonds [1, 0, 2, 1]: the first two cores hold no entries
+        start = len(MAGIC) + struct.calcsize("<IBIII") + 16 * 3
+        blob = path.read_bytes()[:start] + struct.pack("<4I", 1, 0, 2, 1)
+        reseal(path, blob + last.astype("<f8").tobytes())
+        with pytest.raises(DataError, match="bond 1 has extent 0"):
+            load_model(path)
+
+    def test_zero_tree_parent_bond_refused(self, tmp_path):
+        encoder, _ = fitted_encoder(3, 4, seed=6)
+        path = tmp_path / "tree.tnad"
+        save_model(path, TtnModel.random(4, 3, init_bond=4, seed=6, encoder=encoder))
+        leaf = load_model(path).tensors[2]  # (4, 3, 3)
+        # root and two leaves with parent bonds [0, 0, 4]: the root and the
+        # first leaf hold no entries
+        start = len(MAGIC) + struct.calcsize("<IBIII") + 16 * 4
+        topology = struct.pack("<IiIiIiI", 3, -1, 0, 0, 0, 0, 4)  # count, (parent, bond) x 3
+        reseal(path, path.read_bytes()[:start] + topology + leaf.astype("<f8").tobytes())
+        with pytest.raises(DataError, match="node 1 has extent 0"):
             load_model(path)
 
     @staticmethod

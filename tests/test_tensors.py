@@ -1,3 +1,4 @@
+import logging
 import os
 from pathlib import Path
 
@@ -6,8 +7,11 @@ import pytest
 
 import helpers
 import tnad
-from tnad import DegenerateInputError, DimensionError, truncated_svd
-from tnad.tensors import batched_transfer, tree_join
+from tnad import (
+    DegenerateInputError, DimensionError, LegendreFeatureMap, MpsModel, TrainConfig, fit,
+    fit_rescaler, tensors, toy_two_clusters, truncated_svd,
+)
+from tnad.tensors import batched_transfer, single_blas_thread, tree_join
 
 
 def assert_transfer_matches_einsum(left, tensor, right):
@@ -189,44 +193,75 @@ class TestGramFallback:
         np.testing.assert_allclose(np.sum((m - recon) ** 2), r.discarded_weight, rtol=1e-10)
 
 
-# Child process for the thread-count test: the Gram-route SVD of one
-# seeded matrix, printed as a hash of its factors' bytes.
-GRAM_CHILD = """
+class TestSingleBlasThread:
+    """The one-thread pin around numpy's OpenBLAS."""
+
+    @pytest.fixture(autouse=True)
+    def controls(self):
+        """The real (get, set) pair at a thread count of 2, restored afterwards."""
+        tensors._thread_controls.cache_clear()
+        get, set_ = found = tensors._thread_controls()
+        original = get()
+        set_(2)
+        if get() != 2:
+            pytest.skip("numpy's BLAS thread count cannot be set")
+        yield found
+        set_(original)
+        tensors._thread_controls.cache_clear()
+
+    def test_nested_pin_keeps_one_thread_and_outermost_exit_restores(self, controls):
+        get, _ = controls
+        with single_blas_thread():
+            assert get() == 1
+            with single_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+
+    def test_missing_symbols_make_the_pin_a_logged_no_op(self, controls, monkeypatch, caplog):
+        get, _ = controls
+        tensors._thread_controls.cache_clear()
+        monkeypatch.setattr(tensors, "_OPENBLAS_SYMBOLS", ("no_such_get", "no_such_set"))
+        data = toy_two_clusters(60, 4, seed=0)
+        encoder = LegendreFeatureMap(3, fit_rescaler(data))
+        model = MpsModel.random(4, 3, init_bond=2, seed=0, encoder=encoder)
+        with caplog.at_level(logging.WARNING, logger="tnad.tensors"):
+            with single_blas_thread():
+                assert get() == 2
+            report = fit(model, encoder.encode_batch(data), TrainConfig(sweeps=1))
+        assert len(report.nll_trace) == 1
+        assert len([r for r in caplog.records if r.name == "tnad.tensors"]) == 1
+
+
+# Child process for the thread-count test: a truncated SVD of one seeded
+# matrix, printed as a hash of its factors' bytes. On the "gram" route
+# LAPACK's SVD is made to fail, as in TestGramFallback.
+SVD_CHILD = """
 import hashlib, sys
 import numpy as np
-from tnad.tensors import _svd_via_gram
-rows, cols = map(int, sys.argv[1].split("x"))
+from tnad import truncated_svd
+route, shape = sys.argv[1].split(":")
+rows, cols = map(int, shape.split("x"))
 m = np.random.default_rng(7).standard_normal((rows, cols))
-factors = _svd_via_gram(m)
+if route == "gram":
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    np.linalg.svd = refuse
+r = truncated_svd(m)
+factors = (r.left_isometry, r.singular_values, r.right_isometry)
 print(hashlib.sha256(b"".join(np.ascontiguousarray(f).tobytes() for f in factors)).hexdigest())
 """
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 CPUs")
-@pytest.mark.parametrize("shape", ["200x130", "130x200"], ids=["tall", "wide"])
-def test_gram_svd_repeats_across_blas_thread_counts(shape):
+@pytest.mark.parametrize(
+    "case",
+    ["gram:200x130", "gram:130x200", "gesdd:175x175", "gesdd:256x176"],
+    ids=["tall", "wide", "gesdd-175x175", "gesdd-256x176"],
+)
+def test_gram_svd_repeats_across_blas_thread_counts(case):
     # the Gram route multiplies by transposed views (m.T, u.T) and by
-    # eigh's column-major eigenvectors
-    one, two = (helpers.run_in_child(GRAM_CHILD, shape, n) for n in (1, 2))
-    assert one == two
-
-
-ALIGNED_CHILD = """
-import hashlib, sys
-import numpy as np
-from tnad.tensors import aligned_matmul
-rows, depth, cols = map(int, sys.argv[1].split("x"))
-rng = np.random.default_rng(8)
-product = aligned_matmul(rng.standard_normal((rows, depth)), rng.standard_normal((depth, cols)))
-assert product.shape == (rows, cols)
-print(hashlib.sha256(np.ascontiguousarray(product).tobytes()).hexdigest())
-"""
-
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 CPUs")
-@pytest.mark.parametrize("shape", ["512x20x201", "137x122x190"])
-def test_aligned_matmul_repeats_across_blas_thread_counts(shape):
-    # column counts that are not a multiple of 8, in products large enough
-    # for OpenBLAS to split their columns between threads
-    one, two = (helpers.run_in_child(ALIGNED_CHILD, shape, n) for n in (1, 2))
+    # eigh's column-major eigenvectors; gesdd threads its own steps at 154
+    # rows or more (an MPS split at bond 35, a tree split at bonds 16 and 11)
+    one, two = (helpers.run_in_child(SVD_CHILD, case, n) for n in (1, 2))
     assert one == two

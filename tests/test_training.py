@@ -8,6 +8,7 @@ import helpers
 from tnad import training
 from tnad import (
     DataError,
+    DegenerateInputError,
     LegendreFeatureMap,
     MpsModel,
     TrainConfig,
@@ -157,6 +158,17 @@ def model_sites(model):
     return model.n_sites if hasattr(model, "cores") else model.n_features
 
 
+def fail_next_split(monkeypatch, model):
+    """Make the model's next ``split_edge`` raise DegenerateInputError; later ones run."""
+    original = model.split_edge
+
+    def split_edge(*args, **kwargs):
+        monkeypatch.setattr(model, "split_edge", original)
+        raise DegenerateInputError("split refused")
+
+    monkeypatch.setattr(model, "split_edge", split_edge)
+
+
 class TestTwoSiteStep:
     def test_zero_learning_rate_preserves_amplitudes(self):
         rng = np.random.default_rng(5)
@@ -203,6 +215,25 @@ class TestTwoSiteStep:
         assert np.isfinite(stats.loss_before)
         assert np.isfinite(stats.loss_after)
         assert stats.loss_after <= stats.loss_before + 1e-9
+
+    def test_degenerate_split_restores_the_state(self, monkeypatch):
+        model = MpsModel.random(4, 2, init_bond=2, seed=10)
+        batch = np.abs(helpers.random_encoded(np.random.default_rng(9), 12, 4, 2)) + 0.2
+        reference, _ = model.log_amplitudes(batch)
+        env = model.environment_cache(batch)
+        fail_next_split(monkeypatch, model)
+        stats = two_site_step(model, (0, 1), env, None, 5e-3, TrainConfig(learning_rate=5e-3))
+        assert stats.error == "split refused"
+        assert model.center == 1
+        log_abs, _ = model.log_amplitudes(batch)
+        np.testing.assert_allclose(log_abs, reference, rtol=0.0, atol=1e-12)
+
+    def test_degenerate_split_reported_by_fit(self, monkeypatch):
+        model = MpsModel.random(4, 2, init_bond=2, seed=10)
+        batch = np.abs(helpers.random_encoded(np.random.default_rng(9), 12, 4, 2)) + 0.2
+        fail_next_split(monkeypatch, model)
+        report = fit(model, batch, TrainConfig(learning_rate=5e-3, sweeps=1, batch_size=None))
+        assert report.step_errors == ["sweep 0, edge (0, 1): split refused"]
 
 
 class TestLineSearch:
@@ -356,8 +387,15 @@ print(json.dumps({"trace": [x.hex() for x in report.nll_trace], "bonds": report.
         # mini-batches with merged tensors of 40,000 (mps) and 65,536 (ttn) entries
         ("mps", 8, 600, 40, 40, 256),
         ("ttn", 16, 600, 16, 16, 256),
+        # merged-tensor sides of 195 (mps bond 39) and 225 (ttn bond 15), and
+        # splits of 185 rows (mps bond 37): widths and SVDs that OpenBLAS
+        # threads differently at 1 and 2 threads
+        ("mps", 8, 600, 39, 39, 256),
+        ("ttn", 16, 600, 15, 15, 256),
+        ("mps", 8, 2000, 37, 37, None),
     ],
-    ids=["mps-full-batch", "ttn-full-batch", "mps-large-merge", "ttn-large-merge"],
+    ids=["mps-full-batch", "ttn-full-batch", "mps-large-merge", "ttn-large-merge",
+         "mps-bond-39", "ttn-bond-15", "mps-bond-37-full-batch"],
 )
 def test_fit_repeats_across_blas_thread_counts(case):
     one, two = (json.loads(helpers.run_in_child(FIT_CHILD, json.dumps(case), n)) for n in (1, 2))
