@@ -88,7 +88,8 @@ def load_csv(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray | None]:
     anomaly) or None when the spec names no label column. A label column
     with no ``anomaly_labels`` is simply dropped from the features (useful
     when scoring unlabeled copies of labeled files). Row order is the file
-    order. Parse problems report the 1-based file line.
+    order. Parse problems report the 1-based file line; a non-numeric or
+    non-finite (``nan``, ``inf``) cell also names its column.
     """
     path = Path(spec.path)
     if not path.exists():
@@ -115,7 +116,7 @@ def load_csv(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray | None]:
         feature_idx = [columns[c] for c in feature_names]
         label_idx = columns[spec.label_column] if spec.label_column is not None else None
 
-        rows, labels = [], []
+        rows, line_nos, labels = [], [], []
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -134,12 +135,19 @@ def load_csv(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray | None]:
                         f"non-numeric value {cell!r}"
                     ) from None
             rows.append(values)
+            line_nos.append(line_no)
             if label_idx is not None:
                 labels.append(row[label_idx].strip() in set(spec.anomaly_labels))
 
     if not rows:
         raise DataError(f"{path}: no data rows")
     features = np.vstack(rows)
+    if not np.isfinite(features).all():
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        raise DataError(
+            f"{path}: line {line_nos[row]}, column {feature_names[col]!r}: "
+            f"non-finite value {features[row, col]}"
+        )
     label_array = None
     if label_idx is not None and spec.anomaly_labels:
         label_array = np.asarray(labels, dtype=bool)

@@ -99,13 +99,19 @@ class FeatureRescaler:
         """Map raw values (..., n_features) into [0, 1], clamping outliers.
 
         Scoring-time values outside the fitted range are clamped rather than
-        rejected so that unseen extremes remain scorable.
+        rejected so that unseen extremes remain scorable. A non-finite value
+        has no place in the interval and raises :class:`DataError`.
         """
         raw = np.asarray(raw, dtype=np.float64)
+        if not np.isfinite(raw).all():
+            bad = np.argwhere(~np.isfinite(raw))[0]
+            raise DataError(f"non-finite raw value {raw[tuple(bad)]} for feature {bad[-1]}")
         scaled = (raw - self.minimum) / (self.maximum - self.minimum)
         return np.clip(scaled, 0.0, 1.0)
 
     def transform_value(self, feature_index: int, raw: float) -> float:
+        if not np.isfinite(raw):
+            raise DataError(f"non-finite raw value {raw} for feature {feature_index}")
         span = self.maximum[feature_index] - self.minimum[feature_index]
         scaled = (raw - self.minimum[feature_index]) / span
         return float(min(max(scaled, 0.0), 1.0))
@@ -123,14 +129,18 @@ def fit_rescaler(data: np.ndarray, margin: float = 0.0) -> FeatureRescaler:
     """Fit per-feature unit-interval maps from a (samples, features) matrix.
 
     The fitted bounds are widened so every training value maps into
-    ``[margin, 1 - margin]``. Constant features cannot be rescaled and raise
-    :class:`FitError` naming the offending column.
+    ``[margin, 1 - margin]``. Constant features and features holding a
+    non-finite value cannot be rescaled and raise :class:`FitError` naming
+    the offending column.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise FitError("rescaler fitting needs a 2-D matrix with at least 2 samples")
     if not 0.0 <= margin <= 0.1:
         raise FitError(f"margin must lie in [0, 0.1], got {margin}")
+    if not np.isfinite(data).all():
+        bad = int(np.argwhere(~np.isfinite(data))[0, 1])
+        raise FitError(f"feature {bad} holds non-finite values and cannot be rescaled")
     lo = data.min(axis=0)
     hi = data.max(axis=0)
     constant = np.flatnonzero(hi <= lo)

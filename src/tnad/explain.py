@@ -181,7 +181,7 @@ def _analysis_copy(model: TtnModel, center: int, conditions=None) -> TtnModel:
         pinned = np.tensordot(tensor, orthonormal_basis(work.phys_dim, value), axes=(slot, 0))
         work.tensors[leaf] = np.zeros_like(tensor)
         np.moveaxis(work.tensors[leaf], slot, 0)[0] = pinned
-    work.canonicalize(center)
+    work._canonicalize_all(center)
     return work
 
 
@@ -290,14 +290,13 @@ def _rdm(model, targets, conditions) -> ReducedDensityMatrix:
 
 
 def _check_subsystem(model, sites, max_dim) -> None:
-    n_features = model.n_sites if isinstance(model, MpsModel) else model.n_features
     if len(sites) == 0:
         raise DataError("subsystem must contain at least one feature")
     if len(set(sites)) != len(sites):
         raise DataError(f"duplicate feature in subsystem {sites}")
     for s in sites:
-        if not 0 <= s < n_features:
-            raise DataError(f"feature {s} out of range (model has {n_features})")
+        if not 0 <= s < model.n_features:
+            raise DataError(f"feature {s} out of range (model has {model.n_features})")
     if model.phys_dim ** len(sites) > max_dim:
         raise ResourceLimitError(
             f"subsystem of {len(sites)} features needs matrices of extent "
@@ -338,10 +337,9 @@ def conditional_rdm(
     overlap = set(target_sites) & set(conditions)
     if overlap:
         raise DataError(f"features {sorted(overlap)} are both targets and conditions")
-    n_features = model.n_sites if isinstance(model, MpsModel) else model.n_features
     for s, v in conditions.items():
-        if not 0 <= s < n_features:
-            raise DataError(f"condition feature {s} out of range (model has {n_features})")
+        if not 0 <= s < model.n_features:
+            raise DataError(f"condition feature {s} out of range (model has {model.n_features})")
         if not 0.0 <= v <= 1.0:
             raise DataError(f"condition value {v} for feature {s} outside [0, 1]")
     return _rdm(model, target_sites, conditions)

@@ -15,9 +15,10 @@ Layout (all integers little-endian):
     cores                       row-major f64 in topology order
     crc32   u32                 of everything above
 
-Models are written canonicalized to a fixed convention (site 0 for MPS,
-right-most leaf for TTN) so the center never needs to be stored; scoring
-uses exactly the training-time rescaler embedded in the file. A file whose
+Models are written canonical at the node where a training sweep starts
+(site 0 for MPS, right-most leaf for TTN), so the center never needs to
+be stored; scoring uses exactly the training-time rescaler embedded in
+the file. A file whose
 tensors are not finite, or not isometric toward that center, is refused:
 the explanation paths contract everything outside a subsystem to the
 identity, which is exact only for a canonical state. So is a file whose
@@ -29,6 +30,7 @@ tree whose node ids are not in pre-order (see :func:`tnad.ttn.tree_layout`).
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from pathlib import Path
@@ -57,41 +59,36 @@ def save_model(path, model) -> None:
     rescaler = model.encoder.rescaler
 
     if isinstance(model, MpsModel):
-        kind, n_features = _KIND_MPS, model.n_sites
-        padding = 0
-        work = model.copy()
-        work.canonicalize(0)
-        cores = work.cores
+        kind = _KIND_MPS
     elif isinstance(model, TtnModel):
-        kind, n_features = _KIND_TTN, model.n_features
-        padding = model.padding
-        work = model.copy()
-        work.canonicalize(work.leaf_ids()[-1])
-        cores = work.tensors
+        kind = _KIND_TTN
     else:
         raise DataError(f"unsupported model type {type(model).__name__}")
-
-    if rescaler.n_features != n_features:
+    if rescaler.n_features != model.n_features:
         raise DataError(
-            f"rescaler covers {rescaler.n_features} features, model has {n_features}"
+            f"rescaler covers {rescaler.n_features} features, model has {model.n_features}"
         )
+    work = model.copy()
+    work.canonicalize(work.sweep_start())
 
     blob = bytearray()
     blob += MAGIC
-    blob += struct.pack("<IBIII", FORMAT_VERSION, kind, n_features, model.phys_dim, padding)
-    for i in range(n_features):
+    blob += struct.pack(
+        "<IBIII", FORMAT_VERSION, kind, model.n_features, model.phys_dim, model.padding
+    )
+    for i in range(model.n_features):
         blob += struct.pack("<dd", rescaler.minimum[i], rescaler.maximum[i])
 
     if kind == _KIND_MPS:
-        bonds = [1] + [c.shape[2] for c in cores]
+        bonds = [1] + [t.shape[2] for t in work.tensors]
         blob += struct.pack(f"<{len(bonds)}I", *bonds)
     else:
         blob += struct.pack("<I", work.n_nodes)
         for u in range(work.n_nodes):
-            parent_bond = cores[u].shape[0] if work.parents[u] >= 0 else 0
+            parent_bond = work.tensors[u].shape[0] if work.parents[u] >= 0 else 0
             blob += struct.pack("<iI", work.parents[u], parent_bond)
 
-    for core in cores:
+    for core in work.tensors:
         blob += np.ascontiguousarray(core, dtype="<f8").tobytes()
 
     blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
@@ -145,15 +142,9 @@ def load_model(path):
         offset += 4 * (n_features + 1)
         if 0 in bonds:
             raise DataError(f"{path}: MPS bond {bonds.index(0)} has extent 0")
-        cores = []
-        for i in range(n_features):
-            shape = (bonds[i], phys_dim, bonds[i + 1])
-            cores.append(_read_tensor(raw, offset, shape, path))
-            offset += 8 * int(np.prod(shape))
-        _expect_end(raw, offset, path)
-        return _checked(MpsModel(cores, center=0, encoder=encoder), cores, path)
-
-    if kind == _KIND_TTN:
+        shapes = [(bonds[i], phys_dim, bonds[i + 1]) for i in range(n_features)]
+        build = functools.partial(MpsModel, center=0, encoder=encoder)
+    elif kind == _KIND_TTN:
         (n_nodes,) = struct.unpack_from("<I", raw, offset)
         offset += 4
         parents, parent_bond = [], []
@@ -171,23 +162,21 @@ def load_model(path):
         leaf_ids = [u for u in range(n_nodes) if children[u] is None]
         if 2 * len(leaf_ids) != n_features + padding:
             raise DataError(f"{path}: leaf count inconsistent with feature count")
-
-        tensors = []
-        for shape in node_shapes(parents, children, parent_bond, phys_dim):
-            tensors.append(_read_tensor(raw, offset, shape, path))
-            offset += 8 * int(np.prod(shape))
-        _expect_end(raw, offset, path)
-        model = TtnModel(
-            tensors, parents, children, leaf_features, n_features, padding,
-            center=leaf_ids[-1], encoder=encoder,
+        shapes = node_shapes(parents, children, parent_bond, phys_dim)
+        build = functools.partial(
+            TtnModel, parents=parents, children=children, leaf_features=leaf_features,
+            n_features=n_features, padding=padding, center=leaf_ids[-1], encoder=encoder,
         )
-        return _checked(model, tensors, path)
+    else:
+        raise DataError(f"{path}: unknown model kind {kind}")
 
-    raise DataError(f"{path}: unknown model kind {kind}")
-
-
-def _checked(model, tensors, path):
-    """Return ``model`` if its tensors are finite and canonical, else raise."""
+    tensors = []
+    for shape in shapes:
+        tensors.append(_read_tensor(raw, offset, shape, path))
+        offset += 8 * int(np.prod(shape))
+    if offset != len(raw) - 4:
+        raise DataError(f"{path}: {len(raw) - 4 - offset} unexpected trailing bytes")
+    model = build(tensors)
     if not all(np.isfinite(t).all() for t in tensors):
         raise DataError(f"{path}: model tensors hold non-finite entries")
     defect = model.isometry_defect()
@@ -206,7 +195,3 @@ def _read_tensor(raw: bytes, offset: int, shape: tuple, path) -> np.ndarray:
     flat = np.frombuffer(raw, dtype="<f8", count=int(np.prod(shape)), offset=offset)
     return flat.reshape(shape).astype(np.float64)
 
-
-def _expect_end(raw: bytes, offset: int, path) -> None:
-    if offset != len(raw) - 4:
-        raise DataError(f"{path}: {len(raw) - 4 - offset} unexpected trailing bytes")

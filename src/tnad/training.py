@@ -359,10 +359,10 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
     if error is not None:
         # restore: exact split of the untouched merged tensor
         model.split_edge(edge, original, 0.0, None)
-        env.advance(edge)
+        env.push(*edge)
         return StepStats(edge, 0.0, loss_before, loss_before, skipped, error)
 
-    env.advance(edge)
+    env.push(*edge)
     after = model.merge_edge(edge)
     loss_after = _local_nll(_contract_fractions(after, left, right), log_scale, policy)
     return StepStats(edge, discarded, loss_before, loss_after, skipped, None)
@@ -372,9 +372,12 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
 def fit(model, encoded: np.ndarray, config: TrainConfig) -> TrainReport:
     """Train ``model`` in place on encoded, unlabeled data.
 
-    Runs ``config.sweeps`` full traversals with mini-batches redrawn per
-    step from a generator seeded by ``config.seed``; the NLL trace records
-    the full-data loss after each sweep.
+    ``model`` must be canonical at its center, as ``random``,
+    ``load_model`` and ``fit`` itself leave it; its center is moved to
+    the sweep start along the path between them. Runs ``config.sweeps``
+    full traversals with mini-batches redrawn per step from a generator
+    seeded by ``config.seed``; the NLL trace records the full-data loss
+    after each sweep.
 
     Deterministic: the same seed, config, data and numpy/BLAS build give
     the same trained tensors and report (timings aside), bit for bit, at

@@ -42,6 +42,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             load_csv(DatasetSpec(path))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_line_and_column(self, csv_file, cell):
+        path = csv_file(f"a,b\n1,2\n\n3,{cell}\n")
+        with pytest.raises(DataError, match="line 4, column 'b': non-finite"):
+            load_csv(DatasetSpec(path))
+
     def test_missing_label_column(self, csv_file):
         path = csv_file("a,b\n1,2\n")
         with pytest.raises(DataError, match="label column"):

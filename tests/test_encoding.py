@@ -84,6 +84,13 @@ class TestRescaler:
         with pytest.raises(FitError, match="feature 1"):
             fit_rescaler(np.array([[0.0, 3.0], [1.0, 3.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, value):
+        data = np.array([[0.0, 3.0], [1.0, 4.0], [0.5, 5.0]])
+        data[2, 1] = value
+        with pytest.raises(FitError, match="feature 1"):
+            fit_rescaler(data)
+
     def test_margin_bounds(self):
         with pytest.raises(FitError):
             fit_rescaler(np.array([[0.0], [1.0]]), margin=0.2)
@@ -147,6 +154,19 @@ class TestFeatureMap:
         fm = LegendreFeatureMap(3)
         with pytest.raises(NotFittedError):
             fm.encode_sample([0.5])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_raw_value_rejected(self, value):
+        # an inf would otherwise clamp to 1 and a nan encode to nan amplitudes
+        fm = self.unit_map(3, n_features=2)
+        with pytest.raises(DataError, match="feature 1"):
+            fm.rescaler.transform(np.array([0.5, value]))
+        with pytest.raises(DataError, match="feature 1"):
+            fm.encode_batch(np.array([[0.2, 0.3], [0.5, value]]))
+        with pytest.raises(DataError, match="feature 1"):
+            fm.encode_sample([0.5, value])
+        with pytest.raises(DataError, match="feature 1"):
+            fm.encode_value(1, value)
 
     def test_batch_matches_samples(self):
         fm = self.unit_map(3, n_features=2)
