@@ -5,7 +5,12 @@ over that subset: contract the network with its transpose, leaving the
 subset's physical legs open. Because the feature encoding is orthonormal,
 marginalizing a feature is a plain index contraction (the integral over
 its encodings resolves to the identity), and conditioning fixes a feature
-by inserting the rank-1 projector onto its encoded value.
+by absorbing its encoded value into the feature's node on the fly.
+
+Both model kinds run the same code. Rooted at node 0, an MPS is a tree
+whose nodes each carry one feature leg, so one bottom-up pass gives any
+density matrix, and one down and one up pass give every single-feature
+density and all-to-all mutual information.
 
 From the (trace-normalized) density matrices this module derives the
 induced quasi-probability density and its moments, von Neumann entropies,
@@ -17,6 +22,7 @@ runs under :func:`tnad.tensors.single_blas_thread`.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,18 +35,13 @@ from .errors import (
     NumericalError,
     ResourceLimitError,
 )
-from .mps import MpsModel
 from .tensors import (
-    chain_close,
-    chain_march,
-    chain_open,
     single_blas_thread,
     tree_down_step,
     tree_join,
     tree_pair_densities,
     tree_up_step,
 )
-from .ttn import TtnModel
 
 logger = logging.getLogger(__name__)
 
@@ -158,37 +159,68 @@ class MiMatrices(NamedTuple):
 # reduced density matrices
 
 
-def _analysis_copy(model: TtnModel, center: int, conditions=None) -> TtnModel:
-    """Copy of the tree with the pad and every condition pinned, canonical at ``center``.
+def _rooted(model, u: int):
+    """Node ``u`` as ``(up, in0, in1)``, rooted at node 0, and its in-legs' ``axis_spec``.
 
-    ``conditions`` maps a feature to its rescaled value. Each pinned
-    feature's encoding is absorbed into its leaf and the result placed in
-    slot 0 of that leg, so the ordinary identity-trace of the leg
-    reproduces the pinned contraction. The dummy feature is pinned like
-    this too: the state is only ever evaluated with it at the interval
-    midpoint, so for density-matrix work it is a condition, not a
-    marginal. Every analysis path can then treat a pinned feature like any
-    marginalized one, and the canonical form lets every subtree without an
-    open leg contract to the identity.
+    Both kinds store a node up leg first, with ids in pre-order: an MPS
+    site as ``(l, p, r)``, the last one's ``r`` a bond with no node behind
+    it, and a tree node as ``(parent, c0, c1)``, a leaf's in-legs being its
+    features. The tree's root ``(c0, c1)`` gets an up leg of extent 1.
     """
-    pins = dict(conditions or {})
-    if model.padding:
-        pins[model.padded_features - 1] = 0.5
+    t = model.tensors[u]
+    return (t if t.ndim == 3 else t[None]), model.axis_spec(u)[-2:]
+
+
+def _feature_axes(model) -> dict[int, tuple[int, int]]:
+    """Node and tensor axis of every feature leg, dummy features included."""
+    return {
+        ref: (u, ax)
+        for u in range(model.n_nodes)
+        for ax, (kind, ref) in enumerate(model.axis_spec(u))
+        if kind == "phys"
+    }
+
+
+def _common_ancestor(model, nodes) -> int:
+    """Lowest node, rooted at node 0, whose subtree holds every given node.
+
+    In pre-order each subtree's ids are contiguous, so this is the first
+    ancestor of the largest id whose id is at most the smallest.
+    """
+    low, high = min(nodes), max(nodes)
+    while high > low:
+        high = model.axis_spec(high)[0][1]  # a node's up leg comes first
+    return high
+
+
+def _pin(tensor: np.ndarray, axis: int, encoding: np.ndarray) -> np.ndarray:
+    """Contract the feature leg at ``axis`` with ``encoding``, keeping it as a leg of extent 1."""
+    shape = tensor.shape
+    pinned = encoding @ tensor.reshape(math.prod(shape[:axis]), shape[axis], -1)
+    return pinned.reshape(shape[:axis] + (1,) + shape[axis + 1 :])
+
+
+def _analysis_copy(model, center: int):
+    """Copy of the model with its dummy features pinned, canonical at ``center``.
+
+    The state is only ever evaluated with a dummy feature at the interval
+    midpoint, so for density-matrix work it is a condition, not a
+    marginal. Once its encoding is absorbed into its node (:func:`_pin`),
+    the canonical form lets every subtree without an open leg contract to
+    the identity.
+    """
     work = model.copy()
-    for feature, value in pins.items():
-        leaf, slot = work.leaf_of_feature(feature)
-        tensor = work.tensors[leaf]
-        pinned = np.tensordot(tensor, orthonormal_basis(work.phys_dim, value), axes=(slot, 0))
-        work.tensors[leaf] = np.zeros_like(tensor)
-        np.moveaxis(work.tensors[leaf], slot, 0)[0] = pinned
+    where = _feature_axes(work)
+    for feature in range(work.n_features, work.n_features + work.padding):
+        u, axis = where[feature]
+        work.tensors[u] = _pin(work.tensors[u], axis, orthonormal_basis(work.phys_dim, 0.5))
     work._canonicalize_all(center)
     return work
 
 
-def _finalize_rdm(rho, sites, requested, phys_dim) -> ReducedDensityMatrix:
+def _finalize_rdm(rho, sites, requested, n) -> ReducedDensityMatrix:
     """Symmetrize, reorder open legs to the requested site order, normalize."""
     k = len(sites)
-    n = phys_dim
     if tuple(sites) != tuple(requested):
         pos = {s: i for i, s in enumerate(sites)}
         perm = [pos[s] for s in requested]
@@ -215,78 +247,50 @@ def _identity_object(bond: int) -> np.ndarray:
     return np.eye(bond).reshape(bond, 1, 1, bond)
 
 
-def _mps_rdm(model: MpsModel, targets, conditions) -> ReducedDensityMatrix:
-    n = model.phys_dim
-    targets_sorted = tuple(sorted(targets))
-    involved = sorted(set(targets_sorted) | set(conditions))
-    work = model.copy()
-    work.canonicalize(involved[0])
+def _rdm(model, targets, conditions) -> ReducedDensityMatrix:
+    """Density matrix of ``targets`` with ``conditions`` pinned, for either model kind.
 
-    marching = _identity_object(work.cores[involved[0]].shape[0])
-    for site in range(involved[0], involved[-1] + 1):
-        core = work.cores[site]
-        if site in targets_sorted:
-            marching = chain_open(marching, core)
-        elif site in conditions:
-            pinned = orthonormal_basis(n, conditions[site]) @ core
-            marching = chain_march(marching, pinned[:, None, :])
-        else:
-            marching = chain_march(marching, core)
-    rho = np.trace(marching, axis1=0, axis2=3)
-    return _finalize_rdm(rho, targets_sorted, targets, n)
-
-
-def _ttn_rdm(work: TtnModel, targets) -> ReducedDensityMatrix:
-    """Density matrix of ``targets`` on a pinned copy canonical at their common ancestor.
-
-    One bottom-up pass from the leaves to that ancestor, the canonical
-    center: a target leg is the open identity, a leg without targets below
-    it the bond identity, and a node without targets below it has no
-    object. Each node below the center joins the two-sided objects of its
-    lower legs (:func:`tree_join`); the center closes them, since the rest
-    of the tree contracts to the identity on its parent bond.
+    The pins are the conditions and every dummy feature at the interval
+    midpoint. A copy's canonical center moves to the common ancestor of
+    the targets and pins (:func:`_rooted`), and one bottom-up pass runs
+    from the last node to it. At each node a child bond gives its
+    two-sided object, or the bond identity if it has none; a target leg is
+    the open identity; a pinned leg is absorbed into the node
+    (:func:`_pin`) and its extent-1 leg is the identity; so is any other
+    leg. A node with an object or a pin joins them (:func:`tree_join`);
+    the center closes them against the identity on its up bond, since the
+    rest of the network is an isometry toward it.
     """
-    n = work.phys_dim
+    n = model.phys_dim
+    pins = {f: 0.5 for f in range(model.n_features, model.n_features + model.padding)}
+    pins.update(conditions)
+    encodings = dict(zip(pins, orthonormal_basis(n, np.array(list(pins.values()), float)).T))
+    where = _feature_axes(model)
+    center = _common_ancestor(model, [where[f][0] for f in (*targets, *pins)])
+    work = model.copy()
+    work.canonicalize(center)
     open_leg = np.multiply.outer(np.eye(n), np.eye(n))
     up: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for u in reversed(range(work.center, work.n_nodes)):
-        node = _parent_first(work, u)
-        if work.children[u] is None:
-            sides = [(open_leg, [f]) if f in targets else None for f in work.leaf_features[u]]
-        else:
-            sides = [up.pop(c, None) for c in work.children[u]]
+    for u in reversed(range(center, work.n_nodes)):
+        node, legs = _rooted(work, u)
+        sides = []
+        for leg, (kind, ref) in enumerate(legs):
+            side = up.pop(ref, None) if kind == "bond" else None
+            if kind == "phys" and ref in targets:
+                side = (open_leg, [ref])
+            elif kind == "phys" and ref in pins:
+                node = _pin(node, 1 + leg, encodings[ref])
+                side = (_identity_object(1), [])
+            sides.append(side)
         if not any(sides):
             continue
         (obj0, feats0), (obj1, feats1) = (
             side or (_identity_object(node.shape[1 + leg]), []) for leg, side in enumerate(sides)
         )
-        if u == work.center:
+        if u == center:
             rho = tree_pair_densities(obj0[:, None], np.eye(node.shape[0]), node, obj1[:, None])
             return _finalize_rdm(rho[0, 0], tuple(feats0 + feats1), targets, n)
         up[u] = (tree_join(obj0, obj1, node), feats0 + feats1)
-
-
-def _common_ancestor(model: TtnModel, features) -> int:
-    """Lowest node whose subtree holds every given feature (parents precede children)."""
-    leaves = [model.leaf_of_feature(f)[0] for f in features]
-    anchor = leaves[0]
-    for leaf in leaves[1:]:
-        while anchor != leaf:
-            if anchor > leaf:
-                anchor = model.parents[anchor]
-            else:
-                leaf = model.parents[leaf]
-    return anchor
-
-
-def _rdm(model, targets, conditions) -> ReducedDensityMatrix:
-    """Density matrix of ``targets`` with ``conditions`` pinned, for either model kind."""
-    if isinstance(model, MpsModel):
-        return _mps_rdm(model, targets, conditions)
-    if isinstance(model, TtnModel):
-        center = _common_ancestor(model, targets)
-        return _ttn_rdm(_analysis_copy(model, center, conditions), targets)
-    raise DataError(f"unsupported model type {type(model).__name__}")
 
 
 def _check_subsystem(model, sites, max_dim) -> None:
@@ -311,9 +315,9 @@ def reduced_density_matrix(
     """Marginal density matrix of the model over the given features.
 
     The model's canonical structure lets everything outside the subsystem
-    contract to the identity; gaps between non-adjacent features are
-    bridged by identity-resolved transfer contractions. Operates on an
-    internal copy; the model is not modified.
+    contract to the identity, so only the nodes between the features and
+    their common ancestor are contracted. Operates on an internal copy;
+    the model is not modified.
     """
     sites = tuple(int(s) for s in sites)
     _check_subsystem(model, sites, max_dim)
@@ -464,89 +468,75 @@ def _unit_density(rho: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def _mps_single_and_pair_entropies(model: MpsModel):
-    work = model.copy()
-    length = model.n_sites
-    pair_entropy = np.zeros((length, length))
-    single_entropy = np.zeros(length)
-    for i in range(length):
-        work.canonicalize(i)
-        core = work.cores[i]
-        start = _identity_object(core.shape[0])
-        single_entropy[i] = von_neumann_entropy(_unit_density(chain_close(start, core)))
-        # march a two-open-leg object to every j > i; sites between are
-        # marginalized, sites right of j close to the identity
-        obj = chain_open(start, core)
-        for j in range(i + 1, length):
-            other = work.cores[j]
-            pair_entropy[i, j] = von_neumann_entropy(_unit_density(chain_close(obj, other)))
-            if j < length - 1:
-                obj = chain_march(obj, other)
-    return single_entropy, pair_entropy
+def _bond_densities(work):
+    """Density on every node's up bond and every feature's leg.
 
-
-def _ttn_bond_densities(work: TtnModel):
-    """Density on every node's parent bond and every feature's leg.
-
-    ``work`` must be canonical at the root. Returns ``(down, singles)``:
-    ``down[u]`` is the rest of the tree seen from node ``u``'s parent bond,
-    ``(d, D)``, and ``singles[f]`` the unnormalized density of padded-domain
-    feature ``f``.
+    ``work`` must be canonical at node 0. Returns ``(down, singles)``:
+    ``down[u]`` is the rest of the network seen from node ``u``'s up bond,
+    ``(d, D)``, and ``singles[f]`` the unnormalized density of feature
+    ``f``, dummy features included.
     """
     down = {0: np.ones((1, 1))}
     singles: dict[int, np.ndarray] = {}
     for u in range(work.n_nodes):  # parents come before their children
-        left, right = tree_down_step(down[u], _parent_first(work, u))
-        if work.children[u] is None:
-            f0, f1 = work.leaf_features[u]
-            singles[f0], singles[f1] = left, right
-        else:
-            c0, c1 = work.children[u]
-            down[c0], down[c1] = left, right
+        node, legs = _rooted(work, u)
+        for (kind, ref), density in zip(legs, tree_down_step(down[u], node)):
+            (down if kind == "bond" else singles)[ref] = density
     return down, singles
 
 
-def _parent_first(work: TtnModel, u: int) -> np.ndarray:
-    """Node tensor as ``(parent bond, first lower leg, second lower leg)``."""
-    t = work.tensors[u]
-    return t[None] if work.parents[u] < 0 else t
+def _messages_up(left: np.ndarray, right: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """Both in-legs' one-feature messages moved to ``node``'s up bond, in one stack.
+
+    Each feature is marched on its own (:func:`tree_up_step`) and written
+    into a preallocated stack, which keeps the temporaries one message in
+    size.
+    """
+    d, f0 = node.shape[0], left.shape[1]
+    out = np.empty((d, f0 + right.shape[1]) + left.shape[2:4] + (d,))
+    for leg, stack, offset in ((0, left, 0), (1, right, f0)):
+        for a in range(stack.shape[1]):
+            out[:, offset + a] = tree_up_step(stack[:, a], node, leg)
+    return out
 
 
-def _ttn_single_and_pair_entropies(model: TtnModel):
+def _pairwise_mi(model) -> np.ndarray:
+    """Mutual information of every pair of single features, in one down and one up pass.
+
+    The up pass closes, at each node, every pair split between its two
+    in-legs against the node; then the one-feature messages of both legs,
+    stacked, move up to the node's up bond as ``(bond, features, p, pbar,
+    bondbar)``. Pre-order puts the smaller features on the first in-leg.
+    """
     work = _analysis_copy(model, 0)
     n = work.phys_dim
     length = work.n_features
-    down, singles = _ttn_bond_densities(work)
-    single_entropy = np.array(
-        [von_neumann_entropy(_unit_density(singles[f])) for f in range(length)]
-    )
-
-    # bottom-up: at each node, every pair split between its two lower legs
-    # closes against the node; then the one-feature messages of both legs,
-    # stacked, move up to the parent bond, (bond, features, p, pbar, bondbar)
+    down, singles = _bond_densities(work)
+    single = [von_neumann_entropy(_unit_density(singles[f])) for f in range(length)]
     identity = np.multiply.outer(np.eye(n), np.eye(n)).reshape(n, 1, n, n, n)
+    # no messages on a leg of extent 1: a pinned dummy feature, or a bond
+    # without a node behind it
+    empty = np.zeros((1, 0, n, n, 1))
     up: dict[int, tuple[list[int], np.ndarray]] = {}
-    pair_entropy = np.zeros((length, length))
+    raw = np.zeros((length, length))
     for u in reversed(range(work.n_nodes)):
-        node = _parent_first(work, u)
-        if work.children[u] is None:
-            # a leaf's features are its lower legs; the pad has no message
-            sides = [([f], identity) if f < length else ([], identity[:, :0])
-                     for f in work.leaf_features[u]]
-        else:
-            sides = [up.pop(c) for c in work.children[u]]
+        node, legs = _rooted(work, u)
+        sides = []
+        for kind, ref in legs:
+            if kind == "bond":
+                sides.append(up.pop(ref, ([], empty)))
+            else:
+                sides.append(([ref], identity) if ref < length else ([], empty))
         (left_feats, left), (right_feats, right) = sides
         if left_feats and right_feats:
-            # in-order leaf layout puts the smaller feature on the left leg
             rho = tree_pair_densities(left, down[u], node, right)
             for a, fi in enumerate(left_feats):
                 for b, fj in enumerate(right_feats):
-                    pair_entropy[fi, fj] = von_neumann_entropy(_unit_density(rho[a, b]))
+                    pair = von_neumann_entropy(_unit_density(rho[a, b]))
+                    raw[fi, fj] = raw[fj, fi] = single[fi] + single[fj] - pair
         if u != 0:
-            up[u] = (left_feats + right_feats, np.concatenate(
-                [tree_up_step(left, node, 0), tree_up_step(right, node, 1)], axis=1
-            ))
-    return single_entropy, pair_entropy
+            up[u] = (left_feats + right_feats, _messages_up(left, right, node))
+    return raw
 
 
 @single_blas_thread()
@@ -556,18 +546,7 @@ def all_to_all_mi(model) -> MiMatrices:
     Returns the raw matrix (symmetric, zero diagonal) and a display variant
     rescaled to [0, 1] by the largest off-diagonal entry.
     """
-    if isinstance(model, MpsModel):
-        single, pair = _mps_single_and_pair_entropies(model)
-    elif isinstance(model, TtnModel):
-        single, pair = _ttn_single_and_pair_entropies(model)
-    else:
-        raise DataError(f"unsupported model type {type(model).__name__}")
-    length = len(single)
-    raw = np.zeros((length, length))
-    for i in range(length):
-        for j in range(i + 1, length):
-            value = single[i] + single[j] - pair[i, j]
-            raw[i, j] = raw[j, i] = value
+    raw = _pairwise_mi(model)
     peak = raw.max()
     # below 1e-12 nats everything is rounding noise, not structure
     display = raw / peak if peak > 1e-12 else np.zeros_like(raw)
@@ -577,23 +556,6 @@ def all_to_all_mi(model) -> MiMatrices:
 
 # ---------------------------------------------------------------------------
 # per-sample explanations
-
-
-def _single_site_rdms(model) -> list[np.ndarray]:
-    """All single-feature density matrices, via the cheap structured paths."""
-    if isinstance(model, MpsModel):
-        work = model.copy()
-        out = []
-        for i in range(model.n_sites):
-            work.canonicalize(i)
-            core = work.cores[i]
-            out.append(_unit_density(chain_close(_identity_object(core.shape[0]), core)))
-        return out
-    if isinstance(model, TtnModel):
-        work = _analysis_copy(model, 0)
-        _, singles = _ttn_bond_densities(work)
-        return [_unit_density(singles[f]) for f in range(work.n_features)]
-    raise DataError(f"unsupported model type {type(model).__name__}")
 
 
 def _require_encoder(model):
@@ -611,8 +573,8 @@ def flag_features(model, raw_sample, k_sigma: float = 1.0) -> AnomalyExplanation
     model's single-feature marginal. Choosing ``k_sigma`` is task and
     domain dependent; 1.0 is a sensible starting point, not a rule.
     """
-    if k_sigma <= 0:
-        raise DataError(f"k_sigma must be positive, got {k_sigma}")
+    if not 0 < k_sigma < np.inf:
+        raise DataError(f"k_sigma must be positive and finite, got {k_sigma}")
     encoder = _require_encoder(model)
     raw = np.asarray(raw_sample, dtype=np.float64)
     encoded = encoder.encode_sample(raw)
@@ -620,9 +582,10 @@ def flag_features(model, raw_sample, k_sigma: float = 1.0) -> AnomalyExplanation
     nll = float(-2.0 * log_abs)
     rescaled = encoder.rescaler.transform(raw)
 
+    _, singles = _bond_densities(_analysis_copy(model, 0))
     flags = []
-    for i, rho in enumerate(_single_site_rdms(model)):
-        rdm = ReducedDensityMatrix((i,), rho, model.phys_dim, 1.0)
+    for i in range(model.n_features):
+        rdm = ReducedDensityMatrix((i,), _unit_density(singles[i]), model.phys_dim, 1.0)
         stats = marginal_moments(rdm, encoder.rescaler)
         deviation = abs(float(rescaled[i]) - float(stats.mean[0]))
         flags.append(

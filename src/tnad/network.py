@@ -177,14 +177,18 @@ class TensorNetwork:
         ax = self.axis_to(u, v)
         moved = np.moveaxis(self.tensors[u], ax, -1)
         q, r = np.linalg.qr(moved.reshape(-1, moved.shape[-1]))
-        self.tensors[u] = np.moveaxis(q.reshape(moved.shape[:-1] + (q.shape[1],)), -1, ax)
+        # stored C-contiguous, as load_model returns them: products round by
+        # layout, so a model trains to the same bits in memory and reloaded
+        q = q.reshape(moved.shape[:-1] + (q.shape[1],))
+        self.tensors[u] = np.ascontiguousarray(np.moveaxis(q, -1, ax))
         # R multiplies from the side of v's bond axis: a last axis reshapes
         # without a copy and takes R from the right, any other from the left
         ax_v = self.axis_to(v, u)
         if ax_v == self.tensors[v].ndim - 1:
             self.tensors[v] = np.tensordot(self.tensors[v], r, axes=(ax_v, 1))
         else:
-            self.tensors[v] = np.moveaxis(np.tensordot(r, self.tensors[v], axes=(1, ax_v)), 0, ax_v)
+            absorbed = np.tensordot(r, self.tensors[v], axes=(1, ax_v))
+            self.tensors[v] = np.ascontiguousarray(np.moveaxis(absorbed, 0, ax_v))
 
     # -- two-site primitives -------------------------------------------------
 
@@ -241,8 +245,9 @@ class TensorNetwork:
             right = weight[:, None] * right
         else:
             left = left * weight
-        self.tensors[first] = np.moveaxis(left.reshape(first_shape + (k,)), -1, ax_first)
-        self.tensors[second] = np.moveaxis(right.reshape((k,) + second_shape), 0, ax_second)
+        left = np.moveaxis(left.reshape(first_shape + (k,)), -1, ax_first)
+        right = np.moveaxis(right.reshape((k,) + second_shape), 0, ax_second)
+        self.tensors[first], self.tensors[second] = map(np.ascontiguousarray, (left, right))
         self.center = edge[1]
         return result.discarded_weight
 

@@ -18,9 +18,9 @@ cached-environment scheme of Han et al. 2018 (PRX 8, 031012). A
 *two-sided object* has axes ``(l, K, B, s)``: the ket copy of one bond,
 the flattened open ket and bra legs gathered so far, then the bra copy
 of the bond. That order lets every step reshape without moving the
-fastest-running axis. The ``chain_*`` kernels carry such an object along
-an MPS; :func:`tree_join` merges the objects of a tree node's two lower
-legs, and the ``tree_*`` kernels serve all-to-all mutual information.
+fastest-running axis. The ``tree_*`` kernels see a node as ``(up, in0,
+in1)``, an MPS site ``(l, p, r)`` as much as a tree node, and serve the
+density matrices and mutual information of both model kinds.
 
 The kernels are pure: they never mutate their inputs and hold no state,
 so they are safe to call concurrently. The pin is process-wide: while
@@ -134,57 +134,6 @@ def renormalize_rows(vec: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray
     return vec / np.where(norms > 0.0, norms, 1.0)[:, None], log_scale
 
 
-def chain_march(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """Carry a two-sided object across a core whose middle leg is summed.
-
-    ``obj`` is ``(l, K, B, s)`` and ``core`` is ``(l, n, r)``; returns
-    ``sum core[l,a,r] obj[l,K,B,s] core[s,a,u]`` with axes ``(r, K, B, u)``.
-    For an MPS this marginalizes a site (or, with ``n == 1``, applies a
-    pinned one); for a tree node ``(d, l, r)`` seen as ``(l, r, d)`` it is
-    the upward message step with the other child bond marginalized. The
-    sum over ``a`` runs one matrix slice at a time, in order, so no
-    intermediate is ``n`` times the size of ``obj``.
-    """
-    dl, k, b, _ = obj.shape
-    _, n, dr = core.shape
-    flat = obj.reshape(dl * k * b, dl)
-    out = core[:, 0, :].T @ (flat @ core[:, 0, :]).reshape(dl, k * b * dr)
-    for a in range(1, n):
-        out += core[:, a, :].T @ (flat @ core[:, a, :]).reshape(dl, k * b * dr)
-    return out.reshape(dr, k, b, dr)
-
-
-def chain_open(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """Carry a two-sided object across a core whose middle leg stays open.
-
-    Returns ``sum core[l,p,r] obj[l,K,B,s] core[s,q,u]`` with axes
-    ``(r, K*n, B*n, u)``: the core's leg joins the open ket and bra legs
-    as their fastest-running index.
-    """
-    dl, k, b, _ = obj.shape
-    _, n, dr = core.shape
-    half = obj.reshape(dl * k * b, dl) @ core.reshape(dl, n * dr)
-    out = core.reshape(dl, n * dr).T @ half.reshape(dl, k * b * n * dr)
-    out = out.reshape(n, dr, k, b, n, dr).transpose(1, 2, 0, 3, 4, 5)
-    return out.reshape(dr, k * n, b * n, dr)
-
-
-def chain_close(obj: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """Close a two-sided object with a last open core into a density matrix.
-
-    Equals :func:`chain_open` with its two right bonds traced, shape
-    ``(K*n, B*n)``: the core's ``sum core[l,p,t] core[s,q,t]`` is built
-    once as a ``(l*s, p*q)`` matrix and ``obj`` meets it in one product.
-    """
-    dl, k, b, _ = obj.shape
-    _, n, dr = core.shape
-    rows = core.reshape(dl * n, dr)
-    pair = rows @ rows.T
-    pair = pair.reshape(dl, n, dl, n).transpose(0, 2, 1, 3).reshape(dl * dl, n * n)
-    out = obj.transpose(1, 2, 0, 3).reshape(k * b, dl * dl) @ pair
-    return out.reshape(k, b, n, n).transpose(0, 2, 1, 3).reshape(k * n, b * n)
-
-
 def tree_join(obj0: np.ndarray, obj1: np.ndarray, node: np.ndarray) -> np.ndarray:
     """Merge the two-sided objects of a tree node's lower legs through the node.
 
@@ -225,19 +174,23 @@ def tree_down_step(density: np.ndarray, node: np.ndarray) -> tuple[np.ndarray, n
     return left, right
 
 
-def tree_up_step(messages: np.ndarray, node: np.ndarray, leg: int) -> np.ndarray:
-    """Move stacked one-feature messages from a lower leg of a tree node up.
+def tree_up_step(obj: np.ndarray, node: np.ndarray, leg: int) -> np.ndarray:
+    """Carry a two-sided object from an in-leg of a node to its up leg.
 
-    ``messages`` is ``(l, F, n, n, L)``, a two-sided object over lower leg
-    ``leg`` (0 or 1) of ``node`` ``(d, leg0, leg1)`` with one open feature
-    per slice ``F``; the other lower leg is marginalized. Returns
-    ``(d, F, n, n, D)`` on the node's parent bond.
+    ``obj`` is ``(l, K, B, L)`` over in-leg ``leg`` (0 or 1) of ``node``
+    ``(d, in0, in1)``, whose other in-leg is marginalized. Returns
+    ``(d, K, B, D)``. The sum over the other in-leg runs one matrix slice
+    at a time, in order, so no intermediate is that leg's extent times the
+    size of ``obj``.
     """
-    dl, f, n = messages.shape[:3]
-    d = node.shape[0]
-    oriented = node.transpose(1, 2, 0) if leg == 0 else node.transpose(2, 1, 0)
-    out = chain_march(messages.reshape(dl, f * n, n, dl), oriented)
-    return out.reshape(d, f, n, n, d)
+    core = node.transpose(1, 2, 0) if leg == 0 else node.transpose(2, 1, 0)
+    dl, k, b, _ = obj.shape
+    _, n, d = core.shape
+    flat = obj.reshape(dl * k * b, dl)
+    out = core[:, 0, :].T @ (flat @ core[:, 0, :]).reshape(dl, k * b * d)
+    for a in range(1, n):
+        out += core[:, a, :].T @ (flat @ core[:, a, :]).reshape(dl, k * b * d)
+    return out.reshape(d, k, b, d)
 
 
 def tree_pair_densities(

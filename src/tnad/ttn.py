@@ -150,11 +150,6 @@ class TtnModel(TensorNetwork):
     def leaf_ids(self) -> list[int]:
         return [u for u in range(self.n_nodes) if self.children[u] is None]
 
-    def leaf_of_feature(self, feature: int) -> tuple[int, int]:
-        """Node id and physical slot (1 or 2) holding a padded-domain feature."""
-        leaf = self.leaf_ids()[feature // 2]
-        return leaf, 1 + feature % 2
-
     def axis_spec(self, u: int) -> list[tuple[str, int]]:
         """Describe every axis of node ``u``: ('bond', neighbor) or ('phys', feature)."""
         spec: list[tuple[str, int]] = []

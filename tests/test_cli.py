@@ -112,6 +112,18 @@ class TestExplain:
                 "index", "observed", "mean", "std", "flagged", "conditional_expected"
             }
 
+    @pytest.mark.parametrize("k_sigma", ["nan", "inf"])
+    def test_non_finite_k_sigma_exits_two(self, workspace, tmp_path, k_sigma):
+        out = tmp_path / "explanation.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnad.cli", "explain",
+             "--model-file", str(workspace / "model.tnad"),
+             "--data", str(workspace / "train.csv"), "--k-sigma", k_sigma, "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert not out.exists()
+
     def test_out_of_range_sample(self, workspace):
         runner = CliRunner()
         result = runner.invoke(cli, [

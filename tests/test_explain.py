@@ -1,9 +1,12 @@
+import ast
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
+import tnad
 from tnad import (
     ConditioningError,
     DataError,
@@ -29,6 +32,19 @@ from tnad import (
     toy_correlated_pairs,
     von_neumann_entropy,
 )
+
+
+def test_explain_has_one_path_for_both_model_kinds():
+    """Explanations run on the shared engine alone: no model-kind import or dispatch."""
+    source = (Path(tnad.__file__).resolve().parent / "explain.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not {name.rpartition(".")[2] for name in imported} & {"mps", "ttn"}
+    assert "isinstance(model" not in source
 
 
 def product_mps(vectors):
@@ -59,7 +75,7 @@ class TestReducedDensityMatrix:
         rdm_invariants(rdm)
         assert np.trace(rdm.matrix @ rdm.matrix) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("sites", [(0,), (2,), (1, 2), (0, 3), (0, 2, 3)])
+    @pytest.mark.parametrize("sites", [(0,), (2,), (1, 2), (0, 3), (0, 2, 3), (3, 0, 2)])
     def test_mps_matches_brute_force(self, sites):
         for seed in range(3):
             model = MpsModel.random(4, 2, init_bond=3, seed=seed)
@@ -151,6 +167,9 @@ class TestConditionalRdm:
             ((2, 5), {0: 0.3, 4: 0.7, 6: 0.1}),  # common ancestor is the root
             ((2, 1), {0: 0.9, 5: 0.4}),  # common ancestor is an inner node
             ((6,), {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4, 4: 0.5, 5: 0.6}),  # next to the pad
+            # feature 0 is the MPS's first site, whose up leg is its extent-1
+            # end bond; feature 3 has pins on both sides
+            ((0, 3), {2: 0.8, 5: 0.25}),
         ],
     )
     def test_matches_brute_force_at_width(self, kind, targets, conditions):
@@ -390,6 +409,12 @@ class TestFlagging:
             abs(f.observed_rescaled - f.mean_rescaled) > 0 for f in tiny.features
         ]
         assert tiny.flagged_indices() == [i for i, d in enumerate(deviations) if d]
+
+    @pytest.mark.parametrize("k_sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_k_sigma_must_be_positive_and_finite(self, k_sigma):
+        model, data = trained_toy_model()
+        with pytest.raises(DataError):
+            flag_features(model, data[0], k_sigma=k_sigma)
 
     def test_out_of_band_probe_flagged(self):
         model, data = trained_toy_model()

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 import helpers
-from tnad import MpsModel, TrainConfig, TtnModel, two_site_step
+from tnad import (
+    LegendreFeatureMap,
+    MpsModel,
+    TrainConfig,
+    TtnModel,
+    fit,
+    fit_rescaler,
+    load_model,
+    save_model,
+    two_site_step,
+)
 from tnad.explain import _analysis_copy
 
 
@@ -55,7 +65,7 @@ class TestCanonicalize:
 def test_full_pass_makes_a_pinned_copy_canonical():
     model = TtnModel.random(9, 3, init_bond=4, seed=5)
     for center in (0, 3, model.sweep_start()):
-        work = _analysis_copy(model, center, {0: 0.3, 4: 0.8, 7: 0.1})
+        work = _analysis_copy(model, center)
         assert work.center == center
         assert work.isometry_defect() <= 1e-10
 
@@ -101,3 +111,23 @@ def test_incremental_cache_matches_a_fresh_one(model):
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(got_log, want_log)
+
+
+@pytest.mark.parametrize("kind", ["mps", "ttn"])
+def test_reloaded_twin_trains_to_the_same_bits(kind, tmp_path):
+    """A model and its saved and reloaded twin hold equal values, so fitting
+    both must give equal tensors whatever memory layout each started in."""
+    data = np.random.default_rng(8).uniform(size=(300, 12))
+    encoder = LegendreFeatureMap(5, fit_rescaler(data))
+    model_cls = MpsModel if kind == "mps" else TtnModel
+    model = model_cls.random(12, 5, init_bond=20, seed=1, encoder=encoder)
+    save_model(tmp_path / "twin.tnad", model)
+    twin = load_model(tmp_path / "twin.tnad")
+    for ours, theirs in zip(model.tensors, twin.tensors):
+        np.testing.assert_array_equal(ours, theirs)
+    config = TrainConfig(learning_rate=5e-3, sweeps=1, batch_size=64, max_bond=20, seed=2)
+    encoded = encoder.encode_batch(data)
+    fit(model, encoded, config)
+    fit(twin, encoded, config)
+    for ours, theirs in zip(model.tensors, twin.tensors):
+        np.testing.assert_array_equal(ours, theirs)
