@@ -44,7 +44,6 @@ class RunConfig:
     phys_dim: int = 4
     init_bond: int = 2
     margin: float = 0.0
-    k_sigma: float = 1.0
     n_folds: int = 10
     train: TrainConfig = field(default_factory=TrainConfig)
     pollution: PollutionPlan = field(default_factory=PollutionPlan)
@@ -63,7 +62,7 @@ class RunConfig:
         if "kinds" in pollution_raw:
             pollution_raw["kinds"] = tuple(pollution_raw["kinds"])
         pollution = PollutionPlan(**pollution_raw)
-        unknown = set(payload) - {"phys_dim", "init_bond", "margin", "k_sigma", "n_folds"}
+        unknown = set(payload) - {"phys_dim", "init_bond", "margin", "n_folds"}
         if unknown:
             raise DataError(f"unknown config keys {sorted(unknown)}")
         return cls(train=train, pollution=pollution, **payload)

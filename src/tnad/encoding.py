@@ -12,7 +12,7 @@ density-matrix machinery marginalize features by simple index contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,15 +81,13 @@ class FeatureRescaler:
     """Per-feature affine maps onto the unit interval.
 
     ``minimum`` and ``maximum`` are the effective interval ends: a raw value
-    equal to ``minimum[i]`` maps to 0 and ``maximum[i]`` to 1. When fitted
-    with a margin, the interval is widened so all training values land in
-    ``[margin, 1 - margin]``; the margin is thus baked into the stored
-    bounds, which is also how the model file serializes them.
+    equal to ``minimum[i]`` maps to 0 and ``maximum[i]`` to 1. A margin
+    given to :func:`fit_rescaler` is baked into these bounds, which is also
+    how the model file serializes them.
     """
 
     minimum: np.ndarray
     maximum: np.ndarray
-    margin: float = 0.0
 
     @property
     def n_features(self) -> int:
@@ -120,10 +118,6 @@ class FeatureRescaler:
         span = self.maximum[feature_index] - self.minimum[feature_index]
         return float(self.minimum[feature_index] + scaled * span)
 
-    def inverse(self, scaled: np.ndarray) -> np.ndarray:
-        scaled = np.asarray(scaled, dtype=np.float64)
-        return self.minimum + scaled * (self.maximum - self.minimum)
-
 
 def fit_rescaler(data: np.ndarray, margin: float = 0.0) -> FeatureRescaler:
     """Fit per-feature unit-interval maps from a (samples, features) matrix.
@@ -148,7 +142,7 @@ def fit_rescaler(data: np.ndarray, margin: float = 0.0) -> FeatureRescaler:
         raise FitError(f"feature {int(constant[0])} is constant and cannot be rescaled")
     width = (hi - lo) / (1.0 - 2.0 * margin)
     minimum = lo - margin * width
-    return FeatureRescaler(minimum=minimum, maximum=minimum + width, margin=margin)
+    return FeatureRescaler(minimum=minimum, maximum=minimum + width)
 
 
 @dataclass(frozen=True)
@@ -160,12 +154,10 @@ class LegendreFeatureMap:
 
     n_functions: int
     rescaler: FeatureRescaler | None = None
-    _scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_functions < 1:
             raise DataError(f"n_functions must be >= 1, got {self.n_functions}")
-        object.__setattr__(self, "_scale", np.sqrt(2.0 * np.arange(self.n_functions) + 1.0))
 
     @property
     def n_features(self) -> int:
@@ -178,12 +170,7 @@ class LegendreFeatureMap:
 
     def encode_unit(self, x) -> np.ndarray:
         """Encode values already in [0, 1]; returns (...,) + (n_functions,)."""
-        arr = np.asarray(x, dtype=np.float64)
-        table = _legendre_table(self.n_functions - 1, np.atleast_1d(arr))
-        encoded = np.moveaxis(table * self._scale.reshape((-1,) + (1,) * (table.ndim - 1)), 0, -1)
-        if arr.ndim == 0:
-            return encoded[0]
-        return encoded
+        return np.moveaxis(orthonormal_basis(self.n_functions, x), 0, -1)
 
     def encode_value(self, feature_index: int, raw: float) -> np.ndarray:
         """Rescale one raw feature value and encode it to ``n_functions`` amplitudes."""

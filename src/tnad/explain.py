@@ -35,6 +35,7 @@ from .errors import (
     NumericalError,
     ResourceLimitError,
 )
+from .network import PAD_VALUE
 from .tensors import (
     single_blas_thread,
     tree_down_step,
@@ -159,18 +160,6 @@ class MiMatrices(NamedTuple):
 # reduced density matrices
 
 
-def _rooted(model, u: int):
-    """Node ``u`` as ``(up, in0, in1)``, rooted at node 0, and its in-legs' ``axis_spec``.
-
-    Both kinds store a node up leg first, with ids in pre-order: an MPS
-    site as ``(l, p, r)``, the last one's ``r`` a bond with no node behind
-    it, and a tree node as ``(parent, c0, c1)``, a leaf's in-legs being its
-    features. The tree's root ``(c0, c1)`` gets an up leg of extent 1.
-    """
-    t = model.tensors[u]
-    return (t if t.ndim == 3 else t[None]), model.axis_spec(u)[-2:]
-
-
 def _feature_axes(model) -> dict[int, tuple[int, int]]:
     """Node and tensor axis of every feature leg, dummy features included."""
     return {
@@ -203,17 +192,17 @@ def _pin(tensor: np.ndarray, axis: int, encoding: np.ndarray) -> np.ndarray:
 def _analysis_copy(model, center: int):
     """Copy of the model with its dummy features pinned, canonical at ``center``.
 
-    The state is only ever evaluated with a dummy feature at the interval
-    midpoint, so for density-matrix work it is a condition, not a
-    marginal. Once its encoding is absorbed into its node (:func:`_pin`),
-    the canonical form lets every subtree without an open leg contract to
-    the identity.
+    The state is only ever evaluated with a dummy feature at
+    :data:`~tnad.network.PAD_VALUE`, so for density-matrix work it is a
+    condition, not a marginal. Once its encoding is absorbed into its node
+    (:func:`_pin`), the canonical form lets every subtree without an open
+    leg contract to the identity.
     """
     work = model.copy()
     where = _feature_axes(work)
     for feature in range(work.n_features, work.n_features + work.padding):
         u, axis = where[feature]
-        work.tensors[u] = _pin(work.tensors[u], axis, orthonormal_basis(work.phys_dim, 0.5))
+        work.tensors[u] = _pin(work.tensors[u], axis, orthonormal_basis(work.phys_dim, PAD_VALUE))
     work._canonicalize_all(center)
     return work
 
@@ -250,9 +239,10 @@ def _identity_object(bond: int) -> np.ndarray:
 def _rdm(model, targets, conditions) -> ReducedDensityMatrix:
     """Density matrix of ``targets`` with ``conditions`` pinned, for either model kind.
 
-    The pins are the conditions and every dummy feature at the interval
-    midpoint. A copy's canonical center moves to the common ancestor of
-    the targets and pins (:func:`_rooted`), and one bottom-up pass runs
+    The pins are the conditions and every dummy feature at
+    :data:`~tnad.network.PAD_VALUE`. A copy's canonical center moves to the
+    common ancestor of the targets and pins, and one bottom-up pass over
+    the nodes seen :meth:`~tnad.network.TensorNetwork.rooted` runs
     from the last node to it. At each node a child bond gives its
     two-sided object, or the bond identity if it has none; a target leg is
     the open identity; a pinned leg is absorbed into the node
@@ -262,7 +252,7 @@ def _rdm(model, targets, conditions) -> ReducedDensityMatrix:
     rest of the network is an isometry toward it.
     """
     n = model.phys_dim
-    pins = {f: 0.5 for f in range(model.n_features, model.n_features + model.padding)}
+    pins = {f: PAD_VALUE for f in range(model.n_features, model.n_features + model.padding)}
     pins.update(conditions)
     encodings = dict(zip(pins, orthonormal_basis(n, np.array(list(pins.values()), float)).T))
     where = _feature_axes(model)
@@ -272,7 +262,7 @@ def _rdm(model, targets, conditions) -> ReducedDensityMatrix:
     open_leg = np.multiply.outer(np.eye(n), np.eye(n))
     up: dict[int, tuple[np.ndarray, list[int]]] = {}
     for u in reversed(range(center, work.n_nodes)):
-        node, legs = _rooted(work, u)
+        node, legs = work.rooted(u)
         sides = []
         for leg, (kind, ref) in enumerate(legs):
             side = up.pop(ref, None) if kind == "bond" else None
@@ -479,7 +469,7 @@ def _bond_densities(work):
     down = {0: np.ones((1, 1))}
     singles: dict[int, np.ndarray] = {}
     for u in range(work.n_nodes):  # parents come before their children
-        node, legs = _rooted(work, u)
+        node, legs = work.rooted(u)
         for (kind, ref), density in zip(legs, tree_down_step(down[u], node)):
             (down if kind == "bond" else singles)[ref] = density
     return down, singles
@@ -520,7 +510,7 @@ def _pairwise_mi(model) -> np.ndarray:
     up: dict[int, tuple[list[int], np.ndarray]] = {}
     raw = np.zeros((length, length))
     for u in reversed(range(work.n_nodes)):
-        node, legs = _rooted(work, u)
+        node, legs = work.rooted(u)
         sides = []
         for kind, ref in legs:
             if kind == "bond":

@@ -2,16 +2,13 @@
 
 A state over ``L`` encoded features is a chain of rank-3 cores ``A_i`` of
 shape ``(D_{i-1}, N, D_i)`` with ``D_0 = D_L = 1``: a tree network whose
-nodes each carry one feature leg. :class:`MpsModel` supplies the chain's
-structure to the shared engine in :mod:`tnad.network` (canonical moves,
-two-site merge and split, training environments), plus what is its own:
-seeded construction, the amplitude pass and the left-right sweep. A
-merged two-site tensor has the documented lower-site-first layout
-``(D_left, N, N, D_right)`` in either sweep direction.
-
-Amplitudes are evaluated with per-site renormalization and a log-scale
-accumulator, so chains of a hundred-plus sites neither under- nor
-overflow even though individual sample probabilities are tiny.
+nodes each carry one feature leg. :class:`MpsModel` gives the shared
+engine in :mod:`tnad.network` the chain's layout, and keeps only its
+seeded construction and the site a sweep starts from. The engine's
+amplitude pass runs from the last site to site 0, and its sweep walk from
+site 0 is the sweep right to the end and back. A merged two-site tensor
+has the documented lower-site-first layout ``(D_left, N, N, D_right)`` in
+either sweep direction.
 """
 
 from __future__ import annotations
@@ -21,8 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .network import TensorNetwork, node_message
-from .tensors import single_blas_thread
+from .network import TensorNetwork
 
 if TYPE_CHECKING:
     from .encoding import LegendreFeatureMap
@@ -121,44 +117,6 @@ class MpsModel(TensorNetwork):
         """Lower site first, whichever way ``edge`` points."""
         return min(edge), max(edge)
 
-    # -- amplitudes --------------------------------------------------------
-
-    @single_blas_thread()
-    def log_amplitudes(self, encoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log magnitude and sign of the amplitude for a batch of samples, on one BLAS thread.
-
-        Parameters
-        ----------
-        encoded : np.ndarray
-            Batch of shape ``(n_samples, n_sites, phys_dim)``.
-
-        Returns
-        -------
-        (log_abs, sign)
-            ``log_abs[b] = log |amplitude(x_b)|`` (``-inf`` for an exactly
-            vanishing amplitude) and ``sign[b]`` in {-1, +1}.
-        """
-        encoded = self.pad_batch(encoded)
-        batch = encoded.shape[0]
-        vec, log_scale = np.ones((batch, 1)), np.zeros(batch)
-        for i, core in enumerate(self.tensors):
-            vec, log_scale = node_message(
-                core, self.axis_spec(i), 2, [vec, encoded[:, i, :]], log_scale
-            )
-        amp = vec[:, 0]
-        with np.errstate(divide="ignore"):
-            log_abs = log_scale + np.log(np.abs(amp))
-        sign = np.where(amp < 0.0, -1.0, 1.0)
-        return log_abs, sign
-
-    # -- sweeps --------------------------------------------------------------
-
     def sweep_start(self) -> int:
         """Site the canonical center must occupy when a sweep begins."""
         return 0
-
-    def sweep_schedule(self) -> list[tuple[int, int]]:
-        """Directed edges of one full sweep: left to right and back."""
-        right = [(i, i + 1) for i in range(self.n_sites - 1)]
-        left = [(i + 1, i) for i in reversed(range(self.n_sites - 1))]
-        return right + left

@@ -5,12 +5,13 @@ one feature leg (Shi, Duan & Vidal 2006, PRA 74, 022320), so both model
 kinds are one structure here: node tensors joined by bonds into a tree
 graph, a chain for :class:`~tnad.mps.MpsModel` and a balanced binary tree
 for :class:`~tnad.ttn.TtnModel`. A model module describes its graph by
-``axis_spec`` and keeps what is its own: construction, the amplitude pass
-and the sweep order. :class:`TensorNetwork` holds everything that needs
-only the graph: the canonical form and its center moves, the two-site
-merge and split of training, and :class:`Environments`, the per-sample
-message cache of training. :func:`node_message` is the one message step
-of amplitudes and environments alike.
+``axis_spec`` and keeps only its layout, its seeded construction and the
+node a sweep starts from. :class:`TensorNetwork` holds everything that
+needs only the graph: the padding of a batch with dummy features, the
+amplitude pass, the sweep walk, the canonical form and its center moves,
+the two-site merge and split of training, and :class:`Environments`, the
+per-sample message cache of training. :func:`node_message` is the one
+message step of amplitudes and environments alike.
 """
 
 from __future__ import annotations
@@ -20,10 +21,16 @@ from collections import deque
 
 import numpy as np
 
+from .encoding import orthonormal_basis
 from .errors import DataError, DimensionError
-from .tensors import batched_transfer, frobenius_norm, renormalize_rows, truncated_svd
+from .tensors import (
+    batched_transfer, frobenius_norm, renormalize_rows, single_blas_thread, truncated_svd,
+)
 
-__all__ = ["TensorNetwork", "Environments", "node_message"]
+__all__ = ["TensorNetwork", "Environments", "node_message", "PAD_VALUE"]
+
+# rescaled value of every dummy feature: the midpoint of the unit interval
+PAD_VALUE = 0.5
 
 
 class TensorNetwork:
@@ -32,11 +39,11 @@ class TensorNetwork:
     Every node but ``center`` is an isometry toward it, so the squared
     state norm is the squared Frobenius norm of the center tensor. A
     subclass sets ``tensors`` (one array per node, indexed by node id),
-    ``center``, ``encoder`` and, if it appends dummy feature legs to each
-    batch (:meth:`pad_batch`), ``padding``. It defines ``axis_spec``,
-    ``n_features``, ``phys_dim``, ``sweep_start``, ``sweep_schedule`` and
-    ``log_amplitudes``. A bond whose reference is not a node id (the
-    extent-1 ends of an MPS) has no neighbor behind it.
+    ``center``, ``encoder`` and, if it has dummy feature legs after its
+    real ones (:meth:`pad_batch`), ``padding``. It defines ``axis_spec``
+    (see :meth:`rooted`), ``n_features``, ``phys_dim`` and ``sweep_start``.
+    A bond whose reference is not a node id (the extent-1 ends of an MPS)
+    has no neighbor behind it.
     """
 
     tensors: list[np.ndarray]
@@ -61,6 +68,17 @@ class TensorNetwork:
         if 0 <= u < self.n_nodes and v in self.neighbors(u):
             return self.axis_spec(u).index(("bond", v))
         raise DataError(f"nodes {u} and {v} are not neighbors")
+
+    def rooted(self, u: int) -> tuple[np.ndarray, list[tuple[str, int]]]:
+        """Node ``u`` as ``(up, in0, in1)``, rooted at node 0, and its in-legs' ``axis_spec``.
+
+        Both kinds store a node's up leg first, with ids in pre-order: an MPS
+        site as ``(l, p, r)``, the last one's ``r`` a bond with no node behind
+        it, and a tree node as ``(parent, c0, c1)``, a leaf's in-legs being its
+        features. The tree's root ``(c0, c1)`` gets an up leg of extent 1.
+        """
+        t = self.tensors[u]
+        return (t if t.ndim == 3 else t[None]), self.axis_spec(u)[-2:]
 
     def _edges(self) -> list[tuple[int, int]]:
         """Every bond between two nodes once, as ``(lower id, higher id)``, by higher id."""
@@ -111,8 +129,8 @@ class TensorNetwork:
     def pad_batch(self, encoded: np.ndarray) -> np.ndarray:
         """An encoded batch ``(n, n_features, phys_dim)`` as the feature legs read it.
 
-        Checks the shape and returns a float array; a model with dummy
-        feature legs (``padding``) appends their encodings.
+        Checks the shape and returns a float array with the encodings of the
+        ``padding`` dummy features, each at :data:`PAD_VALUE`, appended.
         """
         encoded = np.asarray(encoded, dtype=np.float64)
         if encoded.ndim != 3 or encoded.shape[1:] != (self.n_features, self.phys_dim):
@@ -120,12 +138,74 @@ class TensorNetwork:
                 f"encoded batch has shape {encoded.shape}, expected "
                 f"(n, {self.n_features}, {self.phys_dim})"
             )
-        return encoded
+        if not self.padding:
+            return encoded
+        dummy = orthonormal_basis(self.phys_dim, np.full(self.padding, PAD_VALUE)).T
+        pad = np.broadcast_to(dummy, (len(encoded),) + dummy.shape)
+        return np.concatenate([encoded, pad], axis=1)
+
+    @single_blas_thread()
+    def log_amplitudes(self, encoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log magnitude and sign of the amplitude of each sample, on one BLAS thread.
+
+        ``encoded`` is ``(n, n_features, phys_dim)``. The log is ``-inf``
+        for an exactly vanishing amplitude. One bottom-up pass of
+        :func:`node_message` runs from the last node to node 0, each node
+        seen :meth:`rooted`; each message is renormalized per sample into a
+        log scale, so long networks neither under- nor overflow.
+        """
+        encoded = self.pad_batch(encoded)
+        batch = encoded.shape[0]
+        unit = np.ones((batch, 1)), np.zeros(batch)
+        up: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for u in reversed(range(self.n_nodes)):
+            node, legs = self.rooted(u)
+            operands, log_scale = [], np.zeros(batch)
+            for kind, ref in legs:
+                if kind == "phys":
+                    operands.append(encoded[:, ref, :])
+                else:
+                    vec, log_in = up.pop(ref, unit)
+                    operands.append(vec)
+                    log_scale = log_scale + log_in
+            # only the in-legs' entries of the spec are read
+            up[u] = node_message(node, [None, *legs], 0, operands, log_scale)
+        amp, log_abs = up[0]  # the root's up leg has extent 1
+        return log_abs, np.where(amp[:, 0] < 0.0, -1.0, 1.0)
 
     def log_amplitude(self, encoded_sample: np.ndarray) -> tuple[float, float]:
         """Single-sample variant of ``log_amplitudes``."""
         log_abs, sign = self.log_amplitudes(np.asarray(encoded_sample)[None, :, :])
         return float(log_abs[0]), float(sign[0])
+
+    # -- sweeps ------------------------------------------------------------
+
+    def traversal_schedule(self, start: int) -> list[tuple[int, int]]:
+        """Closed depth-first walk over all edges, once per direction.
+
+        Starts and ends at ``start`` and enters neighbors in axis order, so
+        consecutive edges share the node that is the current center and
+        every leaf but the start is entered only to be left at once; from
+        an end of a chain, to the other end and back. It keeps its own
+        stack, so no chain is too long for it.
+        """
+        edges: list[tuple[int, int]] = []
+        stack = [(start, -1, iter(self.neighbors(start)))]
+        while stack:
+            u, back, pending = stack[-1]
+            v = next((w for w in pending if w != back), None)
+            if v is not None:
+                edges.append((u, v))
+                stack.append((v, u, iter(self.neighbors(v))))
+            else:
+                stack.pop()
+                if back >= 0:
+                    edges.append((u, back))
+        return edges
+
+    def sweep_schedule(self) -> list[tuple[int, int]]:
+        """Directed edges of one full sweep: the closed walk from :meth:`sweep_start`."""
+        return self.traversal_schedule(self.sweep_start())
 
     # -- canonical form ----------------------------------------------------
 

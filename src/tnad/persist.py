@@ -31,6 +31,7 @@ tree whose node ids are not in pre-order (see :func:`tnad.ttn.tree_layout`).
 from __future__ import annotations
 
 import functools
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -114,17 +115,25 @@ def load_model(path):
     if zlib.crc32(raw[:-4]) & 0xFFFFFFFF != stored_crc:
         raise DataError(f"{path}: checksum mismatch, file is corrupt")
 
+    body = memoryview(raw)[:-4]
     offset = len(MAGIC)
-    version, kind, n_features, phys_dim, padding = struct.unpack_from("<IBIII", raw, offset)
-    offset += struct.calcsize("<IBIII")
+
+    def take(size: int, what: str) -> memoryview:
+        """The next ``size`` bytes of the body; refuses a read past its end."""
+        nonlocal offset
+        if size > len(body) - offset:
+            raise DataError(f"{path}: file ends inside the {what}")
+        offset += size
+        return body[offset - size : offset]
+
+    version, kind, n_features, phys_dim, padding = struct.unpack(
+        "<IBIII", take(struct.calcsize("<IBIII"), "header")
+    )
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format version {version}")
 
-    minimum = np.empty(n_features)
-    maximum = np.empty(n_features)
-    for i in range(n_features):
-        minimum[i], maximum[i] = struct.unpack_from("<dd", raw, offset)
-        offset += 16
+    bounds = np.frombuffer(take(16 * n_features, "rescaler"), dtype="<f8").reshape(-1, 2)
+    minimum, maximum = bounds[:, 0].astype(np.float64), bounds[:, 1].astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         span = maximum - minimum
     if not np.isfinite(span).all():
@@ -138,21 +147,16 @@ def load_model(path):
     )
 
     if kind == _KIND_MPS:
-        bonds = struct.unpack_from(f"<{n_features + 1}I", raw, offset)
-        offset += 4 * (n_features + 1)
+        bonds = np.frombuffer(take(4 * (n_features + 1), "MPS bond list"), dtype="<u4").tolist()
         if 0 in bonds:
             raise DataError(f"{path}: MPS bond {bonds.index(0)} has extent 0")
         shapes = [(bonds[i], phys_dim, bonds[i + 1]) for i in range(n_features)]
         build = functools.partial(MpsModel, center=0, encoder=encoder)
     elif kind == _KIND_TTN:
-        (n_nodes,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        parents, parent_bond = [], []
-        for _ in range(n_nodes):
-            p, b = struct.unpack_from("<iI", raw, offset)
-            offset += 8
-            parents.append(p)
-            parent_bond.append(b)
+        (n_nodes,) = struct.unpack("<I", take(4, "tree node table"))
+        table = list(struct.iter_unpack("<iI", take(8 * n_nodes, "tree node table")))
+        parents = [p for p, _ in table]
+        parent_bond = [b for _, b in table]
         try:
             children, leaf_features = tree_layout(parents)
         except DataError as exc:
@@ -172,10 +176,11 @@ def load_model(path):
 
     tensors = []
     for shape in shapes:
-        tensors.append(_read_tensor(raw, offset, shape, path))
-        offset += 8 * int(np.prod(shape))
-    if offset != len(raw) - 4:
-        raise DataError(f"{path}: {len(raw) - 4 - offset} unexpected trailing bytes")
+        # an exact product: extents read from the file may overflow a fixed-width one
+        stored = take(8 * math.prod(shape), f"tensor of shape {shape}")
+        tensors.append(np.frombuffer(stored, dtype="<f8").reshape(shape).astype(np.float64))
+    if offset != len(body):
+        raise DataError(f"{path}: {len(body) - offset} unexpected trailing bytes")
     model = build(tensors)
     if not all(np.isfinite(t).all() for t in tensors):
         raise DataError(f"{path}: model tensors hold non-finite entries")
@@ -186,12 +191,4 @@ def load_model(path):
             f"> {_ISOMETRY_TOLERANCE:.0e})"
         )
     return model
-
-
-def _read_tensor(raw: bytes, offset: int, shape: tuple, path) -> np.ndarray:
-    n_bytes = 8 * int(np.prod(shape))
-    if offset + n_bytes > len(raw) - 4:
-        raise DataError(f"{path}: file too short for tensor of shape {shape}")
-    flat = np.frombuffer(raw, dtype="<f8", count=int(np.prod(shape)), offset=offset)
-    return flat.reshape(shape).astype(np.float64)
 

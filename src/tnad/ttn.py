@@ -4,16 +4,15 @@ Leaves carry two encoded features each; internal nodes carry only bonds.
 Axis conventions: the root tensor has axes ``(left_child, right_child)``,
 internal nodes ``(parent, left_child, right_child)``, and leaves
 ``(parent, phys_even, phys_odd)``. An odd feature count is padded with one
-dummy feature pinned to the encoding of the rescaled interval midpoint
-0.5, so leaves are always full.
+dummy feature, so leaves are always full; the shared engine encodes it at
+:data:`tnad.network.PAD_VALUE`.
 
-:class:`TtnModel` supplies the tree's structure to the shared engine in
-:mod:`tnad.network` (canonical moves, two-site merge and split, training
-environments), plus what is its own: the balanced layout and its
-padding, the bottom-up amplitude pass and the sweep. One full sweep is a
-depth-first closed walk over all edges, starting and ending at the
-right-most leaf; a merged edge tensor keeps edge order, the remaining
-axes of ``edge[0]`` then those of ``edge[1]``.
+:class:`TtnModel` gives the shared engine in :mod:`tnad.network` the
+tree's balanced layout, and keeps only its seeded construction and the
+node a sweep starts from, the right-most leaf. The engine's sweep is its
+closed depth-first walk over all edges from there; a merged edge tensor
+keeps edge order, the remaining axes of ``edge[0]`` then those of
+``edge[1]``.
 """
 
 from __future__ import annotations
@@ -22,10 +21,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoding import orthonormal_basis
 from .errors import DataError
-from .network import TensorNetwork, node_message
-from .tensors import single_blas_thread
+from .network import TensorNetwork
 
 if TYPE_CHECKING:
     from .encoding import LegendreFeatureMap
@@ -70,7 +67,6 @@ class TtnModel(TensorNetwork):
         self.padding = padding
         self.center = center
         self.encoder = encoder
-        self._pad_vector = orthonormal_basis(self.phys_dim, 0.5) if padding else None
         self._check_structure()
 
     # -- construction ------------------------------------------------------
@@ -162,63 +158,9 @@ class TtnModel(TensorNetwork):
             spec.extend(("bond", c) for c in self.children[u])
         return spec
 
-    # -- amplitudes ------------------------------------------------------------
-
-    def pad_batch(self, encoded: np.ndarray) -> np.ndarray:
-        """Check the batch and append the fixed dummy-feature encoding when the tree is padded."""
-        encoded = super().pad_batch(encoded)
-        if not self.padding:
-            return encoded
-        pad = np.broadcast_to(self._pad_vector, (encoded.shape[0], 1, self.phys_dim))
-        return np.concatenate([encoded, pad], axis=1)
-
-    @single_blas_thread()
-    def log_amplitudes(self, encoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log magnitude and sign of the amplitude for a batch (n, L, N), on one BLAS thread."""
-        enc = self.pad_batch(encoded)
-        msgs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        zero = np.zeros(enc.shape[0])
-        for u in reversed(range(1, self.n_nodes)):
-            if self.children[u] is None:
-                f0, f1 = self.leaf_features[u]
-                operands, log_scale = [enc[:, f0, :], enc[:, f1, :]], zero
-            else:
-                (m0, log0), (m1, log1) = (msgs.pop(c) for c in self.children[u])
-                operands, log_scale = [m0, m1], log0 + log1
-            msgs[u] = node_message(self.tensors[u], self.axis_spec(u), 0, operands, log_scale)
-        (m0, log0), (m1, log1) = (msgs.pop(c) for c in self.children[0])
-        amp = ((m0 @ self.tensors[0]) * m1).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            log_abs = log0 + log1 + np.log(np.abs(amp))
-        sign = np.where(amp < 0.0, -1.0, 1.0)
-        return log_abs, sign
-
-    # -- sweeps ----------------------------------------------------------------
-
-    def traversal_schedule(self, start: int) -> list[tuple[int, int]]:
-        """Closed depth-first walk over all edges, once per direction.
-
-        Starts and ends at ``start``; consecutive edges share the node that
-        is the current center, and every leaf other than the start is
-        entered only to be immediately left upward.
-        """
-        edges: list[tuple[int, int]] = []
-
-        def tour(u: int, came_from: int) -> None:
-            for v in self.neighbors(u):
-                if v != came_from:
-                    edges.append((u, v))
-                    tour(v, u)
-                    edges.append((v, u))
-
-        tour(start, -1)
-        return edges
-
     def sweep_start(self) -> int:
+        """Node the canonical center must occupy when a sweep begins: the right-most leaf."""
         return self.leaf_ids()[-1]
-
-    def sweep_schedule(self) -> list[tuple[int, int]]:
-        return self.traversal_schedule(self.sweep_start())
 
 
 def tree_layout(parents) -> tuple[list, list]:

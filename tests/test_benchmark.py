@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tnad import (
+    DataError,
     PollutionPlan,
     RunConfig,
     TrainConfig,
@@ -104,3 +105,8 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(Exception):
             RunConfig.from_dict({"phys_dimension": 3})
+
+    def test_k_sigma_is_not_a_config_key(self):
+        # the explanation threshold is the ``tnad explain --k-sigma`` option
+        with pytest.raises(DataError, match="k_sigma"):
+            RunConfig.from_dict({"k_sigma": 1.0})

@@ -131,3 +131,18 @@ def test_reloaded_twin_trains_to_the_same_bits(kind, tmp_path):
     fit(twin, encoded, config)
     for ours, theirs in zip(model.tensors, twin.tensors):
         np.testing.assert_array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("model_class", [MpsModel, TtnModel])
+def test_model_kinds_inherit_the_engine_passes(model_class):
+    """Amplitudes, the sweep walk and the padding exist once, in the engine."""
+    shared = {"log_amplitudes", "sweep_schedule", "traversal_schedule", "pad_batch"}
+    assert not shared & set(vars(model_class))
+
+
+def test_long_chain_sweep_walk():
+    """The walk keeps its own stack: a chain longer than the recursion limit walks."""
+    model = MpsModel([np.ones((1, 2, 1))] * 1500)
+    right = [(i, i + 1) for i in range(1499)]
+    left = [(i + 1, i) for i in reversed(range(1499))]
+    assert model.sweep_schedule() == right + left

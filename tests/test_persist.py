@@ -1,4 +1,6 @@
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -120,6 +122,55 @@ class TestFileIntegrity:
         model = MpsModel.random(3, 2, seed=0)
         with pytest.raises(DataError, match="feature map"):
             save_model(tmp_path / "x.tnad", model)
+
+
+HEADER_END = len(MAGIC) + struct.calcsize("<IBIII")
+
+
+class TestShortFiles:
+    """CRC-valid files whose body ends before the layout they declare does."""
+
+    @staticmethod
+    def cut(tmp_path, kind, length):
+        """A saved 4-feature model's body cut to ``length`` bytes and resealed."""
+        encoder, _ = fitted_encoder(3, 4, seed=6)
+        model_class = MpsModel if kind == "mps" else TtnModel
+        path = tmp_path / f"{kind}.tnad"
+        save_model(path, model_class.random(4, 3, init_bond=2, seed=6, encoder=encoder))
+        reseal(path, path.read_bytes()[:length])
+        return path
+
+    @pytest.mark.parametrize(
+        "kind, length, part",
+        [
+            ("mps", HEADER_END - 3, "header"),
+            ("mps", HEADER_END + 16 * 4 - 8, "rescaler"),
+            ("mps", HEADER_END + 16 * 4 + 4 * 2 + 2, "MPS bond list"),
+            ("ttn", HEADER_END + 16 * 4 + 4 + 8 * 1 + 3, "tree node table"),
+        ],
+        ids=["header", "rescaler", "mps-bonds", "tree-nodes"],
+    )
+    def test_refused_by_load_and_by_the_cli(self, tmp_path, kind, length, part):
+        path = self.cut(tmp_path, kind, length)
+        with pytest.raises(DataError, match=f"ends inside the {part}"):
+            load_model(path)
+        data = tmp_path / "data.csv"
+        data.write_text("f0,f1,f2,f3\n0.1,0.2,0.3,0.4\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnad.cli", "score", "--model-file", str(path),
+             "--data", str(data), "--out", str(tmp_path / "scores.csv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"ends inside the {part}" in proc.stderr
+
+    def test_feature_count_checked_before_allocating(self, tmp_path):
+        path = self.cut(tmp_path, "mps", HEADER_END + 16 * 4)
+        blob = bytearray(path.read_bytes()[:-4])
+        blob[len(MAGIC) + 5 : len(MAGIC) + 9] = struct.pack("<I", 2**32 - 1)  # n_features
+        reseal(path, bytes(blob))
+        with pytest.raises(DataError, match="ends inside the rescaler"):
+            load_model(path)
 
 
 def rewrite_tensor(path, stored, replacement):
