@@ -246,10 +246,17 @@ class TensorNetwork:
 
         For tensors that are not canonical yet (a fresh random model, a
         copy with features pinned); ``canonicalize`` serves the rest.
+        Each node that absorbs an R factor is rescaled by a power of two so
+        its largest entry lies in [0.5, 1): the carried norm of a long chain
+        cannot underflow, and the scaling is exact, so no other bit moves.
+        The state is the same up to that positive factor.
         """
         order, toward = self._orientation(target)
         for u in reversed(order[1:]):
-            self._orthonormalize_toward(u, toward[u])
+            v = toward[u]
+            self._orthonormalize_toward(u, v)
+            _, exponent = np.frexp(np.abs(self.tensors[v]).max())
+            self.tensors[v] = np.ldexp(self.tensors[v], -exponent)
         self.center = target
 
     def _orthonormalize_toward(self, u: int, v: int) -> None:

@@ -9,7 +9,13 @@ The per-sample gradient of the amplitude with respect to the merged
 tensor is the outer product of the environment factor vectors; both the
 factors and the amplitude are computed with per-sample log-scale
 renormalization, and the ratio gradient/amplitude is formed from the
-rescaled quantities directly so the scales cancel.
+rescaled quantities directly so the scales cancel. The updates of an edge
+run on the batch's per-sample amplitudes; the merged tensor is formed
+once, just before the split.
+
+Each sweep's entry of ``TrainReport.nll_trace`` is the full-data NLL read
+from the environment cache of all rows at the sweep's last edge, not a
+fresh amplitude pass; it equals :func:`nll_loss` up to rounding.
 """
 
 from __future__ import annotations
@@ -132,15 +138,34 @@ def nll_loss(model, encoded: np.ndarray, zero_amplitude_policy: str = "skip") ->
     if encoded.size == 0:
         raise DataError("nll_loss needs a non-empty batch")
     log_abs, _ = model.log_amplitudes(encoded)
+    return _reported_nll(log_abs, zero_amplitude_policy)
+
+
+def _mean_nll(log_abs: np.ndarray, zero_amplitude_policy: str) -> tuple[float, int]:
+    """Mean NLL over the samples that count, and how many were skipped; inf if none counts."""
     if zero_amplitude_policy == "clamp":
         log_abs = np.maximum(log_abs, _LOG_FLOOR)
     finite = np.isfinite(log_abs)
-    n_skipped = int(encoded.shape[0] - finite.sum())
+    n_skipped = int(log_abs.shape[0] - finite.sum())
+    if not finite.any():
+        return float("inf"), n_skipped
+    return float(-2.0 * log_abs[finite].mean()), n_skipped
+
+
+def _reported_nll(log_abs: np.ndarray, zero_amplitude_policy: str) -> float:
+    """:func:`_mean_nll` with a logged skip count; no sample left is an error."""
+    loss, n_skipped = _mean_nll(log_abs, zero_amplitude_policy)
     if n_skipped:
         logger.warning("nll_loss: skipped %d zero-amplitude samples", n_skipped)
-    if not finite.any():
+    if n_skipped == log_abs.shape[0]:
         raise NumericalError("all samples have zero amplitude under the model")
-    return float(-2.0 * log_abs[finite].mean())
+    return loss
+
+
+def _log_abs(psi: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """Log magnitudes of rescaled amplitudes; ``-inf`` where one vanishes."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(psi)) + log_scale
 
 
 def _combine_factors(factor_list) -> np.ndarray:
@@ -182,14 +207,18 @@ def _contract_fractions(merged: np.ndarray, left: np.ndarray, right: np.ndarray)
     return ((left @ matrix) * right).sum(axis=1)
 
 
-def _gradient_from_factors(
-    shape: tuple, psi: np.ndarray, left: np.ndarray, right: np.ndarray,
-    zero_amplitude_policy: str,
-) -> tuple[np.ndarray, int]:
-    """NLL gradient with respect to the merged tensor, scales cancelled.
+def _weighted_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``leftᵀ diag(weights) right``: the samples' outer factor products, weighted."""
+    return (left * weights[:, None]).T @ right
+
+
+def _sample_weights(psi: np.ndarray, zero_amplitude_policy: str) -> tuple[np.ndarray, int]:
+    """Per-sample weights ``g`` of the NLL gradient ``leftᵀ diag(g) right``.
 
     ``psi`` holds the per-sample rescaled amplitudes of the merged tensor
-    (:func:`_contract_fractions`). Returns ``(gradient, n_skipped)``.
+    (:func:`_contract_fractions`); ``g = (-2 / denom) / psi`` on the
+    ``denom`` samples that count and 0 on the rest, so the scales cancel.
+    Returns ``(g, n_skipped)``.
     """
     valid = psi != 0.0
     n_skipped = int(np.count_nonzero(~valid))
@@ -201,21 +230,29 @@ def _gradient_from_factors(
     denom = int(valid.sum())
     if denom == 0:
         raise NumericalError("every sample in the batch has zero amplitude")
-    weights = np.where(valid, 1.0, 0.0)
-    weights[valid] /= psi[valid]
-    grad_matrix = (left * weights[:, None]).T @ right
-    return (-2.0 / denom) * grad_matrix.reshape(shape), n_skipped
+    weights = np.zeros_like(psi)
+    weights[valid] = (-2.0 / denom) / psi[valid]
+    return weights, n_skipped
 
 
-def _local_nll(psi: np.ndarray, log_scale: np.ndarray, zero_amplitude_policy: str) -> float:
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(psi)) + log_scale
-    if zero_amplitude_policy == "clamp":
-        log_abs = np.maximum(log_abs, _LOG_FLOOR)
-    finite = np.isfinite(log_abs)
-    if not finite.any():
-        return float("inf")
-    return float(-2.0 * log_abs[finite].mean())
+def _amplitude_map(left: np.ndarray, right: np.ndarray, calls: int):
+    """``g -> K g``: the amplitudes of ``leftᵀ diag(g) right``.
+
+    ``K = (left leftᵀ) ∘ (right rightᵀ)`` is the entrywise product of the
+    factors' Gram matrices. Either this ``n x n`` matrix is built once and
+    each call is one matrix-vector product, or each call maps ``g`` into
+    the merged tensor and back out, two GEMMs of ``n x L x R`` (``n``
+    samples, factor widths ``L`` and ``R``). The Gram is built when, over
+    ``calls`` calls, it costs fewer flops and holds no more entries than
+    the factor pair.
+    """
+    n, width_l, width_r = left.shape[0], left.shape[1], right.shape[1]
+    gram_flops = n * n * (width_l + width_r + calls)
+    pair_flops = 2 * calls * n * width_l * width_r
+    if n <= width_l + width_r and gram_flops < pair_flops:
+        gram = (left @ left.T) * (right @ right.T)
+        return lambda g: gram @ g
+    return lambda g: _contract_fractions(_weighted_sum(g, left, right), left, right)
 
 
 @single_blas_thread()
@@ -232,18 +269,18 @@ def two_site_gradient(
     ``edge`` and ``merged`` must be the corresponding merged tensor (for
     example the output of ``merge_edge``). Environments are built for
     ``encoded_batch`` on the fly; the incremental cache used by
-    :func:`fit` produces the same values.
+    :func:`fit` produces the same values. :func:`two_site_step` never
+    forms this tensor; it steps along it with the same sample weights.
     """
     env = model.environment_cache(np.asarray(encoded_batch, dtype=np.float64))
     factor_list, _ = env.factors(edge)
     left, right = _factor_pair(factor_list)
-    psi = _contract_fractions(merged, left, right)
-    grad, n_skipped = _gradient_from_factors(
-        merged.shape, psi, left, right, zero_amplitude_policy
+    weights, n_skipped = _sample_weights(
+        _contract_fractions(merged, left, right), zero_amplitude_policy
     )
     if n_skipped:
         logger.warning("two_site_gradient: skipped %d zero-amplitude samples", n_skipped)
-    return grad
+    return _weighted_sum(weights, left, right).reshape(merged.shape)
 
 
 @dataclass
@@ -263,34 +300,35 @@ class _Trial:
 
 
 def _score(psi, log_scale, policy, size=0.0, norm=1.0) -> _Trial:
-    loss = _local_nll(psi, log_scale, policy)
+    loss, _ = _mean_nll(_log_abs(psi, log_scale), policy)
     return _Trial(psi, loss, int(np.count_nonzero(psi == 0.0)), size, norm)
 
 
 def _line_search(
-    current: _Trial, merged, grad, step, left, right, log_scale, policy
+    current: _Trial, weights, psi_grad, squared, step, log_scale, policy
 ) -> _Trial | None:
-    """Monotone step from ``merged`` along ``-grad``: the descending trial, or None.
+    """Monotone step from the merged tensor along ``-grad``: the descending trial, or None.
 
     ``step`` is tried first. While the local NLL keeps falling the step is
     doubled, at most ``_MAX_DOUBLINGS`` times; if the first trial does not
     descend the step is halved, at most ``_MAX_HALVINGS`` times, until one
     does. None means no trial descended.
 
-    The amplitudes are linear in the merged tensor and the trial norm is a
-    quadratic in the step, so one contraction of ``grad`` and three sums
-    price every trial without forming it.
+    Every trial is priced in sample space. With ``grad = leftᵀ
+    diag(weights) right``, ``psi_grad`` its amplitudes and ``current.psi``
+    those of the merged tensor, ``<merged, grad> = psi · weights`` and
+    ``|grad|² = weights · psi_grad``; ``squared`` is ``|merged|²``. The
+    amplitudes are linear in the step and the trial norm is a quadratic in
+    it, so no trial tensor is formed.
     """
-    psi_grad = _contract_fractions(grad, left, right)
-    mm = np.sum(np.square(merged))
-    mg = np.sum(merged * grad)
-    gg = np.sum(np.square(grad))
+    mg = float(current.psi @ weights)
+    gg = float(weights @ psi_grad)
 
     def at(size):
-        squared = mm - 2.0 * size * mg + size * size * gg
-        if not (squared > 0.0 and np.isfinite(squared)):
+        norm2 = squared - 2.0 * size * mg + size * size * gg
+        if not (norm2 > 0.0 and np.isfinite(norm2)):
             return None
-        norm = float(np.sqrt(squared))
+        norm = float(np.sqrt(norm2))
         return _score((current.psi - size * psi_grad) / norm, log_scale, policy, size, norm)
 
     best = at(step)
@@ -320,35 +358,43 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
     degenerate split aborts the step: the original merged tensor is split
     exactly instead, which restores the state while still moving the
     center for the rest of the sweep.
+
+    The updates run on the batch's amplitudes alone: every gradient is
+    ``leftᵀ diag(g) right`` over the environment factor pair, so the
+    merged tensor stays ``alpha * original + leftᵀ diag(c) right`` and is
+    formed once, by one GEMM, before the split.
     """
     original = model.merge_edge(edge)
     factor_list, log_scale = env.factors(edge, rows)
     left, right = _factor_pair(factor_list)
+    amplitudes_of = _amplitude_map(left, right, config.inner_steps)
     policy = config.zero_amplitude_policy
 
-    merged = original
+    alpha, coeffs = 1.0, np.zeros(left.shape[0])
+    squared = float(np.sum(np.square(original)))
     current = _score(_contract_fractions(original, left, right), log_scale, policy)
     loss_before = current.loss
     skipped = 0
     error = None
     for _ in range(config.inner_steps):
         try:
-            grad, n_skip = _gradient_from_factors(
-                original.shape, current.psi, left, right, policy
-            )
+            weights, n_skip = _sample_weights(current.psi, policy)
         except NumericalError as exc:
             error = str(exc)
             break
         skipped = max(skipped, n_skip)
         found = _line_search(
-            current, merged, grad, learning_rate, left, right, log_scale, policy
+            current, weights, amplitudes_of(weights), squared, learning_rate, log_scale, policy
         )
         if found is None:
             break
-        merged = (merged - found.size * grad) / found.norm
-        current = found
+        alpha /= found.norm
+        coeffs = (coeffs - found.size * weights) / found.norm
+        # an accepted trial is divided by its own norm
+        current, squared = found, 1.0
 
     if error is None:
+        merged = alpha * original + _weighted_sum(coeffs, left, right).reshape(original.shape)
         try:
             discarded = model.split_edge(
                 edge, merged, config.svd_rel_threshold, config.max_bond
@@ -364,8 +410,22 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
 
     env.push(*edge)
     after = model.merge_edge(edge)
-    loss_after = _local_nll(_contract_fractions(after, left, right), log_scale, policy)
+    loss_after, _ = _mean_nll(_log_abs(_contract_fractions(after, left, right), log_scale), policy)
     return StepStats(edge, discarded, loss_before, loss_after, skipped, None)
+
+
+def _cached_nll(model, env, edge, zero_amplitude_policy: str) -> float:
+    """Full-data NLL from the environment cache at ``edge``, the last edge stepped.
+
+    The step pushed the message across ``edge`` and left every message
+    into either end from the other side untouched and current, so the
+    factors of ``edge`` and its merged tensor give every sample's
+    amplitude in one contraction. Same warning and error as :func:`nll_loss`.
+    """
+    factor_list, log_scale = env.factors(edge)
+    left, right = _factor_pair(factor_list)
+    psi = _contract_fractions(model.merge_edge(edge), left, right)
+    return _reported_nll(_log_abs(psi, log_scale), zero_amplitude_policy)
 
 
 @single_blas_thread()
@@ -377,7 +437,8 @@ def fit(model, encoded: np.ndarray, config: TrainConfig) -> TrainReport:
     the sweep start along the path between them. Runs ``config.sweeps``
     full traversals with mini-batches redrawn per step from a generator
     seeded by ``config.seed``; the NLL trace records the full-data loss
-    after each sweep.
+    after each sweep, contracted from the cached full-data environments at
+    the sweep's last edge (the value of :func:`nll_loss`, up to rounding).
 
     Deterministic: the same seed, config, data and numpy/BLAS build give
     the same trained tensors and report (timings aside), bit for bit, at
@@ -413,7 +474,9 @@ def fit(model, encoded: np.ndarray, config: TrainConfig) -> TrainReport:
                 logger.warning("two-site step aborted (%s)", message)
                 report.step_errors.append(message)
         report.discarded_weights.append(discards)
-        report.nll_trace.append(nll_loss(model, encoded, config.zero_amplitude_policy))
+        report.nll_trace.append(
+            _cached_nll(model, env, schedule[-1], config.zero_amplitude_policy)
+        )
         report.seconds_per_sweep.append(time.perf_counter() - started)
         learning_rate *= config.lr_decay
 

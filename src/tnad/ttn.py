@@ -139,10 +139,6 @@ class TtnModel(TensorNetwork):
     def phys_dim(self) -> int:
         return self.tensors[self.leaf_ids()[0]].shape[1]
 
-    @property
-    def padded_features(self) -> int:
-        return self.n_features + self.padding
-
     def leaf_ids(self) -> list[int]:
         return [u for u in range(self.n_nodes) if self.children[u] is None]
 

@@ -182,6 +182,67 @@ def brute_rdm(theta, targets, conditions=None, phys_dim=2):
     return rho / np.trace(rho)
 
 
+def reference_step(model, edge, batch, learning_rate, inner_steps):
+    """Tensor-space two-site update under the "skip" policy, by full tensors.
+
+    Each sample's amplitude is linear in the merged tensor at ``edge``; its
+    coefficients come from full coefficient tensors, one per unit merged
+    tensor. The NLL gradient is summed from them explicitly and every trial
+    tensor ``(merged - size * grad) / norm`` is formed and normalized. The
+    line search is the library's rule: the first trial is
+    ``learning_rate``; while trials descend the step doubles, at most 3
+    times, else it halves, at most 10 times, until one descends; a trial
+    that zeroes more samples never descends. Returns the merged tensor
+    after ``inner_steps`` updates (or the first that finds no descent) and
+    its loss on ``batch``.
+    """
+    original = model.merge_edge(edge)
+    units = np.eye(original.size).reshape((original.size,) + original.shape)
+    thetas = [full_tensor_with_merged(model, edge, unit) for unit in units]
+    design = np.array([[brute_amplitude(theta, sample) for theta in thetas] for sample in batch])
+
+    def point(merged):
+        psi = design @ merged.reshape(-1)
+        kept = psi != 0.0
+        loss = -2.0 * np.mean(np.log(np.abs(psi[kept])))
+        return {"merged": merged, "psi": psi, "loss": loss, "zeros": int((~kept).sum())}
+
+    def descends(trial, base):
+        return trial["loss"] < base["loss"] and trial["zeros"] <= base["zeros"]
+
+    current = point(original)
+    for _ in range(inner_steps):
+        psi, merged = current["psi"], current["merged"]
+        kept = psi != 0.0
+        grad = (-2.0 / kept.sum()) * (design[kept] / psi[kept, None]).sum(axis=0)
+
+        def trial(size):
+            moved = merged - size * grad.reshape(merged.shape)
+            return point(moved / np.linalg.norm(moved))
+
+        step = learning_rate
+        found = trial(step)
+        if descends(found, current):
+            for _ in range(3):
+                step *= 2.0
+                longer = trial(step)
+                if not descends(longer, found):
+                    break
+                found = longer
+        else:
+            found = None
+            for _ in range(10):
+                step *= 0.5
+                shorter = trial(step)
+                if descends(shorter, current):
+                    found = shorter
+                    break
+        if found is None:
+            break
+        current = found
+    return current["merged"], current["loss"]
+
+
 def brute_entropy(matrix):
     lam = np.linalg.eigvalsh(matrix)
     lam = lam[lam > 1e-14]

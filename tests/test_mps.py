@@ -32,6 +32,12 @@ class TestInit:
         assert m.center == 0
         assert m.isometry_defect() <= 1e-10
 
+    def test_long_chain_norm_does_not_underflow(self):
+        # the unnormalized norm carried to site 0 is far below the smallest double
+        m = MpsModel.random(1500, 2, seed=0)
+        assert m.state_norm() == pytest.approx(1.0, abs=1e-12)
+        assert m.isometry_defect() < 1e-10
+
     def test_bad_arguments(self):
         with pytest.raises(DataError):
             MpsModel.random(1, 2)

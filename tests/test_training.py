@@ -236,6 +236,46 @@ class TestTwoSiteStep:
         assert report.step_errors == ["sweep 0, edge (0, 1): split refused"]
 
 
+class TestSampleSpaceStep:
+    """``two_site_step`` against the tensor-space reference step of ``helpers``."""
+
+    @staticmethod
+    def make(kind, rows):
+        rng = np.random.default_rng(11)
+        if kind == "mps":
+            model = MpsModel.random(4, 3, init_bond=4, seed=12)
+            edge = (1, 2)
+            model.canonicalize(1)
+        else:
+            model = TtnModel.random(5, 3, init_bond=4, seed=12)
+            edge = model.sweep_schedule()[0]
+        return model, edge, well_conditioned_batch(rng, model, rows)
+
+    @pytest.mark.parametrize("kind", ["mps", "ttn"])
+    # 12 samples take the n x n Gram (each update one product with it), 60
+    # map every update into the merged tensor and back (two GEMMs per update)
+    @pytest.mark.parametrize("rows, gram", [(12, True), (60, False)], ids=["gram", "per-step"])
+    def test_matches_tensor_space_reference(self, monkeypatch, kind, rows, gram):
+        model, edge, batch = self.make(kind, rows)
+        expected, expected_loss = helpers.reference_step(model, edge, batch, 5e-3, 3)
+        weighted_sums = []
+        original = training._weighted_sum
+
+        def counted(*args):
+            weighted_sums.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(training, "_weighted_sum", counted)
+        config = TrainConfig(inner_steps=3, svd_rel_threshold=0.0, max_bond=1000)
+        stats = two_site_step(model, edge, model.environment_cache(batch), None, 5e-3, config)
+        assert stats.error is None
+        # the merged tensor is formed once, before the split; the per-step
+        # route also forms each gradient
+        assert (len(weighted_sums) == 1) == gram
+        np.testing.assert_allclose(model.merge_edge(edge), expected, rtol=0.0, atol=1e-12)
+        assert stats.loss_after == pytest.approx(expected_loss, rel=1e-12)
+
+
 class TestLineSearch:
     """The inner-step rule on a two-sample problem whose amplitudes are the
     two entries of the merged tensor (``psi = merged``)."""
@@ -250,8 +290,10 @@ class TestLineSearch:
         return merged, training._score(psi, self.log_scale, "skip")
 
     def search(self, merged, current, grad, step):
+        # left = eye(2): the sample weights are the gradient and K = I
+        weights = np.array(grad)
         return training._line_search(
-            current, merged, np.array(grad), step, self.left, self.right, self.log_scale, "skip"
+            current, weights, weights, np.sum(np.square(merged)), step, self.log_scale, "skip"
         )
 
     def test_descent_doubles_at_most_three_times(self):
@@ -352,6 +394,19 @@ class TestFit:
             mean_noise = score_samples(model, encoder.encode_batch(noise)).mean()
             hits += mean_in < mean_noise
         assert hits >= 19
+
+
+class TestCachedNll:
+    @pytest.mark.parametrize("kind, n_features", [("mps", 5), ("ttn", 6), ("ttn", 5)],
+                             ids=["mps", "tree", "padded-tree"])
+    def test_trace_ends_at_full_data_nll(self, kind, n_features):
+        data = toy_two_clusters(300, n_features, seed=8)
+        encoder = LegendreFeatureMap(3, fit_rescaler(data))
+        enc = encoder.encode_batch(data)
+        model_class = MpsModel if kind == "mps" else TtnModel
+        model = model_class.random(n_features, 3, init_bond=3, seed=8, encoder=encoder)
+        report = fit(model, enc, TrainConfig(sweeps=2, batch_size=64, seed=8))
+        assert report.nll_trace[-1] == pytest.approx(nll_loss(model, enc), rel=1e-12)
 
 
 # Child process for the thread-count test: one fit, printed as JSON. The

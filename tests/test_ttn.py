@@ -28,8 +28,9 @@ class TestBuild:
         for u in reversed(range(t.n_nodes)):  # children come after their parents
             kids = t.children[u]
             below[u] = len(t.leaf_features[u]) if kids is None else below[kids[0]] + below[kids[1]]
+        padded = t.n_features + t.padding
         for u in range(1, t.n_nodes):
-            assert t.tensors[u].shape[0] <= min(2 ** below[u], 2 ** (t.padded_features - below[u]))
+            assert t.tensors[u].shape[0] <= min(2 ** below[u], 2 ** (padded - below[u]))
 
     def test_same_seed_identical(self):
         a = TtnModel.random(6, 3, init_bond=3, seed=4)
