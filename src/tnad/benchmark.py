@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,19 +56,28 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
+        _check_keys(cls, None, payload)
         payload = dict(payload)
-        train = TrainConfig(**payload.pop("train", {}))
-        pollution_raw = payload.pop("pollution", {})
-        if "kinds" in pollution_raw:
-            pollution_raw["kinds"] = tuple(pollution_raw["kinds"])
-        pollution = PollutionPlan(**pollution_raw)
-        unknown = set(payload) - {"phys_dim", "init_bond", "margin", "n_folds"}
-        if unknown:
-            raise DataError(f"unknown config keys {sorted(unknown)}")
-        return cls(train=train, pollution=pollution, **payload)
+        train = payload.pop("train", {})
+        pollution = payload.pop("pollution", {})
+        _check_keys(TrainConfig, "train", train)
+        _check_keys(PollutionPlan, "pollution", pollution)
+        if "kinds" in pollution:
+            pollution = {**pollution, "kinds": tuple(pollution["kinds"])}
+        return cls(train=TrainConfig(**train), pollution=PollutionPlan(**pollution), **payload)
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _check_keys(kind, section: str | None, values) -> None:
+    """Refuse a config section that is not a mapping of fields of the dataclass ``kind``."""
+    name = "config" if section is None else f"config section {section!r}"
+    if not isinstance(values, dict):
+        raise DataError(f"{name} must be a JSON object, got {type(values).__name__}")
+    unknown = set(values) - {f.name for f in fields(kind)}
+    if unknown:
+        raise DataError(f"unknown keys in {name}: {sorted(unknown)}")
 
 
 @dataclass

@@ -43,8 +43,6 @@ class DatasetSpec:
     path: str
     label_column: str | None = None
     anomaly_labels: tuple[str, ...] = ()
-    feature_columns: tuple[str, ...] | None = None
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -104,13 +102,7 @@ def load_csv(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray | None]:
         columns = {name: i for i, name in enumerate(header)}
         if spec.label_column is not None and spec.label_column not in columns:
             raise DataError(f"{path}: missing label column {spec.label_column!r}")
-        if spec.feature_columns is not None:
-            missing = [c for c in spec.feature_columns if c not in columns]
-            if missing:
-                raise DataError(f"{path}: missing feature columns {missing}")
-            feature_names = list(spec.feature_columns)
-        else:
-            feature_names = [h for h in header if h != spec.label_column]
+        feature_names = [h for h in header if h != spec.label_column]
         if not feature_names:
             raise DataError(f"{path}: no feature columns left")
         feature_idx = [columns[c] for c in feature_names]

@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_SUBSYSTEM_DIM = 256
+# moments integrate on a grid of (2 * phys_dim) ** n_sites nodes
+MAX_MOMENT_SITES = 3
 _MIN_CONDITIONAL_TRACE = 1e-30
 
 
@@ -380,16 +382,17 @@ def quasi_density(rdm: ReducedDensityMatrix, point) -> float:
 
 
 @single_blas_thread()
-def marginal_moments(rdm: ReducedDensityMatrix, rescaler=None, max_sites: int = 3) -> MarginalStats:
+def marginal_moments(rdm: ReducedDensityMatrix, rescaler=None) -> MarginalStats:
     """Mean, variance, and covariance of the normalized quasi-density.
 
     Uses a Gauss-Legendre tensor grid with ``2 * phys_dim`` nodes per axis,
-    which integrates the polynomial integrands exactly. ``rescaler`` maps
-    the moments back to the raw feature domain.
+    which integrates the polynomial integrands exactly, over at most
+    ``MAX_MOMENT_SITES`` features. ``rescaler`` maps the moments back to
+    the raw feature domain.
     """
-    if rdm.n_sites > max_sites:
+    if rdm.n_sites > MAX_MOMENT_SITES:
         raise ResourceLimitError(
-            f"moments over {rdm.n_sites} features exceed the {max_sites}-site grid budget"
+            f"moments over {rdm.n_sites} features exceed the {MAX_MOMENT_SITES}-site grid budget"
         )
     nodes, wq = _quadrature(rdm)
     k = rdm.n_sites

@@ -34,8 +34,6 @@ logger = logging.getLogger(__name__)
 __all__ = ["TrainConfig", "StepStats", "TrainReport", "nll_loss", "two_site_gradient",
            "two_site_step", "fit"]
 
-_LOG_FLOOR = -700.0
-
 # Line-search bracket of one inner update: the step may grow to 2**3 = 8
 # times the learning rate, or shrink to 2**-10 (about a thousandth) of it.
 # Samples with tiny amplitudes can make the gradient a thousand times
@@ -50,9 +48,8 @@ class TrainConfig:
 
     ``batch_size=None`` means full-batch gradients; otherwise a fresh
     mini-batch is drawn (without replacement) for every edge step.
-    ``zero_amplitude_policy`` decides how samples with exactly vanishing
-    amplitude enter losses and gradients: ``"skip"`` excludes them (with a
-    logged count), ``"clamp"`` floors their log amplitude instead.
+    Samples with exactly vanishing amplitude are left out of every loss
+    and gradient, and counted in ``TrainReport.zero_amplitude_skips``.
 
     Each edge step runs up to ``inner_steps`` gradient updates, each a
     monotone line search on the local NLL of the step's batch.
@@ -72,7 +69,6 @@ class TrainConfig:
     svd_rel_threshold: float = 1e-4
     max_bond: int = 40
     seed: int = 0
-    zero_amplitude_policy: str = "skip"
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate <= 0.5:
@@ -89,8 +85,6 @@ class TrainConfig:
             raise DataError("max_bond must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise DataError("batch_size must be >= 1 or None for full batch")
-        if self.zero_amplitude_policy not in ("skip", "clamp"):
-            raise DataError(f"unknown zero_amplitude_policy {self.zero_amplitude_policy!r}")
 
 
 @dataclass
@@ -128,23 +122,22 @@ class TrainReport:
 
 
 @single_blas_thread()
-def nll_loss(model, encoded: np.ndarray, zero_amplitude_policy: str = "skip") -> float:
+def nll_loss(model, encoded: np.ndarray) -> float:
     """Mean negative log-likelihood of a batch under the Born rule.
 
     ``log P(x) = 2 log |amplitude(x)|`` for a unit-norm model. Samples with
-    exactly zero amplitude are excluded ("skip") or floored ("clamp").
+    exactly zero amplitude are left out of the mean, with a logged count;
+    :class:`NumericalError` if every sample is.
     """
     encoded = np.asarray(encoded, dtype=np.float64)
     if encoded.size == 0:
         raise DataError("nll_loss needs a non-empty batch")
     log_abs, _ = model.log_amplitudes(encoded)
-    return _reported_nll(log_abs, zero_amplitude_policy)
+    return _reported_nll(log_abs)
 
 
-def _mean_nll(log_abs: np.ndarray, zero_amplitude_policy: str) -> tuple[float, int]:
+def _mean_nll(log_abs: np.ndarray) -> tuple[float, int]:
     """Mean NLL over the samples that count, and how many were skipped; inf if none counts."""
-    if zero_amplitude_policy == "clamp":
-        log_abs = np.maximum(log_abs, _LOG_FLOOR)
     finite = np.isfinite(log_abs)
     n_skipped = int(log_abs.shape[0] - finite.sum())
     if not finite.any():
@@ -152,9 +145,9 @@ def _mean_nll(log_abs: np.ndarray, zero_amplitude_policy: str) -> tuple[float, i
     return float(-2.0 * log_abs[finite].mean()), n_skipped
 
 
-def _reported_nll(log_abs: np.ndarray, zero_amplitude_policy: str) -> float:
+def _reported_nll(log_abs: np.ndarray) -> float:
     """:func:`_mean_nll` with a logged skip count; no sample left is an error."""
-    loss, n_skipped = _mean_nll(log_abs, zero_amplitude_policy)
+    loss, n_skipped = _mean_nll(log_abs)
     if n_skipped:
         logger.warning("nll_loss: skipped %d zero-amplitude samples", n_skipped)
     if n_skipped == log_abs.shape[0]:
@@ -212,7 +205,7 @@ def _weighted_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> n
     return (left * weights[:, None]).T @ right
 
 
-def _sample_weights(psi: np.ndarray, zero_amplitude_policy: str) -> tuple[np.ndarray, int]:
+def _sample_weights(psi: np.ndarray) -> tuple[np.ndarray, int]:
     """Per-sample weights ``g`` of the NLL gradient ``leftᵀ diag(g) right``.
 
     ``psi`` holds the per-sample rescaled amplitudes of the merged tensor
@@ -222,12 +215,7 @@ def _sample_weights(psi: np.ndarray, zero_amplitude_policy: str) -> tuple[np.nda
     """
     valid = psi != 0.0
     n_skipped = int(np.count_nonzero(~valid))
-    if zero_amplitude_policy == "clamp" and n_skipped:
-        tiny = 1e-30
-        psi = np.where(valid, psi, tiny)
-        valid = np.ones_like(valid)
-        n_skipped = 0
-    denom = int(valid.sum())
+    denom = psi.shape[0] - n_skipped
     if denom == 0:
         raise NumericalError("every sample in the batch has zero amplitude")
     weights = np.zeros_like(psi)
@@ -261,7 +249,6 @@ def two_site_gradient(
     edge,
     merged: np.ndarray,
     encoded_batch: np.ndarray,
-    zero_amplitude_policy: str = "skip",
 ) -> np.ndarray:
     """NLL gradient with respect to the merged tensor at ``edge``.
 
@@ -275,9 +262,7 @@ def two_site_gradient(
     env = model.environment_cache(np.asarray(encoded_batch, dtype=np.float64))
     factor_list, _ = env.factors(edge)
     left, right = _factor_pair(factor_list)
-    weights, n_skipped = _sample_weights(
-        _contract_fractions(merged, left, right), zero_amplitude_policy
-    )
+    weights, n_skipped = _sample_weights(_contract_fractions(merged, left, right))
     if n_skipped:
         logger.warning("two_site_gradient: skipped %d zero-amplitude samples", n_skipped)
     return _weighted_sum(weights, left, right).reshape(merged.shape)
@@ -294,18 +279,18 @@ class _Trial:
     norm: float = 1.0
 
     def descends_from(self, other: "_Trial") -> bool:
-        # under "skip" a zeroed sample leaves the local mean, which could
+        # a zeroed sample leaves the local mean, which could
         # lower the loss without fitting anything better: never reward that
         return self.loss < other.loss and self.zeros <= other.zeros
 
 
-def _score(psi, log_scale, policy, size=0.0, norm=1.0) -> _Trial:
-    loss, _ = _mean_nll(_log_abs(psi, log_scale), policy)
+def _score(psi, log_scale, size=0.0, norm=1.0) -> _Trial:
+    loss, _ = _mean_nll(_log_abs(psi, log_scale))
     return _Trial(psi, loss, int(np.count_nonzero(psi == 0.0)), size, norm)
 
 
 def _line_search(
-    current: _Trial, weights, psi_grad, squared, step, log_scale, policy
+    current: _Trial, weights, psi_grad, squared, step, log_scale
 ) -> _Trial | None:
     """Monotone step from the merged tensor along ``-grad``: the descending trial, or None.
 
@@ -329,7 +314,7 @@ def _line_search(
         if not (norm2 > 0.0 and np.isfinite(norm2)):
             return None
         norm = float(np.sqrt(norm2))
-        return _score((current.psi - size * psi_grad) / norm, log_scale, policy, size, norm)
+        return _score((current.psi - size * psi_grad) / norm, log_scale, size, norm)
 
     best = at(step)
     if best is not None and best.descends_from(current):
@@ -368,23 +353,22 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
     factor_list, log_scale = env.factors(edge, rows)
     left, right = _factor_pair(factor_list)
     amplitudes_of = _amplitude_map(left, right, config.inner_steps)
-    policy = config.zero_amplitude_policy
 
     alpha, coeffs = 1.0, np.zeros(left.shape[0])
     squared = float(np.sum(np.square(original)))
-    current = _score(_contract_fractions(original, left, right), log_scale, policy)
+    current = _score(_contract_fractions(original, left, right), log_scale)
     loss_before = current.loss
     skipped = 0
     error = None
     for _ in range(config.inner_steps):
         try:
-            weights, n_skip = _sample_weights(current.psi, policy)
+            weights, n_skip = _sample_weights(current.psi)
         except NumericalError as exc:
             error = str(exc)
             break
         skipped = max(skipped, n_skip)
         found = _line_search(
-            current, weights, amplitudes_of(weights), squared, learning_rate, log_scale, policy
+            current, weights, amplitudes_of(weights), squared, learning_rate, log_scale
         )
         if found is None:
             break
@@ -410,11 +394,11 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
 
     env.push(*edge)
     after = model.merge_edge(edge)
-    loss_after, _ = _mean_nll(_log_abs(_contract_fractions(after, left, right), log_scale), policy)
+    loss_after, _ = _mean_nll(_log_abs(_contract_fractions(after, left, right), log_scale))
     return StepStats(edge, discarded, loss_before, loss_after, skipped, None)
 
 
-def _cached_nll(model, env, edge, zero_amplitude_policy: str) -> float:
+def _cached_nll(model, env, edge) -> float:
     """Full-data NLL from the environment cache at ``edge``, the last edge stepped.
 
     The step pushed the message across ``edge`` and left every message
@@ -425,7 +409,7 @@ def _cached_nll(model, env, edge, zero_amplitude_policy: str) -> float:
     factor_list, log_scale = env.factors(edge)
     left, right = _factor_pair(factor_list)
     psi = _contract_fractions(model.merge_edge(edge), left, right)
-    return _reported_nll(_log_abs(psi, log_scale), zero_amplitude_policy)
+    return _reported_nll(_log_abs(psi, log_scale))
 
 
 @single_blas_thread()
@@ -474,9 +458,7 @@ def fit(model, encoded: np.ndarray, config: TrainConfig) -> TrainReport:
                 logger.warning("two-site step aborted (%s)", message)
                 report.step_errors.append(message)
         report.discarded_weights.append(discards)
-        report.nll_trace.append(
-            _cached_nll(model, env, schedule[-1], config.zero_amplitude_policy)
-        )
+        report.nll_trace.append(_cached_nll(model, env, schedule[-1]))
         report.seconds_per_sweep.append(time.perf_counter() - started)
         learning_rate *= config.lr_decay
 

@@ -103,8 +103,14 @@ class TestRunConfig:
         assert config.pollution.regular_fraction == 0.95
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DataError, match="phys_dimension"):
             RunConfig.from_dict({"phys_dimension": 3})
+        with pytest.raises(DataError, match="'train'.*zero_amplitude_policy"):
+            RunConfig.from_dict({"train": {"zero_amplitude_policy": "skip"}})
+        with pytest.raises(DataError, match="'pollution'.*regular_share"):
+            RunConfig.from_dict({"pollution": {"regular_share": 0.9}})
+        with pytest.raises(DataError, match="'train' must be a JSON object"):
+            RunConfig.from_dict({"train": []})
 
     def test_k_sigma_is_not_a_config_key(self):
         # the explanation threshold is the ``tnad explain --k-sigma`` option

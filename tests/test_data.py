@@ -63,11 +63,6 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="one class"):
             load_csv(DatasetSpec(path, label_column="class", anomaly_labels=("1",)))
 
-    def test_feature_column_selection(self, csv_file):
-        path = csv_file("a,b,c\n1,2,3\n4,5,6\n")
-        features, _ = load_csv(DatasetSpec(path, feature_columns=("c", "a")))
-        np.testing.assert_array_equal(features, [[3.0, 1.0], [6.0, 4.0]])
-
     def test_missing_file(self):
         with pytest.raises(DataError, match="no such file"):
             load_csv(DatasetSpec("/nonexistent/file.csv"))

@@ -1,4 +1,5 @@
 import ast
+import logging
 import os
 from pathlib import Path
 
@@ -468,6 +469,19 @@ class TestConditionalExpectations:
         mean_rescaled = float((weights * nodes * dens).sum() / (weights * dens).sum())
         expected_raw = encoder.rescaler.inverse_value(2, mean_rescaled)
         assert result[2] == pytest.approx(expected_raw, abs=1e-8)
+
+    def test_impossible_condition_maps_to_none(self, caplog):
+        # feature 0 at 0.75 is blocked, as in test_impossible_condition_raises:
+        # every flagged feature is conditioned on it and falls back to None
+        a = 0.75
+        xi = orthonormal_basis(2, a)
+        model = product_mps([[xi[1], -xi[0]], [1.0, 0.5], [0.3, 1.0]])
+        model.encoder = LegendreFeatureMap(2, fit_rescaler(np.array([[0.0] * 3, [1.0] * 3])))
+        with caplog.at_level(logging.WARNING, logger="tnad.explain"):
+            result = conditional_expectations(model, [a, 0.2, 0.6], [1, 2])
+        assert result == {1: None, 2: None}
+        failures = [r for r in caplog.records if "conditioning failed" in r.getMessage()]
+        assert len(failures) == 2
 
     def test_all_flagged_degenerates_to_marginals(self):
         model, data = trained_toy_model()

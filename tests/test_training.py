@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -11,11 +12,13 @@ from tnad import (
     DegenerateInputError,
     LegendreFeatureMap,
     MpsModel,
+    NumericalError,
     TrainConfig,
     TtnModel,
     fit,
     fit_rescaler,
     nll_loss,
+    orthonormal_basis,
     score_samples,
     toy_correlated_pairs,
     toy_two_clusters,
@@ -31,10 +34,6 @@ class TestConfig:
         with pytest.raises(DataError):
             TrainConfig(learning_rate=0.6)
         TrainConfig(learning_rate=0.5)
-
-    def test_policy_values(self):
-        with pytest.raises(DataError):
-            TrainConfig(zero_amplitude_policy="explode")
 
     def test_zero_sweeps_allowed(self):
         assert TrainConfig(sweeps=0).sweeps == 0
@@ -74,6 +73,45 @@ class TestNllLoss:
             nll_loss(m, np.empty((0, 3, 2)))
 
 
+class TestZeroAmplitudeSkip:
+    """A sample whose amplitude is exactly zero leaves every loss and gradient.
+
+    Site 0 holds ``(0, 1)`` and feature 0 at 0.5 encodes to ``(1, 0)``, so
+    row 0 has amplitude 0 while the other rows do not.
+    """
+
+    model = MpsModel(
+        [np.array([0.0, 1.0]).reshape(1, 2, 1), np.array([0.6, 0.8]).reshape(1, 2, 1)],
+        center=0,
+    )
+    batch = np.moveaxis(
+        orthonormal_basis(2, np.array([[0.5, 0.2], [0.1, 0.7], [0.9, 0.4], [0.3, 0.95]])), 0, -1
+    )
+
+    def test_zero_amplitude_is_exact(self):
+        log_abs, _ = self.model.log_amplitudes(self.batch)
+        assert log_abs[0] == -np.inf
+        assert np.isfinite(log_abs[1:]).all()
+
+    def test_nll_loss_averages_the_other_rows(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="tnad.training"):
+            loss = nll_loss(self.model, self.batch)
+        assert loss == pytest.approx(nll_loss(self.model, self.batch[1:]), rel=1e-14)
+        assert "skipped 1 zero-amplitude samples" in caplog.text
+
+    def test_only_zero_rows_raise(self):
+        with pytest.raises(NumericalError):
+            nll_loss(self.model, self.batch[:1])
+
+    def test_gradient_ignores_the_zero_row(self, caplog):
+        merged = self.model.merge_edge((0, 1))
+        with caplog.at_level(logging.WARNING, logger="tnad.training"):
+            grad = two_site_gradient(self.model, (0, 1), merged, self.batch)
+        expected = two_site_gradient(self.model, (0, 1), merged, self.batch[1:])
+        np.testing.assert_allclose(grad, expected, rtol=1e-14, atol=1e-15)
+        assert "skipped 1 zero-amplitude samples" in caplog.text
+
+
 def finite_difference_gradient(model, edge, merged, batch, coords, h=1e-5):
     """Central differences of the NLL through a full-tensor contraction.
 
@@ -104,7 +142,7 @@ def well_conditioned_batch(rng, model, size):
     """Random encodings filtered to avoid near-zero amplitudes.
 
     Finite differences of the log-likelihood lose accuracy where an
-    amplitude nearly vanishes; the vanishing case has its own policy tests.
+    amplitude nearly vanishes; :class:`TestZeroAmplitudeSkip` covers the vanishing case.
     """
     pool = helpers.random_encoded(rng, 8 * size, model_sites(model), model.phys_dim)
     log_abs, _ = model.log_amplitudes(pool)
@@ -287,13 +325,13 @@ class TestLineSearch:
     def start(self, merged):
         merged = np.array(merged) / np.linalg.norm(merged)
         psi = training._contract_fractions(merged, self.left, self.right)
-        return merged, training._score(psi, self.log_scale, "skip")
+        return merged, training._score(psi, self.log_scale)
 
     def search(self, merged, current, grad, step):
         # left = eye(2): the sample weights are the gradient and K = I
         weights = np.array(grad)
         return training._line_search(
-            current, weights, weights, np.sum(np.square(merged)), step, self.log_scale, "skip"
+            current, weights, weights, np.sum(np.square(merged)), step, self.log_scale
         )
 
     def test_descent_doubles_at_most_three_times(self):
