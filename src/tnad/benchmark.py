@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,12 +58,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        _check_keys(cls, None, payload)
+        _check_section(cls, None, payload)
         payload = dict(payload)
         train = payload.pop("train", {})
         pollution = payload.pop("pollution", {})
-        _check_keys(TrainConfig, "train", train)
-        _check_keys(PollutionPlan, "pollution", pollution)
+        _check_section(TrainConfig, "train", train)
+        _check_section(PollutionPlan, "pollution", pollution)
         if "kinds" in pollution:
             pollution = {**pollution, "kinds": tuple(pollution["kinds"])}
         return cls(train=TrainConfig(**train), pollution=PollutionPlan(**pollution), **payload)
@@ -70,14 +72,49 @@ class RunConfig:
         return asdict(self)
 
 
-def _check_keys(kind, section: str | None, values) -> None:
-    """Refuse a config section that is not a mapping of fields of the dataclass ``kind``."""
+def _check_section(kind, section: str | None, values) -> None:
+    """Refuse a config section that is not a mapping of fields of the dataclass ``kind``.
+
+    Each value must fit its field's annotation: an ``int`` field takes an
+    int but not a bool, a ``float`` field an int or a float, ``None`` only
+    where the field allows it, and ``kinds`` a list of strings.
+    """
     name = "config" if section is None else f"config section {section!r}"
     if not isinstance(values, dict):
         raise DataError(f"{name} must be a JSON object, got {type(values).__name__}")
-    unknown = set(values) - {f.name for f in fields(kind)}
+    hints = typing.get_type_hints(kind)
+    unknown = set(values) - set(hints)
     if unknown:
         raise DataError(f"unknown keys in {name}: {sorted(unknown)}")
+    for key, value in values.items():
+        if not _fits(value, hints[key]):
+            raise DataError(
+                f"{name}: key {key!r} must be {_describe(hints[key])}, got {value!r}"
+            )
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value may fill a field annotated ``hint``; sections are checked apart."""
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is type(None):
+        return value is None
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, option) for option in typing.get_args(hint))
+    return True
+
+
+def _describe(hint) -> str:
+    """The values a field annotated ``hint`` takes, as a config error names them."""
+    if isinstance(hint, types.UnionType):
+        return " or ".join(map(_describe, typing.get_args(hint)))
+    if typing.get_origin(hint) is tuple:
+        return "a list of strings"
+    return {int: "an integer", float: "a number", type(None): "null"}[hint]
 
 
 @dataclass

@@ -7,6 +7,11 @@ kernels the network code is built on, a truncated singular value
 decomposition with an explicit account of the discarded weight, and the
 BLAS thread pin the public entry points run under, :func:`single_blas_thread`.
 
+:func:`truncated_svd` splits at a training threshold through the
+eigendecomposition of the smaller Gram matrix, forming only the kept
+factors, and keeps LAPACK's ``gesdd`` for exact splits, whose cut may fall
+among values that are rounding noise in the Gram matrix.
+
 :func:`batched_transfer` is the per-sample message step of amplitudes
 and training environments, for an MPS core and for a tree node alike;
 :func:`renormalize_rows` keeps those messages at unit norm with a log
@@ -240,6 +245,13 @@ class SvdResult:
         return len(self.singular_values)
 
 
+# Smallest relative threshold split on the Gram route. ``eigh`` finds the
+# squared values ``s**2`` only to about ``eps * s_max**2``, so a value kept
+# below about 1e-7 ``s_max`` would be rounding noise there: such cuts, and
+# exact splits (threshold 0), run through LAPACK's ``gesdd``.
+_GRAM_MIN_THRESHOLD = 1e-7
+
+
 @single_blas_thread()
 def truncated_svd(
     m: np.ndarray,
@@ -253,6 +265,14 @@ def truncated_svd(
     singular value so that truncation is invariant under rescaling of ``m``.
     Ties are broken deterministically by keeping earlier (larger) values.
     Runs under :func:`single_blas_thread`.
+
+    A threshold of at least ``1e-7`` (training's cut) takes the Gram route
+    of :func:`_svd_via_gram`: one eigendecomposition of the smaller Gram
+    matrix, and only the kept rows of the other factor. A smaller threshold
+    may keep values that are rounding noise in the Gram matrix, so it goes
+    to LAPACK's ``gesdd``, as does a split whose ``eigh`` fails or whose
+    Gram matrix over- or underflows; the Gram route in turn serves a
+    ``gesdd`` that fails to converge.
 
     Raises
     ------
@@ -271,36 +291,62 @@ def truncated_svd(
     if not np.any(m):
         raise DegenerateInputError("cannot decompose an all-zero matrix")
 
+    if rel_threshold >= _GRAM_MIN_THRESHOLD:
+        try:
+            return _svd_via_gram(m, rel_threshold, max_rank)
+        except np.linalg.LinAlgError:
+            pass  # eigh failed or the Gram matrix over- or underflowed
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; fall back to the slower
-        # but more robust QR-based driver via the Gram matrix route.
-        u, s, vt = _svd_via_gram(m)
+        # gesdd occasionally fails to converge
+        return _svd_via_gram(m, rel_threshold, max_rank)
 
-    keep = int(np.count_nonzero(s >= rel_threshold * s[0]))
-    keep = min(keep, int(np.count_nonzero(s > 0.0)))
-    if max_rank is not None:
-        keep = min(keep, max_rank)
-    keep = max(keep, 1)
-
-    discarded = float(np.sum(s[keep:] ** 2))
+    keep = _kept_rank(s, rel_threshold, max_rank)
     return SvdResult(
         left_isometry=np.ascontiguousarray(u[:, :keep]),
         singular_values=s[:keep].copy(),
         right_isometry=np.ascontiguousarray(vt[:keep, :]),
-        discarded_weight=discarded,
+        discarded_weight=float(np.sum(s[keep:] ** 2)),
     )
 
 
-def _svd_via_gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD through the smaller Gram matrix's symmetric eigendecomposition."""
-    if m.shape[0] > m.shape[1]:
-        v, s, ut = _svd_via_gram(m.T)
-        return ut.T, s, v.T
-    w, u = np.linalg.eigh(m @ m.T)
-    order = np.argsort(w)[::-1]
-    w, u = w[order], u[:, order]
-    s = np.sqrt(np.clip(w, 0.0, None))
-    vt = (u.T @ m) / np.where(s > 0, s, 1.0)[:, None]
-    return u, s, vt
+def _kept_rank(s: np.ndarray, rel_threshold: float, max_rank: int | None) -> int:
+    """How many of the non-increasing singular values ``s`` the cut keeps."""
+    keep = int(np.count_nonzero(s >= rel_threshold * s[0]))
+    keep = min(keep, int(np.count_nonzero(s > 0.0)))
+    if max_rank is not None:
+        keep = min(keep, max_rank)
+    return max(keep, 1)
+
+
+def _svd_via_gram(m: np.ndarray, rel_threshold: float, max_rank: int | None) -> SvdResult:
+    """Truncated SVD through the smaller Gram matrix's symmetric eigendecomposition.
+
+    With ``a`` the wide one of ``m`` and ``mᵀ``, ``eigh`` of ``a aᵀ = U
+    diag(λ) Uᵀ`` gives ``s = sqrt(λ)``, each ``λ`` clipped at 0, and the cut
+    on it. Only the ``k`` kept rows ``Uₖᵀ a`` of the other factor are
+    formed; one QR of their transpose, its signs fixed so that ``diag(R) >
+    0``, makes them orthonormal rows along the same directions. The
+    discarded weight is the sum of the dropped (clipped) eigenvalues.
+    Raises ``LinAlgError`` if ``eigh`` does not converge or the spectrum is
+    not finite and positive (the Gram matrix over- or underflowed).
+    """
+    a = m if m.shape[0] <= m.shape[1] else m.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a @ a.T
+    w, u = np.linalg.eigh(gram)
+    s = np.sqrt(np.clip(w[::-1], 0.0, None))  # eigh's order is ascending
+    if not (np.isfinite(s).all() and s[0] > 0.0):
+        raise np.linalg.LinAlgError("the Gram matrix's spectrum is not finite and positive")
+    keep = _kept_rank(s, rel_threshold, max_rank)
+    u = u[:, ::-1][:, :keep]
+    q, r = np.linalg.qr(a.T @ u)
+    q *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    left, right = (u, q.T) if a is m else (q, u.T)
+    return SvdResult(
+        left_isometry=np.ascontiguousarray(left),
+        singular_values=s[:keep].copy(),
+        right_isometry=np.ascontiguousarray(right),
+        discarded_weight=float(np.sum(s[keep:] ** 2)),
+    )

@@ -393,9 +393,26 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
         return StepStats(edge, 0.0, loss_before, loss_before, skipped, error)
 
     env.push(*edge)
-    after = model.merge_edge(edge)
-    loss_after, _ = _mean_nll(_log_abs(_contract_fractions(after, left, right), log_scale))
+    loss_after, _ = _mean_nll(_log_abs(_node_fractions(model, edge, factor_list), log_scale))
     return StepStats(edge, discarded, loss_before, loss_after, skipped, None)
+
+
+def _node_fractions(model, edge, factor_list) -> np.ndarray:
+    """Per-sample rescaled amplitudes of the two node tensors of ``edge``.
+
+    Each node meets the combined factors of its own axes, on the split's
+    bipartition (not :func:`_factor_pair`'s), and the two ``(n, k)``
+    results meet over the bond: ``O(n (W1 + W2) k)`` for node widths
+    ``W1``, ``W2`` and bond ``k``, with no merged tensor formed.
+    """
+    psi, start = 1.0, 0
+    first, second = model._pair(edge)
+    for u, v in ((first, second), (second, first)):
+        node = np.moveaxis(model.tensors[u], model.axis_to(u, v), -1)
+        stop = start + node.ndim - 1
+        psi = psi * (_combine_factors(factor_list[start:stop]) @ node.reshape(-1, node.shape[-1]))
+        start = stop
+    return psi.sum(axis=1)
 
 
 def _cached_nll(model, env, edge) -> float:

@@ -112,6 +112,38 @@ class TestRunConfig:
         with pytest.raises(DataError, match="'train' must be a JSON object"):
             RunConfig.from_dict({"train": []})
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"train": {"sweeps": "2"}}, "'train': key 'sweeps' must be an integer"),
+            ({"train": {"sweeps": True}}, "'train': key 'sweeps' must be an integer"),
+            ({"train": {"max_bond": 4.0}}, "'train': key 'max_bond' must be an integer"),
+            ({"train": {"learning_rate": "0.1"}}, "'train': key 'learning_rate' must be a number"),
+            ({"train": {"lr_decay": False}}, "'train': key 'lr_decay' must be a number"),
+            ({"train": {"seed": None}}, "'train': key 'seed' must be an integer, got None"),
+            ({"train": {"batch_size": 2.5}}, "'train': key 'batch_size' must be an integer or null"),
+            ({"pollution": {"kinds": "global"}}, "'pollution': key 'kinds' must be a list of str"),
+            ({"pollution": {"kinds": ["global", 1]}}, "'pollution': key 'kinds' must be a list"),
+            ({"pollution": {"noise_scale": [3]}}, "'pollution': key 'noise_scale' must be a number"),
+            ({"phys_dim": "4"}, "config: key 'phys_dim' must be an integer"),
+            ({"margin": None}, "config: key 'margin' must be a number"),
+        ],
+    )
+    def test_value_types_rejected(self, payload, message):
+        with pytest.raises(DataError) as caught:
+            RunConfig.from_dict(payload)
+        assert message in str(caught.value)
+
+    def test_value_types_accepted(self):
+        config = RunConfig.from_dict({
+            "margin": 0,
+            "train": {"lr_decay": 1, "batch_size": None, "sweeps": 2},
+            "pollution": {"kinds": ["global"], "noise_scale": 2},
+        })
+        assert config.margin == 0 and config.train.lr_decay == 1
+        assert config.train.batch_size is None and config.train.sweeps == 2
+        assert config.pollution.kinds == ("global",)
+
     def test_k_sigma_is_not_a_config_key(self):
         # the explanation threshold is the ``tnad explain --k-sigma`` option
         with pytest.raises(DataError, match="k_sigma"):

@@ -215,6 +215,19 @@ class TestExitCodes:
         assert "unknown keys in config section 'train'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_mistyped_train_value_exits_two(self, workspace, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"sweeps": "2"}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnad.cli", "train",
+             "--data", str(workspace / "train.csv"), "--config", str(config),
+             "--out", str(tmp_path / "model.tnad")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "config section 'train': key 'sweeps' must be an integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_success_exits_zero(self, workspace):
         proc = subprocess.run(
             [sys.executable, "-m", "tnad.cli", "score",

@@ -193,6 +193,96 @@ class TestGramFallback:
         np.testing.assert_allclose(np.sum((m - recon) ** 2), r.discarded_weight, rtol=1e-10)
 
 
+def flat_matrix(shape, seed):
+    """A Gaussian matrix: its spectrum is flat at the cuts below, like a training split's."""
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+class TestGramRoute:
+    """``tensors._svd_via_gram``, the route of a split at a training threshold, against gesdd."""
+
+    @pytest.mark.parametrize(
+        "shape, cap",
+        [((200, 200), 40), ((256, 256), 16), ((256, 128), 16), ((128, 256), 16)],
+        ids=["mps-200x200", "tree-256x256", "tall-256x128", "wide-128x256"],
+    )
+    def test_matches_gesdd(self, shape, cap):
+        m = flat_matrix(shape, sum(shape) + cap)
+        r = tensors._svd_via_gram(m, 1e-4, cap)
+        s = np.linalg.svd(m, compute_uv=False)
+        assert r.rank == cap
+        u, vt = r.left_isometry, r.right_isometry
+        assert u.shape == (shape[0], cap) and vt.shape == (cap, shape[1])
+        assert np.abs(u.T @ u - np.eye(cap)).max() <= 1e-10
+        assert np.abs(vt @ vt.T - np.eye(cap)).max() <= 1e-10
+        assert np.abs(r.singular_values - s[:cap]).max() <= 1e-12 * s[0]
+        assert abs(r.discarded_weight - np.sum(s[cap:] ** 2)) <= 1e-12 * np.sum(m * m)
+        # the factors span the same subspaces as gesdd's, with the same signs
+        recon = u * r.singular_values @ vt
+        u_ref, _, vt_ref = np.linalg.svd(m, full_matrices=False)
+        reference = u_ref[:, :cap] * s[:cap] @ vt_ref[:cap]
+        assert np.abs(recon - reference).max() <= 1e-10 * s[0]
+
+    def test_cut_on_the_threshold(self):
+        m = np.diag([4.0, 2.0, 1e-3, 1e-5])
+        r = tensors._svd_via_gram(m, 1e-4, None)
+        assert r.rank == 3
+        np.testing.assert_allclose(r.singular_values, [4.0, 2.0, 1e-3], rtol=1e-12)
+        assert r.discarded_weight == pytest.approx(1e-10, rel=1e-6)
+
+
+class TestSplitRoute:
+    """Which route ``truncated_svd`` takes, counted at numpy's ``svd`` and ``eigh``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"svd": 0, "eigh": 0}
+        for name in counts:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("cap", [None, 3], ids=["no-cap", "cap"])
+    def test_exact_split_takes_gesdd(self, calls, cap):
+        truncated_svd(flat_matrix((6, 9), 20), rel_threshold=0.0, max_rank=cap)
+        assert calls == {"svd": 1, "eigh": 0}
+
+    def test_below_the_gram_threshold_takes_gesdd(self, calls):
+        truncated_svd(flat_matrix((6, 9), 21), rel_threshold=1e-8, max_rank=3)
+        assert calls == {"svd": 1, "eigh": 0}
+
+    @pytest.mark.parametrize("cap", [None, 3], ids=["no-cap", "cap"])
+    def test_training_threshold_takes_eigh(self, calls, cap):
+        truncated_svd(flat_matrix((6, 9), 22), rel_threshold=1e-4, max_rank=cap)
+        assert calls == {"svd": 0, "eigh": 1}
+
+    def test_failing_eigh_lands_on_gesdd(self, calls, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        m = flat_matrix((6, 9), 23)
+        r = truncated_svd(m, rel_threshold=1e-4, max_rank=3)
+        assert calls["svd"] == 1
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        np.testing.assert_array_equal(r.singular_values, s[:3])
+        np.testing.assert_array_equal(r.left_isometry, u[:, :3])
+        np.testing.assert_array_equal(r.right_isometry, vt[:3])
+        assert r.discarded_weight == float(np.sum(s[3:] ** 2))
+
+    def test_overflowing_gram_lands_on_gesdd(self, calls):
+        q, _ = np.linalg.qr(flat_matrix((4, 4), 24))
+        r = truncated_svd(1e155 * q, rel_threshold=1e-4)
+        assert calls["svd"] == 1
+        np.testing.assert_allclose(r.singular_values, np.full(4, 1e155), rtol=1e-12)
+        assert r.discarded_weight == 0.0
+
+
 class TestSingleBlasThread:
     """The one-thread pin around numpy's OpenBLAS."""
 
@@ -235,19 +325,21 @@ class TestSingleBlasThread:
 
 # Child process for the thread-count test: a truncated SVD of one seeded
 # matrix, printed as a hash of its factors' bytes. On the "gram" route
-# LAPACK's SVD is made to fail, as in TestGramFallback.
+# LAPACK's SVD is made to fail, as in TestGramFallback; a case that names a
+# threshold and a cap splits at them (exact splits otherwise).
 SVD_CHILD = """
 import hashlib, sys
 import numpy as np
 from tnad import truncated_svd
-route, shape = sys.argv[1].split(":")
+route, shape, *cut = sys.argv[1].split(":")
 rows, cols = map(int, shape.split("x"))
 m = np.random.default_rng(7).standard_normal((rows, cols))
 if route == "gram":
     def refuse(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
     np.linalg.svd = refuse
-r = truncated_svd(m)
+threshold, cap = (float(cut[0]), int(cut[1])) if cut else (0.0, None)
+r = truncated_svd(m, threshold, cap)
 factors = (r.left_isometry, r.singular_values, r.right_isometry)
 print(hashlib.sha256(b"".join(np.ascontiguousarray(f).tobytes() for f in factors)).hexdigest())
 """
@@ -256,12 +348,13 @@ print(hashlib.sha256(b"".join(np.ascontiguousarray(f).tobytes() for f in factors
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 CPUs")
 @pytest.mark.parametrize(
     "case",
-    ["gram:200x130", "gram:130x200", "gesdd:175x175", "gesdd:256x176"],
-    ids=["tall", "wide", "gesdd-175x175", "gesdd-256x176"],
+    ["gram:200x130", "gram:130x200", "gesdd:175x175", "gesdd:256x176", "eigh:256x256:1e-4:16"],
+    ids=["tall", "wide", "gesdd-175x175", "gesdd-256x176", "eigh-256x256-cut"],
 )
 def test_gram_svd_repeats_across_blas_thread_counts(case):
     # the Gram route multiplies by transposed views (m.T, u.T) and by
     # eigh's column-major eigenvectors; gesdd threads its own steps at 154
-    # rows or more (an MPS split at bond 35, a tree split at bonds 16 and 11)
+    # rows or more (an MPS split at bond 35, a tree split at bonds 16 and 11);
+    # the last case is a tree split at training's threshold and cap
     one, two = (helpers.run_in_child(SVD_CHILD, case, n) for n in (1, 2))
     assert one == two

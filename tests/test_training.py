@@ -274,6 +274,36 @@ class TestTwoSiteStep:
         assert report.step_errors == ["sweep 0, edge (0, 1): split refused"]
 
 
+class TestLossAfter:
+    """``StepStats.loss_after`` is priced from the two new node tensors, not a re-merge."""
+
+    @pytest.mark.parametrize(
+        "kind, edge",
+        # the MPS end edge splits (1, 3, 3, 4) as 3 | 12, _factor_pair as 9 | 4;
+        # the tree edge from node 4 to the root splits 16 | 4, _factor_pair 4 | 16
+        [("mps", (0, 1)), ("mps", (2, 3)), ("ttn", (4, 0))],
+        ids=["mps-end", "mps-inner", "tree"],
+    )
+    def test_equals_the_nll_of_the_merged_split(self, kind, edge):
+        if kind == "mps":
+            model = MpsModel.random(6, 3, init_bond=4, seed=12)
+        else:
+            model = TtnModel.random(8, 3, init_bond=4, seed=12)
+        model.canonicalize(edge[0])
+        batch = well_conditioned_batch(np.random.default_rng(13), model, 40)
+        env = model.environment_cache(batch)
+        config = TrainConfig(learning_rate=5e-3, inner_steps=3, max_bond=2)
+        stats = two_site_step(model, edge, env, None, 5e-3, config)
+        assert stats.error is None
+        assert stats.discarded_weight > 0.0  # the cap truncated the split
+        factor_list, log_scale = env.factors(edge)
+        psi = training._contract_fractions(
+            model.merge_edge(edge), *training._factor_pair(factor_list)
+        )
+        expected, _ = training._mean_nll(training._log_abs(psi, log_scale))
+        assert stats.loss_after == pytest.approx(expected, rel=1e-12)
+
+
 class TestSampleSpaceStep:
     """``two_site_step`` against the tensor-space reference step of ``helpers``."""
 
