@@ -14,7 +14,7 @@ from tnad import (
     all_to_all_mi,
     fit,
     fit_rescaler,
-    histogram_mi,
+    histogram_mi_matrix,
     toy_correlated_pairs,
 )
 
@@ -27,12 +27,7 @@ fit(model, encoder.encode_batch(data),
 
 matrices = all_to_all_mi(model)
 
-n = data.shape[1]
-estimate = np.zeros((n, n))
-for i in range(n):
-    for j in range(i + 1, n):
-        estimate[i, j] = estimate[j, i] = histogram_mi(data, i, j)
-
+estimate = histogram_mi_matrix(data)
 peak = estimate.max()
 estimate_display = estimate / peak if peak > 0 else estimate
 

@@ -62,7 +62,14 @@ from .explain import (
     reduced_density_matrix,
     von_neumann_entropy,
 )
-from .metrics import auc_roc, eer_threshold, histogram_bin_count, histogram_mi, score_samples
+from .metrics import (
+    auc_roc,
+    eer_threshold,
+    histogram_bin_count,
+    histogram_mi,
+    histogram_mi_matrix,
+    score_samples,
+)
 from .mps import MpsModel
 from .persist import load_model, save_model
 from .tensors import SvdResult, truncated_svd
@@ -114,6 +121,7 @@ __all__ = [
     "generate_anomalies",
     "histogram_bin_count",
     "histogram_mi",
+    "histogram_mi_matrix",
     "load_csv",
     "load_model",
     "marginal_moments",

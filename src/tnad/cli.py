@@ -21,7 +21,7 @@ from .data import DatasetSpec, load_csv
 from .encoding import LegendreFeatureMap, fit_rescaler
 from .errors import NumericalError, TnadError
 from .explain import all_to_all_mi, explain_sample
-from .metrics import histogram_mi, score_samples
+from .metrics import histogram_mi_matrix, score_samples
 from .persist import load_model, save_model
 from .training import fit
 
@@ -147,11 +147,7 @@ def mi(source, model_file, data, label_column, display, out):
         if data is None:
             raise click.ClickException("--from data needs --data")
         features, _ = load_csv(_dataset_spec(data, label_column, ()))
-        n = features.shape[1]
-        matrix = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                matrix[i, j] = matrix[j, i] = histogram_mi(features, i, j)
+        matrix = histogram_mi_matrix(features)
         if display:
             peak = matrix.max()
             matrix = matrix / peak if peak > 0 else matrix

@@ -10,6 +10,7 @@ hands them to a trainer.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -86,8 +87,17 @@ def load_csv(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray | None]:
     anomaly) or None when the spec names no label column. A label column
     with no ``anomaly_labels`` is simply dropped from the features (useful
     when scoring unlabeled copies of labeled files). Row order is the file
-    order. Parse problems report the 1-based file line; a non-numeric or
-    non-finite (``nan``, ``inf``) cell also names its column.
+    order. The dialect is comma-separated with optional double quotes and
+    no comment character; blank lines are skipped and cells and header
+    names are stripped of surrounding whitespace. A header that names a
+    column twice is refused. Parse problems report the 1-based file line;
+    a non-numeric or non-finite (``nan``, ``inf``) cell also names its
+    column.
+
+    The body is parsed by numpy's C reader straight from the file; any
+    file that reader could read differently from Python's ``float`` goes
+    through the row-by-row parser instead (see ``_c_reader_body``), so
+    both routes return the same arrays and the same errors.
     """
     path = Path(spec.path)
     if not path.exists():
@@ -99,37 +109,104 @@ def load_csv(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray | None]:
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
-        columns = {name: i for i, name in enumerate(header)}
+        columns: dict[str, int] = {}
+        for i, name in enumerate(header):
+            if columns.setdefault(name, i) != i:
+                raise DataError(f"{path}: header names column {name!r} twice")
         if spec.label_column is not None and spec.label_column not in columns:
             raise DataError(f"{path}: missing label column {spec.label_column!r}")
         feature_names = [h for h in header if h != spec.label_column]
         if not feature_names:
             raise DataError(f"{path}: no feature columns left")
         feature_idx = [columns[c] for c in feature_names]
-        label_idx = columns[spec.label_column] if spec.label_column is not None else None
+        label_idx = None
+        if spec.label_column is not None and spec.anomaly_labels:
+            label_idx = columns[spec.label_column]
+        body = _c_reader_body(
+            path, handle.encoding, len(header), feature_idx, label_idx, spec.anomaly_labels
+        )
+        if body is None:
+            body = _parse_rows(
+                reader, path, len(header), feature_names, feature_idx, label_idx,
+                spec.anomaly_labels,
+            )
+    features, label_array = body
+    if label_array is not None and (label_array.all() or not label_array.any()):
+        raise DataError(
+            f"{path}: label column {spec.label_column!r} contains only one class"
+        )
+    return features, label_array
 
-        rows, line_nos, labels = [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
+
+def _c_reader_body(path, encoding, n_fields, feature_idx, label_idx, anomaly_labels):
+    """Features and labels from numpy's C reader, or None to use the row parser.
+
+    With ``usecols`` the C reader accepts rows with missing or extra
+    fields, and it refuses some cells ``float`` takes (``1_000``,
+    full-width digits, whitespace-only lines). So one streaming pass over
+    the lines first hands the file back when a line holds a double quote
+    or a non-blank line's field count differs from the header's; a cell
+    the reader refuses, a non-finite value or a row count that differs
+    from that pass's does the same. Label cells are read as stripped
+    strings, because labels compare as strings (``"1"`` is not ``"1.0"``).
+    """
+    n_lines = 0
+    with path.open(encoding=encoding) as handle:
+        for line in handle:
+            if '"' in line:
+                return None
+            if line.strip():
+                if line.count(",") != n_fields - 1:
+                    return None
+                n_lines += 1
+    if n_lines < 2:
+        return None
+    options = dict(delimiter=",", skiprows=1, comments=None, encoding=encoding)
+    try:
+        features = np.loadtxt(path, usecols=feature_idx, ndmin=2, **options)
+        labels = None
+        if label_idx is not None:
+            with warnings.catch_warnings():
+                # string reads note each blank line they skip
+                warnings.simplefilter("ignore", UserWarning)
+                cells = np.loadtxt(path, dtype=str, usecols=label_idx, ndmin=1, **options)
+            labels = np.isin(np.char.strip(cells), list(anomaly_labels))
+    except ValueError:
+        return None
+    if len(features) != n_lines - 1 or not np.isfinite(features).all():
+        return None
+    return features, labels
+
+
+def _parse_rows(reader, path, n_fields, feature_names, feature_idx, label_idx, anomaly_labels):
+    """Features and labels from ``csv.reader`` rows, converted cell by cell.
+
+    Raises the ``DataError`` that names the line (and column) of the first
+    malformed row or cell.
+    """
+    wanted = set(anomaly_labels)
+    rows, line_nos, labels = [], [], []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != n_fields:
+            raise DataError(
+                f"{path}: line {line_no} has {len(row)} fields, expected {n_fields}"
+            )
+        values = np.empty(len(feature_idx))
+        for k, idx in enumerate(feature_idx):
+            cell = row[idx].strip()
+            try:
+                values[k] = float(cell)
+            except ValueError:
                 raise DataError(
-                    f"{path}: line {line_no} has {len(row)} fields, expected {len(header)}"
-                )
-            values = np.empty(len(feature_idx))
-            for k, idx in enumerate(feature_idx):
-                cell = row[idx].strip()
-                try:
-                    values[k] = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {line_no}, column {feature_names[k]!r}: "
-                        f"non-numeric value {cell!r}"
-                    ) from None
-            rows.append(values)
-            line_nos.append(line_no)
-            if label_idx is not None:
-                labels.append(row[label_idx].strip() in set(spec.anomaly_labels))
+                    f"{path}: line {line_no}, column {feature_names[k]!r}: "
+                    f"non-numeric value {cell!r}"
+                ) from None
+        rows.append(values)
+        line_nos.append(line_no)
+        if label_idx is not None:
+            labels.append(row[label_idx].strip() in wanted)
 
     if not rows:
         raise DataError(f"{path}: no data rows")
@@ -140,14 +217,7 @@ def load_csv(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray | None]:
             f"{path}: line {line_nos[row]}, column {feature_names[col]!r}: "
             f"non-finite value {features[row, col]}"
         )
-    label_array = None
-    if label_idx is not None and spec.anomaly_labels:
-        label_array = np.asarray(labels, dtype=bool)
-        if label_array.all() or not label_array.any():
-            raise DataError(
-                f"{path}: label column {spec.label_column!r} contains only one class"
-            )
-    return features, label_array
+    return features, (np.asarray(labels, dtype=bool) if label_idx is not None else None)
 
 
 def generate_anomalies(

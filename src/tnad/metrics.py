@@ -17,7 +17,14 @@ from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["score_samples", "auc_roc", "eer_threshold", "histogram_mi", "histogram_bin_count"]
+__all__ = [
+    "score_samples",
+    "auc_roc",
+    "eer_threshold",
+    "histogram_mi",
+    "histogram_mi_matrix",
+    "histogram_bin_count",
+]
 
 
 def score_samples(model, encoded: np.ndarray) -> np.ndarray:
@@ -98,18 +105,77 @@ def histogram_mi(data: np.ndarray, i: int, j: int) -> float:
     """Plug-in mutual information between two feature columns (nats).
 
     Uses equal-width 2-D histograms with the low-bias bin-count rule
-    applied per axis. A constant column carries no information and returns
-    0 with a warning.
+    applied per axis, binned as ``np.histogram2d`` bins. A constant column
+    carries no information and gives 0 with a warning. Equals entry
+    ``(i, j)`` of :func:`histogram_mi_matrix` for ``i != j``; with
+    ``i == j`` it is the column's histogram entropy.
     """
+    data = _mi_table(data)
+    n_features = data.shape[1]
+    for k in (i, j):
+        if not 0 <= k < n_features:
+            raise DataError(f"feature index {k} outside [0, {n_features})")
+    i, j = min(i, j), max(i, j)
+    bins = histogram_bin_count(data.shape[0])
+    x = _bin_codes(data, i, bins)
+    y = x if j == i else _bin_codes(data, j, bins)
+    if x is None or y is None:
+        return 0.0
+    return _plug_in_mi(x * bins + y, bins)
+
+
+def histogram_mi_matrix(data: np.ndarray) -> np.ndarray:
+    """All-pairs plug-in mutual information (nats), symmetric, zero diagonal.
+
+    Entry ``(i, j)`` equals ``histogram_mi(data, i, j)``; each column is
+    binned once instead of once per pair. A constant column gives a zero
+    row and column and one warning.
+    """
+    data = _mi_table(data)
+    n_features = data.shape[1]
+    bins = histogram_bin_count(data.shape[0])
+    codes = [_bin_codes(data, k, bins) for k in range(n_features)]
+    matrix = np.zeros((n_features, n_features))
+    for i in range(n_features):
+        if codes[i] is None:
+            continue
+        row_codes = codes[i] * bins
+        for j in range(i + 1, n_features):
+            if codes[j] is not None:
+                matrix[i, j] = matrix[j, i] = _plug_in_mi(row_codes + codes[j], bins)
+    return matrix
+
+
+def _mi_table(data) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 30:
         raise DataError("histogram MI needs a (samples, features) matrix with >= 30 rows")
-    x, y = data[:, i], data[:, j]
-    if x.min() == x.max() or y.min() == y.max():
-        logger.warning("histogram_mi: constant feature in pair (%d, %d)", i, j)
-        return 0.0
-    bins = histogram_bin_count(data.shape[0])
-    joint, _, _ = np.histogram2d(x, y, bins=bins)
+    if not np.isfinite(data).all():
+        raise DataError("histogram MI needs finite values")
+    return data
+
+
+def _bin_codes(data: np.ndarray, k: int, bins: int) -> np.ndarray | None:
+    """Bin of each value of column ``k`` on ``np.histogram2d``'s edges.
+
+    The edges split ``[min, max]`` into ``bins`` equal widths; a value on
+    an inner edge goes to the bin above it and the maximum to the last
+    bin. None (with a warning) for a constant column.
+    """
+    column = data[:, k]
+    low, high = column.min(), column.max()
+    if low == high:
+        logger.warning("histogram_mi: feature %d is constant and carries no information", k)
+        return None
+    edges = np.linspace(low, high, bins + 1)
+    codes = np.searchsorted(edges, column, side="right") - 1
+    codes[column == edges[-1]] -= 1
+    return codes
+
+
+def _plug_in_mi(pair_codes: np.ndarray, bins: int) -> float:
+    """Plug-in MI of the joint histogram of ``x_bin * bins + y_bin`` codes."""
+    joint = np.bincount(pair_codes, minlength=bins * bins).reshape(bins, bins).astype(np.float64)
     joint /= joint.sum()
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)

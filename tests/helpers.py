@@ -262,3 +262,24 @@ def random_encoded(rng, n_samples, n_sites, phys_dim):
 
 def random_unit_samples(rng, n_samples, n_sites):
     return rng.uniform(0.0, 1.0, size=(n_samples, n_sites))
+
+
+def histogram2d_mi(data, i, j):
+    """Plug-in MI of columns ``i`` and ``j`` from ``np.histogram2d`` counts.
+
+    The estimator as it stood before the library binned each column once:
+    equal-width bins from the low-bias bin-count rule, 0 for a constant
+    column.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    x, y = data[:, i], data[:, j]
+    if x.min() == x.max() or y.min() == y.max():
+        return 0.0
+    joint, _, _ = np.histogram2d(x, y, bins=tnad.histogram_bin_count(data.shape[0]))
+    joint /= joint.sum()
+    px = joint.sum(axis=1)
+    py = joint.sum(axis=0)
+    mask = joint > 0.0
+    denominator = np.outer(px, py)
+    mi = float((joint[mask] * np.log(joint[mask] / denominator[mask])).sum())
+    return max(mi, 0.0)

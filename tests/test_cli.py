@@ -202,6 +202,17 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
 
+    def test_duplicate_column_exits_two(self, tmp_path):
+        bad = tmp_path / "dup.csv"
+        bad.write_text("a,a,b\n1,2,3\n4,5,6\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnad.cli", "mi", "--from", "data",
+             "--data", str(bad), "--out", str(tmp_path / "mi.csv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "header names column 'a' twice" in proc.stderr
+
     def test_unknown_train_key_exits_two(self, workspace, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"train": {"zero_amplitude_policy": "skip"}}))

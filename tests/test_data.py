@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tnad import data as data_module
 from tnad import (
     DataError,
     DatasetSpec,
@@ -66,6 +67,93 @@ class TestLoadCsv:
     def test_missing_file(self):
         with pytest.raises(DataError, match="no such file"):
             load_csv(DatasetSpec("/nonexistent/file.csv"))
+
+    def test_duplicate_column_name_refused(self, csv_file):
+        path = csv_file("a, a ,b\n1,2,3\n4,5,6\n")
+        with pytest.raises(DataError, match="header names column 'a' twice"):
+            load_csv(DatasetSpec(path))
+
+
+def row_parser_result(spec, monkeypatch):
+    """What ``load_csv`` returns or raises with numpy's C reader switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(data_module, "_c_reader_body", lambda *args: None)
+        try:
+            return load_csv(spec)
+        except DataError as exc:
+            return exc
+
+
+LABELS = dict(label_column="c", anomaly_labels=("1",))
+DROP_C = dict(label_column="c")
+
+# (file body after the header "a,b,c", spec, whether the row parser runs)
+PARITY_CASES = {
+    "whitespace-only line": ("1,2,0\n   \n3,4,1\n", LABELS, True),
+    "underscore digits": ("1_000,2,0\n3,4,1\n", LABELS, True),
+    "quoted number": ('"1.5",2,0\n3,4,1\n', LABELS, True),
+    "hash in a cell": ("1#2,2,0\n3,4,1\n", LABELS, True),
+    "empty cell": (",2,0\n3,4,1\n", LABELS, True),
+    "trailing comma": ("1,2,0,\n3,4,1\n", LABELS, True),
+    "every row one field too many": ("1,2,0,9\n3,4,1,9\n", DROP_C, True),
+    "one short row": ("1,2,0\n3,4\n", DROP_C, True),
+    "nan": ("1,2,0\n3,nan,1\n", LABELS, True),
+    "inf": ("1,2,0\n-inf,4,1\n", LABELS, True),
+    "crlf line ends": ("1,2,0\r\n3,4,1\r\n\r\n5,6,0\r\n", LABELS, False),
+    "blank line": ("1,2,0\n\n3,4,1\n", LABELS, False),
+    "non-numeric labels": ("1,2,normal\n3,4, attack \n5,6,normal\n",
+                           dict(label_column="c", anomaly_labels=("attack",)), False),
+    "label column in the middle": ("1,0,2\n3,1,4\n5,1.0,6\n",
+                                   dict(label_column="b", anomaly_labels=("1",)), False),
+}
+
+
+class TestReaderParity:
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_load_csv_matches_row_parser(self, case, csv_file, monkeypatch):
+        body, spec_args, row_parser_runs = PARITY_CASES[case]
+        path = csv_file(("a,b,c\r\n" if "\r" in body else "a,b,c\n") + body)
+        spec = DatasetSpec(path, **spec_args)
+        expected = row_parser_result(spec, monkeypatch)
+
+        calls = []
+        original = data_module._parse_rows
+        monkeypatch.setattr(data_module, "_parse_rows",
+                            lambda *args: calls.append(1) or original(*args))
+        if isinstance(expected, DataError):
+            with pytest.raises(DataError) as raised:
+                load_csv(spec)
+            assert str(raised.value) == str(expected)
+        else:
+            features, labels = load_csv(spec)
+            np.testing.assert_array_equal(features, expected[0])
+            assert features.dtype == expected[0].dtype
+            if expected[1] is None:
+                assert labels is None
+            else:
+                np.testing.assert_array_equal(labels, expected[1])
+        assert bool(calls) == row_parser_runs
+
+    def test_benchmark_shaped_file_takes_the_c_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        raw = rng.normal(0.0, 5.0, size=(500, 8)) * 10.0 ** rng.uniform(-1, 2, 8)
+        labels = (rng.random(500) < 0.05).astype(int)
+        labels[:2] = (0, 1)
+        path = tmp_path / "test.csv"
+        with open(path, "w") as handle:
+            handle.write(",".join([f"f{j}" for j in range(8)] + ["label"]) + "\n")
+            np.savetxt(handle, np.column_stack([raw, labels]), fmt="%.10g", delimiter=",")
+        spec = DatasetSpec(str(path), label_column="label", anomaly_labels=("1",))
+        expected_features, expected_labels = row_parser_result(spec, monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("the row parser ran")
+
+        monkeypatch.setattr(data_module, "_parse_rows", refuse)
+        features, got_labels = load_csv(spec)
+        np.testing.assert_array_equal(features, expected_features)
+        np.testing.assert_array_equal(got_labels, expected_labels)
+        np.testing.assert_array_equal(got_labels, labels == 1)
 
 
 class TestGenerateAnomalies:

@@ -1,3 +1,4 @@
+import logging
 import os
 
 import numpy as np
@@ -11,6 +12,7 @@ from tnad import (
     eer_threshold,
     histogram_bin_count,
     histogram_mi,
+    histogram_mi_matrix,
     score_samples,
 )
 
@@ -170,6 +172,58 @@ class TestHistogramMi:
     def test_too_few_samples(self):
         with pytest.raises(DataError):
             histogram_mi(np.ones((10, 2)), 0, 1)
+
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 0), (-1, 0), (0, -1)])
+    def test_index_outside_the_columns(self, pair):
+        data = np.random.default_rng(7).uniform(size=(50, 2))
+        with pytest.raises(DataError, match="outside"):
+            histogram_mi(data, *pair)
+
+
+def tied_table(seed, n_rows, n_features):
+    # mixed scales, values rounded onto a grid, several rows at each maximum
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n_rows, n_features)) * 10.0 ** rng.uniform(-2, 2, n_features)
+    data = np.round(data, 2)
+    for k in range(n_features):
+        data[rng.integers(0, n_rows, 4), k] = data[:, k].max()
+    return data
+
+
+class TestHistogramMiMatrix:
+    @pytest.mark.parametrize("seed, n_rows", [(0, 30), (1, 257), (2, 2000)])
+    def test_equals_histogram2d_oracle_bit_for_bit(self, seed, n_rows):
+        data = tied_table(seed, n_rows, 6)
+        matrix = histogram_mi_matrix(data)
+        for i in range(6):
+            assert matrix[i, i] == 0.0
+            for j in range(6):
+                if i != j:
+                    assert matrix[i, j] == helpers.histogram2d_mi(data, min(i, j), max(i, j))
+                    assert histogram_mi(data, i, j) == matrix[i, j]
+
+    def test_constant_column_zero_row_and_column_one_warning(self, caplog):
+        data = tied_table(3, 100, 4)
+        data[:, 2] = 1.5
+        with caplog.at_level(logging.WARNING, logger="tnad.metrics"):
+            matrix = histogram_mi_matrix(data)
+        assert len(caplog.records) == 1
+        assert "feature 2" in caplog.text
+        assert not matrix[2].any() and not matrix[:, 2].any()
+        assert matrix[0, 1] == helpers.histogram2d_mi(data, 0, 1)
+
+    def test_too_few_samples(self):
+        with pytest.raises(DataError, match=">= 30 rows"):
+            histogram_mi_matrix(np.random.default_rng(8).uniform(size=(29, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_refused(self, value):
+        data = tied_table(4, 40, 3)
+        data[5, 1] = value
+        with pytest.raises(DataError, match="finite"):
+            histogram_mi_matrix(data)
+        with pytest.raises(DataError, match="finite"):
+            histogram_mi(data, 0, 1)
 
 
 # Child process for the thread-count test: log amplitudes of 5,000 encoded
