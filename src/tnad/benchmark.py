@@ -160,8 +160,10 @@ def benchmark_arrays(
     mix uses ``seed``, the fold split ``seed + 1``, and fold ``f`` trains
     with ``seed + 2 + f``. ``max_folds`` limits how many folds are actually
     trained (the split is still a full ``n_folds`` partition), which is the
-    desk-scale single-fold mode.
+    desk-scale single-fold mode; it must be at least 1.
     """
+    if max_folds is not None and max_folds < 1:
+        raise DataError(f"max_folds must be >= 1, got {max_folds}")
     plan = config.pollution
     base_train_seed = config.train.seed
     fold_seed = plan.seed + 1

@@ -179,15 +179,19 @@ class LegendreFeatureMap:
             raise DataError(f"feature index {feature_index} out of range")
         return self.encode_unit(self.rescaler.transform_value(feature_index, raw))
 
-    def encode_sample(self, raw_sample) -> np.ndarray:
-        """Encode one raw sample to an (n_features, n_functions) array."""
+    def rescale_sample(self, raw_sample) -> np.ndarray:
+        """Rescale one raw sample of shape ``(n_features,)``; any other shape is refused."""
         self._require_fitted()
         raw = np.asarray(raw_sample, dtype=np.float64)
         if raw.shape != (self.rescaler.n_features,):
             raise DataError(
                 f"sample has {raw.shape} entries, expected ({self.rescaler.n_features},)"
             )
-        return self.encode_unit(self.rescaler.transform(raw))
+        return self.rescaler.transform(raw)
+
+    def encode_sample(self, raw_sample) -> np.ndarray:
+        """Encode one raw sample to an (n_features, n_functions) array."""
+        return self.encode_unit(self.rescale_sample(raw_sample))
 
     def encode_batch(self, raw_matrix) -> np.ndarray:
         """Encode a (samples, n_features) matrix to (samples, n_features, n_functions)."""

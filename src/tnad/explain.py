@@ -570,10 +570,9 @@ def flag_features(model, raw_sample, k_sigma: float = 1.0) -> AnomalyExplanation
         raise DataError(f"k_sigma must be positive and finite, got {k_sigma}")
     encoder = _require_encoder(model)
     raw = np.asarray(raw_sample, dtype=np.float64)
-    encoded = encoder.encode_sample(raw)
-    log_abs, _ = model.log_amplitude(encoded)
+    rescaled = encoder.rescale_sample(raw)
+    log_abs, _ = model.log_amplitude(encoder.encode_unit(rescaled))
     nll = float(-2.0 * log_abs)
-    rescaled = encoder.rescaler.transform(raw)
 
     _, singles = _bond_densities(_analysis_copy(model, 0))
     flags = []
@@ -608,13 +607,12 @@ def conditional_expectations(model, raw_sample, flagged) -> dict[int, float | No
     the feature's marginal one-sigma band; no adjustment is applied.
     """
     encoder = _require_encoder(model)
-    raw = np.asarray(raw_sample, dtype=np.float64)
-    rescaled = encoder.rescaler.transform(raw)
+    rescaled = encoder.rescale_sample(raw_sample)
     flagged = sorted(int(f) for f in flagged)
     if not flagged:
         raise DataError("conditional expectations need at least one flagged feature")
     conditions_all = {
-        i: float(rescaled[i]) for i in range(len(raw)) if i not in set(flagged)
+        i: float(rescaled[i]) for i in range(len(rescaled)) if i not in set(flagged)
     }
     out: dict[int, float | None] = {}
     for f in flagged:

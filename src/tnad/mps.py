@@ -7,8 +7,8 @@ engine in :mod:`tnad.network` the chain's layout, and keeps only its
 seeded construction and the site a sweep starts from. The engine's
 amplitude pass runs from the last site to site 0, and its sweep walk from
 site 0 is the sweep right to the end and back. A merged two-site tensor
-has the documented lower-site-first layout ``(D_left, N, N, D_right)`` in
-either sweep direction.
+keeps edge order, as the tree's does: ``(D_left, N, N, D_right)`` on a
+left-to-right edge and ``(N, D_right, D_left, N)`` on a right-to-left one.
 """
 
 from __future__ import annotations
@@ -112,10 +112,6 @@ class MpsModel(TensorNetwork):
         extent-1 bonds with no neighbor.
         """
         return [("bond", u - 1), ("phys", u), ("bond", u + 1)]
-
-    def _pair(self, edge: tuple[int, int]) -> tuple[int, int]:
-        """Lower site first, whichever way ``edge`` points."""
-        return min(edge), max(edge)
 
     def sweep_start(self) -> int:
         """Site the canonical center must occupy when a sweep begins."""

@@ -279,23 +279,20 @@ class TensorNetwork:
 
     # -- two-site primitives -------------------------------------------------
 
-    def _pair(self, edge: tuple[int, int]) -> tuple[int, int]:
-        """The nodes of ``edge`` in merged-tensor order: here the edge's own."""
-        return edge[0], edge[1]
-
     def merge_edge(self, edge: tuple[int, int]) -> np.ndarray:
         """Contract the two tensors across ``edge`` into one tensor.
 
-        The result's axes are the remaining axes of the first node of
-        :meth:`_pair`, in order, then those of the second. Requires the
-        canonical center at one end of ``edge``. The model is unchanged
-        until :meth:`split_edge` writes the result back.
+        The result's axes are the remaining axes of ``edge[0]``, in order,
+        then those of ``edge[1]``, for either model kind and either
+        direction. Requires the canonical center at one end of ``edge``.
+        The model is unchanged until :meth:`split_edge` writes the result
+        back.
         """
-        first, second = self._pair(edge)
-        ax_first, ax_second = self.axis_to(first, second), self.axis_to(second, first)
+        u, v = edge
+        axes = self.axis_to(u, v), self.axis_to(v, u)
         if self.center not in edge:
-            raise DataError(f"canonical center is at {self.center}, expected {edge[0]} or {edge[1]}")
-        return np.tensordot(self.tensors[first], self.tensors[second], axes=(ax_first, ax_second))
+            raise DataError(f"canonical center is at {self.center}, expected {u} or {v}")
+        return np.tensordot(self.tensors[u], self.tensors[v], axes=axes)
 
     def split_edge(
         self,
@@ -306,36 +303,31 @@ class TensorNetwork:
     ) -> float:
         """Split a merged edge tensor by truncated SVD, the center moving to ``edge[1]``.
 
-        The singular values are absorbed into the tensor at ``edge[1]``,
-        the direction of travel, which is renormalized to unit state norm.
-        Returns the discarded weight (sum of squared truncated singular
-        values).
+        ``merged`` has the layout of :meth:`merge_edge` and is cut between
+        the two nodes' remaining axes. The singular values are absorbed
+        into the tensor at ``edge[1]``, the direction of travel, which is
+        renormalized to unit state norm. Returns the discarded weight (sum
+        of squared truncated singular values).
         """
-        first, second = self._pair(edge)
-        ax_first, ax_second = self.axis_to(first, second), self.axis_to(second, first)
-        first_shape = tuple(d for i, d in enumerate(self.tensors[first].shape) if i != ax_first)
-        second_shape = tuple(d for i, d in enumerate(self.tensors[second].shape) if i != ax_second)
+        u, v = edge
+        ax_u, ax_v = self.axis_to(u, v), self.axis_to(v, u)
+        u_shape = tuple(d for i, d in enumerate(self.tensors[u].shape) if i != ax_u)
+        v_shape = tuple(d for i, d in enumerate(self.tensors[v].shape) if i != ax_v)
         merged = np.asarray(merged, dtype=np.float64)
-        if merged.shape != first_shape + second_shape:
+        if merged.shape != u_shape + v_shape:
             raise DimensionError(
-                f"merged tensor has shape {merged.shape}, expected {first_shape + second_shape}"
+                f"merged tensor has shape {merged.shape}, expected {u_shape + v_shape}"
             )
         result = truncated_svd(
-            merged.reshape(int(np.prod(first_shape)), int(np.prod(second_shape))),
-            rel_threshold,
-            max_rank,
+            merged.reshape(int(np.prod(u_shape)), int(np.prod(v_shape))), rel_threshold, max_rank
         )
         k = result.rank
         weight = result.singular_values / frobenius_norm(result.singular_values)
-        left, right = result.left_isometry, result.right_isometry
-        if edge[1] == second:
-            right = weight[:, None] * right
-        else:
-            left = left * weight
-        left = np.moveaxis(left.reshape(first_shape + (k,)), -1, ax_first)
-        right = np.moveaxis(right.reshape((k,) + second_shape), 0, ax_second)
-        self.tensors[first], self.tensors[second] = map(np.ascontiguousarray, (left, right))
-        self.center = edge[1]
+        left = np.moveaxis(result.left_isometry.reshape(u_shape + (k,)), -1, ax_u)
+        right = weight[:, None] * result.right_isometry
+        right = np.moveaxis(right.reshape((k,) + v_shape), 0, ax_v)
+        self.tensors[u], self.tensors[v] = map(np.ascontiguousarray, (left, right))
+        self.center = v
         return result.discarded_weight
 
     def environment_cache(self, encoded: np.ndarray) -> "Environments":
@@ -382,29 +374,54 @@ class Environments:
                 logs = logs + log_scale
         return arrays, logs
 
-    def push(self, u: int, v: int) -> None:
-        """Recompute the message ``u -> v`` from node ``u``'s current tensor."""
+    def _outgoing(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """Message ``u -> v`` from node ``u``'s current tensor and the cached messages into it."""
         out_axis = self.model.axis_to(u, v)
         operands, logs = self._operands(u, out_axis)
-        self._messages[(u, v)] = node_message(
+        return node_message(
             self.model.tensors[u], self.model.axis_spec(u), out_axis, operands, logs
         )
+
+    def push(self, u: int, v: int) -> None:
+        """Recompute the message ``u -> v`` from node ``u``'s current tensor."""
+        self._messages[(u, v)] = self._outgoing(u, v)
         self._messages.pop((v, u), None)
 
-    def factors(self, edge, rows=None):
+    def amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every sample's rescaled amplitude and its log scale, read at the canonical center.
+
+        The center's message toward its first neighbor meets the cached
+        message back from it: one :func:`node_message` and one row-wise
+        product, with no merged tensor and no environment factor formed.
+        """
+        c = self.model.center
+        v = self.model.neighbors(c)[0]
+        out, log_out = self._outgoing(c, v)
+        back, log_back = self.message(v, c)
+        return (out * back).sum(axis=1), log_out + log_back
+
+    def factors(self, edge, rows=None) -> tuple[list[np.ndarray], np.ndarray]:
         """Per-sample environment factors of the merged tensor at ``edge``.
 
-        Returns ``(factor_list, log_scale)``: one factor of shape
-        ``(len(rows), d_axis)`` per merged-tensor axis, in the order of
-        :meth:`TensorNetwork.merge_edge`. Their outer product is the
-        gradient of the amplitude with respect to the merged tensor, up to
-        the per-sample scale ``exp(log_scale)``.
+        Returns ``([left, right], log_scale)``. ``left`` is the row-wise
+        Kronecker product, in axis order, of the vectors on the remaining
+        axes of ``edge[0]``, ``(len(rows), W0)``, and ``right`` that of
+        ``edge[1]``, ``(len(rows), W1)``: the bipartition at which
+        :meth:`TensorNetwork.split_edge` cuts ``merge_edge(edge).reshape(W0,
+        W1)``. The outer product of a sample's pair is the gradient of its
+        amplitude with respect to the merged tensor, up to the per-sample
+        scale ``exp(log_scale)``.
         """
-        first, second = self.model._pair(edge)
-        arrays_a, logs_a = self._operands(first, self.model.axis_to(first, second))
-        arrays_b, logs_b = self._operands(second, self.model.axis_to(second, first))
         idx = slice(None) if rows is None else rows
-        return [arr[idx] for arr in arrays_a + arrays_b], (logs_a + logs_b)[idx]
+        pair, log_scale = [], 0.0
+        for u, v in (edge, edge[::-1]):
+            arrays, logs = self._operands(u, self.model.axis_to(u, v))
+            combined = arrays[0][idx]
+            for arr in arrays[1:]:
+                combined = (combined[:, :, None] * arr[idx][:, None, :]).reshape(len(combined), -1)
+            pair.append(combined)
+            log_scale = log_scale + logs
+        return pair, log_scale[idx]
 
 
 def node_message(tensor, spec, out_axis, operands, log_scale):

@@ -6,16 +6,18 @@ projected gradient descent on the NLL, then split by a truncated SVD that
 adapts the bond dimension and moves the canonical center along the edge.
 
 The per-sample gradient of the amplitude with respect to the merged
-tensor is the outer product of the environment factor vectors; both the
-factors and the amplitude are computed with per-sample log-scale
-renormalization, and the ratio gradient/amplitude is formed from the
-rescaled quantities directly so the scales cancel. The updates of an edge
-run on the batch's per-sample amplitudes; the merged tensor is formed
-once, just before the split.
+tensor is the outer product of the edge's two environment factors, one per
+node, cut where the split cuts the merged tensor; both the factors and the
+amplitude are computed with per-sample log-scale renormalization, and the
+ratio gradient/amplitude is formed from the rescaled quantities directly
+so the scales cancel. The updates of an edge run on the batch's
+per-sample amplitudes; the merged tensor is formed once, just before the
+split.
 
 Each sweep's entry of ``TrainReport.nll_trace`` is the full-data NLL read
-from the environment cache of all rows at the sweep's last edge, not a
-fresh amplitude pass; it equals :func:`nll_loss` up to rounding.
+at the canonical center from the environment cache of all rows
+(:meth:`~tnad.network.Environments.amplitudes`), not a fresh amplitude
+pass; it equals :func:`nll_loss` up to rounding.
 """
 
 from __future__ import annotations
@@ -161,40 +163,11 @@ def _log_abs(psi: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
         return np.log(np.abs(psi)) + log_scale
 
 
-def _combine_factors(factor_list) -> np.ndarray:
-    """Row-wise Kronecker product of per-sample factors: (n, prod of dims)."""
-    combined = factor_list[0]
-    for factor in factor_list[1:]:
-        combined = (combined[:, :, None] * factor[:, None, :]).reshape(combined.shape[0], -1)
-    return combined
-
-
-def _split_factors(factor_list) -> int:
-    """Split index balancing the two combined factor widths."""
-    dims = [f.shape[1] for f in factor_list]
-    total = float(np.prod(dims))
-    best, best_score = 1, float("inf")
-    running = 1.0
-    for s in range(1, len(dims)):
-        running *= dims[s - 1]
-        score = max(running, total / running)
-        if score < best_score:
-            best, best_score = s, score
-    return best
-
-
-def _factor_pair(factor_list) -> tuple[np.ndarray, np.ndarray]:
-    """Combined factors of a balanced bipartition of the merged-tensor axes."""
-    s = _split_factors(factor_list)
-    return _combine_factors(factor_list[:s]), _combine_factors(factor_list[s:])
-
-
 def _contract_fractions(merged: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-sample rescaled amplitude ``<merged, outer(factors_b)>``.
+    """Per-sample rescaled amplitude ``<merged, outer(left_b, right_b)>``.
 
-    Formed as one matrix product over the combined factor pair, which
-    keeps the cost at a single GEMM instead of a chain of batched outer
-    products.
+    Formed as one matrix product over the edge's factor pair, which keeps
+    the cost at a single GEMM instead of a chain of batched outer products.
     """
     matrix = merged.reshape(left.shape[1], right.shape[1])
     return ((left @ matrix) * right).sum(axis=1)
@@ -253,15 +226,15 @@ def two_site_gradient(
     """NLL gradient with respect to the merged tensor at ``edge``.
 
     The model must be in canonical form with its center at one endpoint of
-    ``edge`` and ``merged`` must be the corresponding merged tensor (for
-    example the output of ``merge_edge``). Environments are built for
+    ``edge`` and ``merged`` must be the corresponding merged tensor in the
+    edge-order layout of ``merge_edge`` (for example its output); the
+    gradient has the same layout. Environments are built for
     ``encoded_batch`` on the fly; the incremental cache used by
     :func:`fit` produces the same values. :func:`two_site_step` never
     forms this tensor; it steps along it with the same sample weights.
     """
     env = model.environment_cache(np.asarray(encoded_batch, dtype=np.float64))
-    factor_list, _ = env.factors(edge)
-    left, right = _factor_pair(factor_list)
+    (left, right), _ = env.factors(edge)
     weights, n_skipped = _sample_weights(_contract_fractions(merged, left, right))
     if n_skipped:
         logger.warning("two_site_gradient: skipped %d zero-amplitude samples", n_skipped)
@@ -350,8 +323,7 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
     formed once, by one GEMM, before the split.
     """
     original = model.merge_edge(edge)
-    factor_list, log_scale = env.factors(edge, rows)
-    left, right = _factor_pair(factor_list)
+    (left, right), log_scale = env.factors(edge, rows)
     amplitudes_of = _amplitude_map(left, right, config.inner_steps)
 
     alpha, coeffs = 1.0, np.zeros(left.shape[0])
@@ -393,40 +365,23 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
         return StepStats(edge, 0.0, loss_before, loss_before, skipped, error)
 
     env.push(*edge)
-    loss_after, _ = _mean_nll(_log_abs(_node_fractions(model, edge, factor_list), log_scale))
+    loss_after, _ = _mean_nll(_log_abs(_node_fractions(model, edge, left, right), log_scale))
     return StepStats(edge, discarded, loss_before, loss_after, skipped, None)
 
 
-def _node_fractions(model, edge, factor_list) -> np.ndarray:
+def _node_fractions(model, edge, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Per-sample rescaled amplitudes of the two node tensors of ``edge``.
 
-    Each node meets the combined factors of its own axes, on the split's
-    bipartition (not :func:`_factor_pair`'s), and the two ``(n, k)``
-    results meet over the bond: ``O(n (W1 + W2) k)`` for node widths
-    ``W1``, ``W2`` and bond ``k``, with no merged tensor formed.
+    Each node meets its own environment factor, ``left`` for ``edge[0]``
+    and ``right`` for ``edge[1]``, and the two ``(n, k)`` results meet over
+    the bond: ``O(n (W0 + W1) k)`` for factor widths ``W0``, ``W1`` and bond
+    ``k``, with no merged tensor formed.
     """
-    psi, start = 1.0, 0
-    first, second = model._pair(edge)
-    for u, v in ((first, second), (second, first)):
+    psi = 1.0
+    for (u, v), factor in zip((edge, edge[::-1]), (left, right)):
         node = np.moveaxis(model.tensors[u], model.axis_to(u, v), -1)
-        stop = start + node.ndim - 1
-        psi = psi * (_combine_factors(factor_list[start:stop]) @ node.reshape(-1, node.shape[-1]))
-        start = stop
+        psi = psi * (factor @ node.reshape(-1, node.shape[-1]))
     return psi.sum(axis=1)
-
-
-def _cached_nll(model, env, edge) -> float:
-    """Full-data NLL from the environment cache at ``edge``, the last edge stepped.
-
-    The step pushed the message across ``edge`` and left every message
-    into either end from the other side untouched and current, so the
-    factors of ``edge`` and its merged tensor give every sample's
-    amplitude in one contraction. Same warning and error as :func:`nll_loss`.
-    """
-    factor_list, log_scale = env.factors(edge)
-    left, right = _factor_pair(factor_list)
-    psi = _contract_fractions(model.merge_edge(edge), left, right)
-    return _reported_nll(_log_abs(psi, log_scale))
 
 
 @single_blas_thread()
@@ -438,8 +393,8 @@ def fit(model, encoded: np.ndarray, config: TrainConfig) -> TrainReport:
     the sweep start along the path between them. Runs ``config.sweeps``
     full traversals with mini-batches redrawn per step from a generator
     seeded by ``config.seed``; the NLL trace records the full-data loss
-    after each sweep, contracted from the cached full-data environments at
-    the sweep's last edge (the value of :func:`nll_loss`, up to rounding).
+    after each sweep, read at the canonical center from the cached
+    full-data environments (the value of :func:`nll_loss`, up to rounding).
 
     Deterministic: the same seed, config, data and numpy/BLAS build give
     the same trained tensors and report (timings aside), bit for bit, at
@@ -475,7 +430,7 @@ def fit(model, encoded: np.ndarray, config: TrainConfig) -> TrainReport:
                 logger.warning("two-site step aborted (%s)", message)
                 report.step_errors.append(message)
         report.discarded_weights.append(discards)
-        report.nll_trace.append(_cached_nll(model, env, schedule[-1]))
+        report.nll_trace.append(_reported_nll(_log_abs(*env.amplitudes())))
         report.seconds_per_sweep.append(time.perf_counter() - started)
         learning_rate *= config.lr_decay
 

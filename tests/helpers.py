@@ -143,7 +143,14 @@ def ttn_full_tensor_with_merged(model, edge, merged):
 
 
 def full_tensor_with_merged(model, edge, merged):
+    """Full tensor with the edge pair replaced by ``merged``, in ``merge_edge``'s edge order.
+
+    A right-to-left MPS edge ``(i + 1, i)`` merges as ``(p, r, l, p)``; it is
+    transposed back to the chain's ``(l, p, p, r)``.
+    """
     if hasattr(model, "cores"):
+        if edge[0] > edge[1]:
+            merged = np.transpose(merged, (2, 3, 0, 1))
         return mps_full_tensor_with_merged(model, min(edge), merged)
     return ttn_full_tensor_with_merged(model, edge, merged)
 

@@ -58,6 +58,14 @@ class TestBenchmarkArrays:
         result = benchmark_arrays(data, labels, "mps", small_config(), max_folds=1, seed=7)
         assert len(result.separation_auc) == 1
 
+    @pytest.mark.parametrize("max_folds", [0, -2])
+    def test_max_folds_below_one_is_refused(self, labeled_dataset, tmp_path, max_folds):
+        data, labels = labeled_dataset
+        with pytest.raises(DataError, match="max_folds must be >= 1"):
+            benchmark_arrays(data, labels, "mps", small_config(), out_dir=tmp_path / "out",
+                             max_folds=max_folds, seed=7)
+        assert not (tmp_path / "out").exists()  # refused before anything ran
+
     def test_deterministic_given_seed(self, labeled_dataset):
         data, labels = labeled_dataset
         a = benchmark_arrays(data, labels, "mps", small_config(), max_folds=2, seed=3)

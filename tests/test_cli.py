@@ -239,6 +239,18 @@ class TestExitCodes:
         assert "config section 'train': key 'sweeps' must be an integer" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("max_folds", ["0", "-1"])
+    def test_max_folds_below_one_exits_two(self, workspace, tmp_path, max_folds):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnad.cli", "benchmark",
+             "--data", str(workspace / "probe.csv"), "--label-column", "class",
+             "--anomaly-label", "1", "--max-folds", max_folds, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "max_folds must be >= 1" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_success_exits_zero(self, workspace):
         proc = subprocess.run(
             [sys.executable, "-m", "tnad.cli", "score",

@@ -483,6 +483,13 @@ class TestConditionalExpectations:
         failures = [r for r in caplog.records if "conditioning failed" in r.getMessage()]
         assert len(failures) == 2
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_sample_of_the_wrong_length_is_refused(self, length):
+        model = MpsModel.random(4, 2, init_bond=2, seed=12)
+        model.encoder = LegendreFeatureMap(2, fit_rescaler(np.array([[0.0] * 4, [1.0] * 4])))
+        with pytest.raises(DataError, match=r"expected \(4,\)"):
+            conditional_expectations(model, [0.3] * length, [0])
+
     def test_all_flagged_degenerates_to_marginals(self):
         model, data = trained_toy_model()
         result = conditional_expectations(model, data[0], list(range(6)))

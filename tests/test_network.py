@@ -16,6 +16,7 @@ from tnad import (
     two_site_step,
 )
 from tnad.explain import _analysis_copy
+from tnad.training import _contract_fractions
 
 
 def chain_path(a, b):
@@ -111,6 +112,55 @@ def test_incremental_cache_matches_a_fresh_one(model):
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(got_log, want_log)
+
+
+def bipartition_case(case):
+    """A model canonical at one end of the edge named by ``case``, and that edge."""
+    if case == "mps-end":
+        return MpsModel.random(6, 3, init_bond=4, seed=12), (0, 1)
+    if case == "mps-right-to-left":
+        model = MpsModel.random(6, 3, init_bond=4, seed=12)
+        model.canonicalize(3)
+        return model, (3, 2)
+    model = TtnModel.random(9, 3, init_bond=4, seed=2)
+    child = model.children[0][1]
+    model.canonicalize(child)
+    return model, (child, 0)
+
+
+@pytest.mark.parametrize("case", ["mps-end", "mps-right-to-left", "tree-child-to-root"])
+def test_factor_pair_is_the_split_bipartition(case):
+    """Each factor is one node's own: its width is the product of that node's
+    remaining axes, so the pair contracts ``merge_edge(edge).reshape(W0, W1)``
+    into every sample's amplitude."""
+    model, edge = bipartition_case(case)
+    batch = helpers.random_encoded(np.random.default_rng(4), 30, model.n_features, model.phys_dim)
+    (left, right), log_scale = model.environment_cache(batch).factors(edge)
+    merged = model.merge_edge(edge)
+    n_first = model.tensors[edge[0]].ndim - 1
+    assert left.shape == (30, int(np.prod(merged.shape[:n_first])))
+    assert right.shape == (30, int(np.prod(merged.shape[n_first:])))
+    psi = _contract_fractions(merged, left, right)
+    want, sign = model.log_amplitudes(batch)
+    np.testing.assert_allclose(np.log(np.abs(psi)) + log_scale, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(np.sign(psi), sign)
+
+
+@pytest.mark.parametrize("where", ["leaf", "root", "internal"])
+def test_amplitudes_at_the_center(where):
+    """The cache's amplitudes read at a tree center, leaf or not, are the amplitude pass's."""
+    model = TtnModel.random(9, 3, init_bond=4, seed=2)
+    center = {
+        "leaf": model.sweep_start(),
+        "root": 0,
+        "internal": next(u for u in range(1, model.n_nodes) if model.children[u] is not None),
+    }[where]
+    model.canonicalize(center)
+    batch = helpers.random_encoded(np.random.default_rng(5), 30, model.n_features, model.phys_dim)
+    psi, log_scale = model.environment_cache(batch).amplitudes()
+    want, sign = model.log_amplitudes(batch)
+    np.testing.assert_allclose(np.log(np.abs(psi)) + log_scale, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(np.sign(psi), sign)
 
 
 @pytest.mark.parametrize("kind", ["mps", "ttn"])

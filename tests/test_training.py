@@ -279,8 +279,8 @@ class TestLossAfter:
 
     @pytest.mark.parametrize(
         "kind, edge",
-        # the MPS end edge splits (1, 3, 3, 4) as 3 | 12, _factor_pair as 9 | 4;
-        # the tree edge from node 4 to the root splits 16 | 4, _factor_pair 4 | 16
+        # the MPS end edge splits (1, 3, 3, 4) as 3 | 12, the tree edge from
+        # node 4 to the root as 16 | 4; the factor pair is cut the same way
         [("mps", (0, 1)), ("mps", (2, 3)), ("ttn", (4, 0))],
         ids=["mps-end", "mps-inner", "tree"],
     )
@@ -296,10 +296,8 @@ class TestLossAfter:
         stats = two_site_step(model, edge, env, None, 5e-3, config)
         assert stats.error is None
         assert stats.discarded_weight > 0.0  # the cap truncated the split
-        factor_list, log_scale = env.factors(edge)
-        psi = training._contract_fractions(
-            model.merge_edge(edge), *training._factor_pair(factor_list)
-        )
+        (left, right), log_scale = env.factors(edge)
+        psi = training._contract_fractions(model.merge_edge(edge), left, right)
         expected, _ = training._mean_nll(training._log_abs(psi, log_scale))
         assert stats.loss_after == pytest.approx(expected, rel=1e-12)
 
