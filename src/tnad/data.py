@@ -78,6 +78,8 @@ class PollutionPlan:
             raise DataError(f"unknown anomaly kinds {sorted(unknown)}")
         if self.native_fraction < 1.0 and not self.kinds:
             raise DataError("generated anomalies requested but no generator kinds given")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 def load_csv(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray | None]:

@@ -12,6 +12,7 @@ density-matrix machinery marginalize features by simple index contraction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +46,28 @@ def shifted_legendre_eval(n: int, x) -> np.ndarray | float:
 
 
 def _legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Rows 0..n_max of the shifted Legendre recurrence at points ``x``."""
-    t = 2.0 * x - 1.0
+    """Rows 0..n_max of the shifted Legendre recurrence at points ``x``.
+
+    Each row is written in place, with one scratch array the size of ``x``
+    and in the operand order of
+    ``((2k+1) * t * P_k - k * P_{k-1}) / (k+1)``, ``t = 2x - 1``, so the
+    bits are those of that formula evaluated out of place.
+    """
     table = np.empty((n_max + 1,) + x.shape, dtype=np.float64)
     table[0] = 1.0
-    if n_max >= 1:
-        table[1] = t
+    if n_max < 1:
+        return table
+    t = table[1, ...]  # a view even when x is 0-d
+    np.multiply(2.0, x, out=t)
+    t -= 1.0
+    scratch = np.empty_like(t)
     for k in range(1, n_max):
-        table[k + 1] = ((2 * k + 1) * t * table[k] - k * table[k - 1]) / (k + 1)
+        row = table[k + 1, ...]
+        np.multiply(2 * k + 1, t, out=row)
+        row *= table[k]
+        np.multiply(k, table[k - 1], out=scratch)
+        row -= scratch
+        row /= k + 1
     return table
 
 
@@ -62,18 +77,24 @@ def orthonormal_basis(n_functions: int, x) -> np.ndarray:
     Returns an array of shape ``(n_functions,) + shape(x)``.
     """
     arr = np.asarray(x, dtype=np.float64)
-    table = _legendre_table(n_functions - 1, np.atleast_1d(arr))
+    basis = _legendre_table(n_functions - 1, np.atleast_1d(arr))
     scale = np.sqrt(2.0 * np.arange(n_functions) + 1.0)
-    basis = scale.reshape((n_functions,) + (1,) * (table.ndim - 1)) * table
+    np.multiply(scale.reshape((n_functions,) + (1,) * (basis.ndim - 1)), basis, out=basis)
     if arr.ndim == 0:
         return basis[:, 0]
     return basis
 
 
+@functools.cache
 def gauss_legendre_unit(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1] (exact to degree 2*n_nodes - 1)."""
+    """Gauss-Legendre nodes and weights on [0, 1] (exact to degree 2*n_nodes - 1).
+
+    Computed once per ``n_nodes``; every caller gets the same read-only arrays.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    return (nodes + 1.0) / 2.0, weights / 2.0
+    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -104,8 +125,10 @@ class FeatureRescaler:
         if not np.isfinite(raw).all():
             bad = np.argwhere(~np.isfinite(raw))[0]
             raise DataError(f"non-finite raw value {raw[tuple(bad)]} for feature {bad[-1]}")
-        scaled = (raw - self.minimum) / (self.maximum - self.minimum)
-        return np.clip(scaled, 0.0, 1.0)
+        # one new array, divided and clipped in place; the caller's is untouched
+        scaled = raw - self.minimum
+        scaled /= self.maximum - self.minimum
+        return np.clip(scaled, 0.0, 1.0, out=scaled)
 
     def transform_value(self, feature_index: int, raw: float) -> float:
         if not np.isfinite(raw):
@@ -194,7 +217,15 @@ class LegendreFeatureMap:
         return self.encode_unit(self.rescale_sample(raw_sample))
 
     def encode_batch(self, raw_matrix) -> np.ndarray:
-        """Encode a (samples, n_features) matrix to (samples, n_features, n_functions)."""
+        """Encode a (samples, n_features) matrix to (samples, n_features, n_functions).
+
+        The result is a view with the function axis last over a
+        ``(n_functions, samples, n_features)`` array, so it is not
+        C-contiguous. Rescaling, the recurrence and the ``sqrt(2n + 1)``
+        scale are written into arrays the encoding owns: besides the result,
+        it holds the ``(samples, n_features)`` rescaled values and one
+        scratch array of that size, and ``raw_matrix`` is left untouched.
+        """
         self._require_fitted()
         raw = np.asarray(raw_matrix, dtype=np.float64)
         if raw.ndim != 2 or raw.shape[1] != self.rescaler.n_features:

@@ -30,6 +30,12 @@ __all__ = [
 def score_samples(model, encoded: np.ndarray) -> np.ndarray:
     """Per-sample NLL scores; higher means more anomalous.
 
+    ``encoded`` is a batch as :meth:`~tnad.encoding.LegendreFeatureMap.encode_batch`
+    returns it. The amplitude pass walks it in row blocks
+    (:meth:`~tnad.network.TensorNetwork.log_amplitudes`), so scoring holds
+    the encoded batch, one block's padded encodings and messages, and the
+    ``(n,)`` results, never a second batch-sized array.
+
     Samples with exactly zero amplitude would score infinite; they are
     mapped to one more than the largest finite score so downstream metrics
     stay finite while those samples still rank as the most anomalous.

@@ -32,6 +32,10 @@ __all__ = ["TensorNetwork", "Environments", "node_message", "PAD_VALUE"]
 # rescaled value of every dummy feature: the midpoint of the unit interval
 PAD_VALUE = 0.5
 
+# rows per block of the amplitude pass: bounds the padded copy and the
+# messages it holds at once, not the batch it scores
+BLOCK_ROWS = 1024
+
 
 class TensorNetwork:
     """Tensor network on a tree graph, kept canonical; the base of both model kinds.
@@ -126,18 +130,23 @@ class TensorNetwork:
             worst = max(worst, float(np.abs(m.T @ m - np.eye(m.shape[1])).max()))
         return worst
 
-    def pad_batch(self, encoded: np.ndarray) -> np.ndarray:
-        """An encoded batch ``(n, n_features, phys_dim)`` as the feature legs read it.
-
-        Checks the shape and returns a float array with the encodings of the
-        ``padding`` dummy features, each at :data:`PAD_VALUE`, appended.
-        """
+    def _checked_batch(self, encoded) -> np.ndarray:
+        """``encoded`` as a float array, refused unless it is ``(n, n_features, phys_dim)``."""
         encoded = np.asarray(encoded, dtype=np.float64)
         if encoded.ndim != 3 or encoded.shape[1:] != (self.n_features, self.phys_dim):
             raise DataError(
                 f"encoded batch has shape {encoded.shape}, expected "
                 f"(n, {self.n_features}, {self.phys_dim})"
             )
+        return encoded
+
+    def pad_batch(self, encoded: np.ndarray) -> np.ndarray:
+        """An encoded batch ``(n, n_features, phys_dim)`` as the feature legs read it.
+
+        Checks the shape and returns a float array with the encodings of the
+        ``padding`` dummy features, each at :data:`PAD_VALUE`, appended.
+        """
+        encoded = self._checked_batch(encoded)
         if not self.padding:
             return encoded
         dummy = orthonormal_basis(self.phys_dim, np.full(self.padding, PAD_VALUE)).T
@@ -148,14 +157,37 @@ class TensorNetwork:
     def log_amplitudes(self, encoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Log magnitude and sign of the amplitude of each sample, on one BLAS thread.
 
-        ``encoded`` is ``(n, n_features, phys_dim)``. The log is ``-inf``
-        for an exactly vanishing amplitude. One bottom-up pass of
-        :func:`node_message` runs from the last node to node 0, each node
-        seen :meth:`rooted`; each message is renormalized per sample into a
-        log scale, so long networks neither under- nor overflow.
+        ``encoded`` is ``(n, n_features, phys_dim)``, in any memory layout.
+        The log is ``-inf`` for an exactly vanishing amplitude. The batch is
+        walked in blocks of :data:`BLOCK_ROWS` rows (the last may hold one
+        more), each padded on its own, so beyond the two ``(n,)`` results the
+        pass holds one block's padded encodings and messages, whatever ``n``.
+        Each row's products round alike in any block of two or more rows, so
+        the results are those of one pass over the whole batch. A batch of
+        no rows gives two empty arrays.
         """
-        encoded = self.pad_batch(encoded)
-        batch = encoded.shape[0]
+        encoded = self._checked_batch(encoded)
+        n = len(encoded)
+        log_abs, sign = np.empty(n), np.empty(n)
+        start = 0
+        while start < n:
+            # a lone last row joins the block before it: the BLAS takes a
+            # one-row product by another route, which rounds differently
+            stop = n if n - start <= BLOCK_ROWS + 1 else start + BLOCK_ROWS
+            rows = slice(start, stop)
+            self._block_log_amplitudes(self.pad_batch(encoded[rows]), log_abs[rows], sign[rows])
+            start = stop
+        return log_abs, sign
+
+    def _block_log_amplitudes(self, padded, log_abs, sign) -> None:
+        """Write the log magnitudes and signs of one padded block's amplitudes.
+
+        One bottom-up pass of :func:`node_message` runs from the last node to
+        node 0, each node seen :meth:`rooted`; each message is renormalized
+        per sample into a log scale, so long networks neither under- nor
+        overflow.
+        """
+        batch = padded.shape[0]
         unit = np.ones((batch, 1)), np.zeros(batch)
         up: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for u in reversed(range(self.n_nodes)):
@@ -163,15 +195,16 @@ class TensorNetwork:
             operands, log_scale = [], np.zeros(batch)
             for kind, ref in legs:
                 if kind == "phys":
-                    operands.append(encoded[:, ref, :])
+                    operands.append(padded[:, ref, :])
                 else:
                     vec, log_in = up.pop(ref, unit)
                     operands.append(vec)
                     log_scale = log_scale + log_in
             # only the in-legs' entries of the spec are read
             up[u] = node_message(node, [None, *legs], 0, operands, log_scale)
-        amp, log_abs = up[0]  # the root's up leg has extent 1
-        return log_abs, np.where(amp[:, 0] < 0.0, -1.0, 1.0)
+        amp, log_out = up[0]  # the root's up leg has extent 1
+        log_abs[:] = log_out
+        sign[:] = np.where(amp[:, 0] < 0.0, -1.0, 1.0)
 
     def log_amplitude(self, encoded_sample: np.ndarray) -> tuple[float, float]:
         """Single-sample variant of ``log_amplitudes``."""

@@ -87,6 +87,8 @@ class TrainConfig:
             raise DataError("max_bond must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise DataError("batch_size must be >= 1 or None for full batch")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -262,6 +262,39 @@ def brute_log_amplitude(model, encoded_sample):
     return (np.log(abs(amp)) if amp != 0 else -np.inf), (1.0 if amp >= 0 else -1.0)
 
 
+def legendre_table_out_of_place(n_max, x):
+    """Rows 0..n_max of the shifted Legendre recurrence, each formed out of place.
+
+    The formulas as they stood before the library wrote them into arrays it
+    owns: same operand order, so the bits must agree.
+    """
+    t = 2.0 * x - 1.0
+    table = np.empty((n_max + 1,) + x.shape, dtype=np.float64)
+    table[0] = 1.0
+    if n_max >= 1:
+        table[1] = t
+    for k in range(1, n_max):
+        table[k + 1] = ((2 * k + 1) * t * table[k] - k * table[k - 1]) / (k + 1)
+    return table
+
+
+def orthonormal_basis_out_of_place(n_functions, x):
+    """``sqrt(2n + 1) P_n(2x - 1)`` for n < ``n_functions``, shape ``(n_functions,) + shape(x)``."""
+    arr = np.asarray(x, dtype=np.float64)
+    table = legendre_table_out_of_place(n_functions - 1, np.atleast_1d(arr))
+    scale = np.sqrt(2.0 * np.arange(n_functions) + 1.0)
+    basis = scale.reshape((n_functions,) + (1,) * (table.ndim - 1)) * table
+    return basis[:, 0] if arr.ndim == 0 else basis
+
+
+def encode_out_of_place(feature_map, raw):
+    """Rescale, clip and encode raw values ``(..., n_features)`` out of place."""
+    rescaler = feature_map.rescaler
+    raw = np.asarray(raw, dtype=np.float64)
+    scaled = np.clip((raw - rescaler.minimum) / (rescaler.maximum - rescaler.minimum), 0.0, 1.0)
+    return np.moveaxis(orthonormal_basis_out_of_place(feature_map.n_functions, scaled), 0, -1)
+
+
 def random_encoded(rng, n_samples, n_sites, phys_dim):
     """Random "encodings" (any real vectors work for multilinear checks)."""
     return rng.standard_normal((n_samples, n_sites, phys_dim)) + 0.2

@@ -251,6 +251,31 @@ class TestExitCodes:
         assert "max_folds must be >= 1" in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_negative_train_seed_exits_two(self, workspace, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnad.cli", "train",
+             "--data", str(workspace / "train.csv"), "--seed", "-1",
+             "--out", str(tmp_path / "model.tnad")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "seed must be >= 0, got -1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "model.tnad").exists()
+
+    def test_negative_benchmark_seed_exits_two(self, workspace, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnad.cli", "benchmark",
+             "--data", str(workspace / "probe.csv"), "--label-column", "class",
+             "--anomaly-label", "1", "--seed", "-1", "--max-folds", "1",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "seed must be >= 0, got -1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_success_exits_zero(self, workspace):
         proc = subprocess.run(
             [sys.executable, "-m", "tnad.cli", "score",

@@ -228,6 +228,10 @@ class TestBuildPollution:
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(h1, h2)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(DataError, match="seed must be >= 0, got -2"):
+            PollutionPlan(seed=-2)
+
     def test_insufficient_native_anomalies(self):
         data, labels = self.make_data(n_native=3)
         with pytest.raises(DataError, match="native"):

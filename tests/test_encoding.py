@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from tnad import (
     DataError,
     FeatureRescaler,
@@ -175,3 +176,57 @@ class TestFeatureMap:
         encoded = fm.encode_batch(batch)
         for i in range(5):
             np.testing.assert_allclose(encoded[i], fm.encode_sample(batch[i]), atol=1e-14)
+
+
+class TestInPlaceEncoding:
+    """The encoding writes into arrays it owns; the bits stay those of the
+    out-of-place formulas in ``helpers``."""
+
+    @pytest.mark.parametrize("shape", [(), (7,), (40, 5)])
+    @pytest.mark.parametrize("n_functions", [1, 2, 3, 6])
+    def test_basis_matches_the_out_of_place_formula(self, shape, n_functions):
+        x = np.random.default_rng(len(shape) + n_functions).uniform(size=shape)
+        got = orthonormal_basis(n_functions, x)
+        want = helpers.orthonormal_basis_out_of_place(n_functions, x)
+        assert got.shape == want.shape == (n_functions,) + shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_python_scalar(self):
+        np.testing.assert_array_equal(
+            orthonormal_basis(4, 0.3), helpers.orthonormal_basis_out_of_place(4, 0.3)
+        )
+        assert shifted_legendre_eval(3, 0.3) == helpers.legendre_table_out_of_place(
+            3, np.asarray(0.3)
+        )[3]
+
+    @pytest.mark.parametrize("n_functions", [1, 2, 5])
+    def test_encoders_match_the_out_of_place_formula(self, n_functions):
+        rng = np.random.default_rng(n_functions)
+        raw = rng.normal(size=(60, 4)) * 2.0
+        fm = LegendreFeatureMap(n_functions, fit_rescaler(raw[:30]))  # later rows clip
+        want = helpers.encode_out_of_place
+        np.testing.assert_array_equal(fm.encode_batch(raw), want(fm, raw))
+        np.testing.assert_array_equal(fm.encode_batch(raw[:0]), want(fm, raw[:0]))
+        np.testing.assert_array_equal(fm.encode_sample(raw[41]), want(fm, raw[41]))
+        np.testing.assert_array_equal(fm.encode_value(2, raw[45, 2]), want(fm, raw[45])[2])
+
+    def test_transform_leaves_the_callers_array_untouched(self):
+        raw = np.array([[-3.0, 0.5], [0.25, 9.0]])
+        before = raw.copy()
+        scaled = FeatureRescaler(np.zeros(2), np.ones(2)).transform(raw)
+        np.testing.assert_array_equal(raw, before)
+        np.testing.assert_array_equal(scaled, [[0.0, 0.5], [0.25, 1.0]])
+        assert not np.shares_memory(scaled, raw)
+
+
+class TestGaussLegendreUnit:
+    def test_cached_read_only_and_unchanged(self):
+        first = gauss_legendre_unit(6)
+        again = gauss_legendre_unit(6)
+        nodes, weights = np.polynomial.legendre.leggauss(6)
+        for got, repeat, want in zip(first, again, ((nodes + 1.0) / 2.0, weights / 2.0)):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(repeat, want)
+            with pytest.raises(ValueError):
+                got[0] = 0.5
+        np.testing.assert_array_equal(gauss_legendre_unit(6)[0], first[0])

@@ -16,6 +16,7 @@ from tnad import (
     two_site_step,
 )
 from tnad.explain import _analysis_copy
+from tnad.network import BLOCK_ROWS
 from tnad.training import _contract_fractions
 
 
@@ -196,3 +197,87 @@ def test_long_chain_sweep_walk():
     right = [(i, i + 1) for i in range(1499)]
     left = [(i + 1, i) for i in reversed(range(1499))]
     assert model.sweep_schedule() == right + left
+
+
+@pytest.fixture(params=["mps", "ttn", "ttn-padded"])
+def scoring_model(request):
+    if request.param == "mps":
+        return MpsModel.random(6, 3, init_bond=4, seed=13)
+    if request.param == "ttn":
+        return TtnModel.random(8, 3, init_bond=4, seed=14)
+    return TtnModel.random(7, 3, init_bond=4, seed=15)  # 7 features, one dummy
+
+
+def one_pass(model, encoded):
+    """The amplitude pass over the whole batch as a single block."""
+    log_abs, sign = np.empty(len(encoded)), np.empty(len(encoded))
+    model._block_log_amplitudes(model.pad_batch(encoded), log_abs, sign)
+    return log_abs, sign
+
+
+# rows of each block the pass walks, for a batch of the given size
+BLOCKS = {
+    0: [],
+    1: [1],
+    BLOCK_ROWS - 1: [BLOCK_ROWS - 1],
+    BLOCK_ROWS: [BLOCK_ROWS],
+    BLOCK_ROWS + 1: [BLOCK_ROWS + 1],  # a lone last row joins the block before it
+    2 * BLOCK_ROWS + 7: [BLOCK_ROWS, BLOCK_ROWS, 7],
+}
+
+
+class TestBlockedAmplitudePass:
+    @pytest.mark.parametrize("n_rows", sorted(BLOCKS))
+    def test_blocks_and_bits(self, scoring_model, n_rows, monkeypatch):
+        """The pass walks the batch in bounded blocks, each padded on its own, and
+        gives the bits of a block-by-block loop and of one pass over every row."""
+        model = scoring_model
+        rng = np.random.default_rng(n_rows)
+        encoded = helpers.random_encoded(rng, n_rows, model.n_features, model.phys_dim)
+        seen = []
+        block_pass = type(model)._block_log_amplitudes
+
+        def spy(self, padded, log_abs, sign):
+            assert padded.shape[1] == model.n_features + model.padding
+            seen.append(len(padded))
+            block_pass(self, padded, log_abs, sign)
+
+        monkeypatch.setattr(type(model), "_block_log_amplitudes", spy)
+        log_abs, sign = model.log_amplitudes(encoded)
+        assert seen == BLOCKS[n_rows]
+        assert log_abs.shape == sign.shape == (n_rows,)
+        assert log_abs.dtype == sign.dtype == np.float64
+        monkeypatch.undo()
+
+        bounds = np.cumsum([0] + BLOCKS[n_rows])
+        loop = [model.log_amplitudes(encoded[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        want_log, want_sign = one_pass(model, encoded)
+        np.testing.assert_array_equal(log_abs, want_log)
+        np.testing.assert_array_equal(sign, want_sign)
+        if loop:
+            np.testing.assert_array_equal(log_abs, np.concatenate([p[0] for p in loop]))
+            np.testing.assert_array_equal(sign, np.concatenate([p[1] for p in loop]))
+
+    def test_matches_brute_force_across_block_edges(self, scoring_model):
+        model = scoring_model
+        n_rows = 2 * BLOCK_ROWS + 7
+        rng = np.random.default_rng(16)
+        encoded = helpers.random_encoded(rng, n_rows, model.n_features, model.phys_dim)
+        log_abs, sign = model.log_amplitudes(encoded)
+        for r in (0, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS, n_rows - 1):
+            want_log, want_sign = helpers.brute_log_amplitude(model, encoded[r])
+            assert log_abs[r] == pytest.approx(want_log, abs=1e-12, rel=0.0)
+            assert sign[r] == want_sign
+
+    def test_encoded_view_gives_the_bits_of_its_contiguous_copy(self, scoring_model):
+        """``encode_batch`` returns a strided view; blocks slice it without a copy."""
+        model = scoring_model
+        rng = np.random.default_rng(17)
+        raw = rng.normal(size=(BLOCK_ROWS + 40, model.n_features))
+        encoder = LegendreFeatureMap(model.phys_dim, fit_rescaler(raw))
+        view = encoder.encode_batch(raw)
+        assert not view.flags.c_contiguous
+        got = model.log_amplitudes(view)
+        want = model.log_amplitudes(np.ascontiguousarray(view))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)

@@ -38,6 +38,12 @@ class TestConfig:
     def test_zero_sweeps_allowed(self):
         assert TrainConfig(sweeps=0).sweeps == 0
 
+    def test_negative_seed_refused(self):
+        # numpy's generators take no negative seed; the config names it instead
+        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=0).seed == 0
+
 
 class TestNllLoss:
     def test_product_model_factorizes(self):
