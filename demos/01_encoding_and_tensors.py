@@ -19,12 +19,13 @@ from tnad import (
 raw = np.array([[12.0, -3.0], [30.0, 5.0], [18.0, 0.5], [25.0, 2.0]])
 rescaler = fit_rescaler(raw)
 print("feature 0 fitted to", (rescaler.minimum[0], rescaler.maximum[0]))
-print("raw 18.0 rescales to", round(rescaler.transform_value(0, 18.0), 4))
+row = np.array([[18.0, 0.5]])
+print("raw 18.0 rescales to", round(rescaler.transform(row)[0, 0], 4))
 
-# A feature map with N functions turns one number into N amplitudes:
+# A feature map with N functions turns each number into N amplitudes:
 # the first N shifted Legendre polynomials, scaled to an orthonormal set.
 encoder = LegendreFeatureMap(4, rescaler)
-vec = encoder.encode_value(0, 18.0)
+vec = encoder.encode_batch(row)[0, 0]
 print("\nencoded amplitudes:", np.round(vec, 4))
 
 # Orthonormality is what makes marginalization of a feature a plain

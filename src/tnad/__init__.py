@@ -32,7 +32,6 @@ from .encoding import (
     fit_rescaler,
     gauss_legendre_unit,
     orthonormal_basis,
-    shifted_legendre_eval,
 )
 from .errors import (
     ConditioningError,
@@ -40,7 +39,6 @@ from .errors import (
     DegenerateInputError,
     DimensionError,
     FitError,
-    NotFittedError,
     NumericalError,
     ResourceLimitError,
     TnadError,
@@ -58,7 +56,6 @@ from .explain import (
     flag_features,
     marginal_moments,
     mutual_information,
-    quasi_density,
     reduced_density_matrix,
     von_neumann_entropy,
 )
@@ -94,7 +91,6 @@ __all__ = [
     "MarginalStats",
     "MiMatrices",
     "MpsModel",
-    "NotFittedError",
     "NumericalError",
     "PollutionPlan",
     "ReducedDensityMatrix",
@@ -128,12 +124,10 @@ __all__ = [
     "mutual_information",
     "nll_loss",
     "orthonormal_basis",
-    "quasi_density",
     "reduced_density_matrix",
     "run_benchmark",
     "save_model",
     "score_samples",
-    "shifted_legendre_eval",
     "stratified_folds",
     "toy_correlated_pairs",
     "toy_two_clusters",

@@ -21,7 +21,7 @@ from .data import DatasetSpec, load_csv
 from .encoding import LegendreFeatureMap, fit_rescaler
 from .errors import NumericalError, TnadError
 from .explain import all_to_all_mi, explain_sample
-from .metrics import histogram_mi_matrix, score_samples
+from .metrics import histogram_mi_matrix, mi_display, score_samples
 from .persist import load_model, save_model
 from .training import fit
 
@@ -149,8 +149,7 @@ def mi(source, model_file, data, label_column, display, out):
         features, _ = load_csv(_dataset_spec(data, label_column, ()))
         matrix = histogram_mi_matrix(features)
         if display:
-            peak = matrix.max()
-            matrix = matrix / peak if peak > 0 else matrix
+            matrix = mi_display(matrix)
     np.savetxt(out, matrix, delimiter=",", fmt="%.10g")
     click.echo(f"{matrix.shape[0]}x{matrix.shape[1]} MI matrix written to {out}")
 

@@ -38,12 +38,17 @@ class DatasetSpec:
 
     ``anomaly_labels`` lists the raw label-column values that mark a row
     as anomalous; every other value counts as regular. With no label
-    column the data is treated as unlabeled regular samples.
+    column the data is treated as unlabeled regular samples, and anomaly
+    labels are refused.
     """
 
     path: str
     label_column: str | None = None
     anomaly_labels: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.anomaly_labels and self.label_column is None:
+            raise DataError("anomaly labels need a label column to read them from")
 
 
 @dataclass(frozen=True)

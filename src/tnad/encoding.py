@@ -17,32 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FitError, NotFittedError
+from .errors import DataError, FitError
 
 __all__ = [
     "FeatureRescaler",
     "LegendreFeatureMap",
-    "shifted_legendre_eval",
     "fit_rescaler",
     "gauss_legendre_unit",
 ]
-
-
-def shifted_legendre_eval(n: int, x) -> np.ndarray | float:
-    """Evaluate the n-th shifted Legendre polynomial at ``x`` in [0, 1].
-
-    Uses the three-term recurrence
-    ``(k+1) P_{k+1}(x) = (2k+1)(2x-1) P_k(x) - k P_{k-1}(x)``
-    which is numerically stable for high degrees, rather than the
-    Rodrigues derivative form.
-    """
-    if n < 0:
-        raise DataError(f"polynomial degree must be >= 0, got {n}")
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DataError("shifted Legendre polynomials are defined on [0, 1]")
-    values = _legendre_table(n, arr)[n]
-    return float(values) if np.isscalar(x) or arr.ndim == 0 else values
 
 
 def _legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -118,10 +100,14 @@ class FeatureRescaler:
         """Map raw values (..., n_features) into [0, 1], clamping outliers.
 
         Scoring-time values outside the fitted range are clamped rather than
-        rejected so that unseen extremes remain scorable. A non-finite value
-        has no place in the interval and raises :class:`DataError`.
+        rejected so that unseen extremes remain scorable. A last axis of
+        another length, or a non-finite value, raises :class:`DataError`.
         """
         raw = np.asarray(raw, dtype=np.float64)
+        if raw.shape[-1:] != (self.n_features,):
+            raise DataError(
+                f"raw values have shape {raw.shape}, expected {self.n_features} on the last axis"
+            )
         if not np.isfinite(raw).all():
             bad = np.argwhere(~np.isfinite(raw))[0]
             raise DataError(f"non-finite raw value {raw[tuple(bad)]} for feature {bad[-1]}")
@@ -129,17 +115,6 @@ class FeatureRescaler:
         scaled = raw - self.minimum
         scaled /= self.maximum - self.minimum
         return np.clip(scaled, 0.0, 1.0, out=scaled)
-
-    def transform_value(self, feature_index: int, raw: float) -> float:
-        if not np.isfinite(raw):
-            raise DataError(f"non-finite raw value {raw} for feature {feature_index}")
-        span = self.maximum[feature_index] - self.minimum[feature_index]
-        scaled = (raw - self.minimum[feature_index]) / span
-        return float(min(max(scaled, 0.0), 1.0))
-
-    def inverse_value(self, feature_index: int, scaled: float) -> float:
-        span = self.maximum[feature_index] - self.minimum[feature_index]
-        return float(self.minimum[feature_index] + scaled * span)
 
 
 def fit_rescaler(data: np.ndarray, margin: float = 0.0) -> FeatureRescaler:
@@ -176,45 +151,24 @@ class LegendreFeatureMap:
     """
 
     n_functions: int
-    rescaler: FeatureRescaler | None = None
+    rescaler: FeatureRescaler
 
     def __post_init__(self):
         if self.n_functions < 1:
             raise DataError(f"n_functions must be >= 1, got {self.n_functions}")
 
-    @property
-    def n_features(self) -> int:
-        self._require_fitted()
-        return self.rescaler.n_features
-
-    def _require_fitted(self) -> None:
-        if self.rescaler is None:
-            raise NotFittedError("feature map has no fitted rescaler")
-
     def encode_unit(self, x) -> np.ndarray:
         """Encode values already in [0, 1]; returns (...,) + (n_functions,)."""
         return np.moveaxis(orthonormal_basis(self.n_functions, x), 0, -1)
 
-    def encode_value(self, feature_index: int, raw: float) -> np.ndarray:
-        """Rescale one raw feature value and encode it to ``n_functions`` amplitudes."""
-        self._require_fitted()
-        if not 0 <= feature_index < self.rescaler.n_features:
-            raise DataError(f"feature index {feature_index} out of range")
-        return self.encode_unit(self.rescaler.transform_value(feature_index, raw))
-
     def rescale_sample(self, raw_sample) -> np.ndarray:
         """Rescale one raw sample of shape ``(n_features,)``; any other shape is refused."""
-        self._require_fitted()
         raw = np.asarray(raw_sample, dtype=np.float64)
         if raw.shape != (self.rescaler.n_features,):
             raise DataError(
                 f"sample has {raw.shape} entries, expected ({self.rescaler.n_features},)"
             )
         return self.rescaler.transform(raw)
-
-    def encode_sample(self, raw_sample) -> np.ndarray:
-        """Encode one raw sample to an (n_features, n_functions) array."""
-        return self.encode_unit(self.rescale_sample(raw_sample))
 
     def encode_batch(self, raw_matrix) -> np.ndarray:
         """Encode a (samples, n_features) matrix to (samples, n_features, n_functions).
@@ -226,9 +180,8 @@ class LegendreFeatureMap:
         it holds the ``(samples, n_features)`` rescaled values and one
         scratch array of that size, and ``raw_matrix`` is left untouched.
         """
-        self._require_fitted()
         raw = np.asarray(raw_matrix, dtype=np.float64)
-        if raw.ndim != 2 or raw.shape[1] != self.rescaler.n_features:
+        if raw.ndim != 2:
             raise DataError(
                 f"expected a (samples, {self.rescaler.n_features}) matrix, got {raw.shape}"
             )

@@ -24,10 +24,6 @@ class FitError(DataError):
     """A preprocessing component cannot be fitted to the given data."""
 
 
-class NotFittedError(TnadError, RuntimeError):
-    """A component was used before it was fitted."""
-
-
 class NumericalError(TnadError, ArithmeticError):
     """A numerical-integrity invariant was violated."""
 

@@ -13,9 +13,9 @@ density matrix, and one down and one up pass give every single-feature
 density and all-to-all mutual information.
 
 From the (trace-normalized) density matrices this module derives the
-induced quasi-probability density and its moments, von Neumann entropies,
-mutual information between feature groups, per-feature anomaly flags, and
-conditional expected values for flagged features. Every public function
+moments of each marginal, von Neumann entropies, mutual information
+between feature groups, per-feature anomaly flags, and conditional
+expected values for flagged features. Every public function
 runs under :func:`tnad.tensors.single_blas_thread`.
 """
 
@@ -35,6 +35,7 @@ from .errors import (
     NumericalError,
     ResourceLimitError,
 )
+from .metrics import mi_display
 from .network import PAD_VALUE
 from .tensors import (
     single_blas_thread,
@@ -54,7 +55,6 @@ __all__ = [
     "MiMatrices",
     "reduced_density_matrix",
     "conditional_rdm",
-    "quasi_density",
     "marginal_moments",
     "von_neumann_entropy",
     "mutual_information",
@@ -64,7 +64,8 @@ __all__ = [
     "explain_sample",
 ]
 
-DEFAULT_MAX_SUBSYSTEM_DIM = 256
+# largest density-matrix extent phys_dim ** n_sites a subsystem may have
+MAX_SUBSYSTEM_DIM = 256
 # moments integrate on a grid of (2 * phys_dim) ** n_sites nodes
 MAX_MOMENT_SITES = 3
 _MIN_CONDITIONAL_TRACE = 1e-30
@@ -81,7 +82,6 @@ class ReducedDensityMatrix:
     sites: tuple[int, ...]
     matrix: np.ndarray
     phys_dim: int
-    trace_before_normalization: float
 
     @property
     def n_sites(self) -> int:
@@ -93,8 +93,8 @@ class MarginalStats:
     """Moments of the normalized quasi-density of a subsystem.
 
     ``mean``/``std``/``covariance`` live in the rescaled [0, 1] domain;
-    ``raw_mean``/``raw_std`` are mapped back through the inverse rescaler
-    when one is available.
+    ``raw_mean``/``raw_std`` are mapped back to the raw domain when a
+    rescaler is given.
     """
 
     sites: tuple[int, ...]
@@ -225,12 +225,7 @@ def _finalize_rdm(rho, sites, requested, n) -> ReducedDensityMatrix:
             f"density matrix trace {trace:.3e} is below {_MIN_CONDITIONAL_TRACE:.0e}; "
             "the conditioning values are (near-)impossible under the model"
         )
-    return ReducedDensityMatrix(
-        sites=tuple(requested),
-        matrix=rho / trace,
-        phys_dim=n,
-        trace_before_normalization=trace,
-    )
+    return ReducedDensityMatrix(sites=tuple(requested), matrix=rho / trace, phys_dim=n)
 
 
 def _identity_object(bond: int) -> np.ndarray:
@@ -285,7 +280,7 @@ def _rdm(model, targets, conditions) -> ReducedDensityMatrix:
         up[u] = (tree_join(obj0, obj1, node), feats0 + feats1)
 
 
-def _check_subsystem(model, sites, max_dim) -> None:
+def _check_subsystem(model, sites) -> None:
     if len(sites) == 0:
         raise DataError("subsystem must contain at least one feature")
     if len(set(sites)) != len(sites):
@@ -293,17 +288,15 @@ def _check_subsystem(model, sites, max_dim) -> None:
     for s in sites:
         if not 0 <= s < model.n_features:
             raise DataError(f"feature {s} out of range (model has {model.n_features})")
-    if model.phys_dim ** len(sites) > max_dim:
+    if model.phys_dim ** len(sites) > MAX_SUBSYSTEM_DIM:
         raise ResourceLimitError(
             f"subsystem of {len(sites)} features needs matrices of extent "
-            f"{model.phys_dim ** len(sites)} > budget {max_dim}"
+            f"{model.phys_dim ** len(sites)} > budget {MAX_SUBSYSTEM_DIM}"
         )
 
 
 @single_blas_thread()
-def reduced_density_matrix(
-    model, sites, max_dim: int = DEFAULT_MAX_SUBSYSTEM_DIM
-) -> ReducedDensityMatrix:
+def reduced_density_matrix(model, sites) -> ReducedDensityMatrix:
     """Marginal density matrix of the model over the given features.
 
     The model's canonical structure lets everything outside the subsystem
@@ -312,14 +305,12 @@ def reduced_density_matrix(
     the model is not modified.
     """
     sites = tuple(int(s) for s in sites)
-    _check_subsystem(model, sites, max_dim)
+    _check_subsystem(model, sites)
     return _rdm(model, sites, {})
 
 
 @single_blas_thread()
-def conditional_rdm(
-    model, target_sites, conditions, max_dim: int = DEFAULT_MAX_SUBSYSTEM_DIM
-) -> ReducedDensityMatrix:
+def conditional_rdm(model, target_sites, conditions) -> ReducedDensityMatrix:
     """Density matrix over ``target_sites`` with other features pinned.
 
     ``conditions`` maps feature index to its rescaled value in [0, 1]; the
@@ -329,7 +320,7 @@ def conditional_rdm(
     """
     target_sites = tuple(int(s) for s in target_sites)
     conditions = {int(s): float(v) for s, v in conditions.items()}
-    _check_subsystem(model, target_sites, max_dim)
+    _check_subsystem(model, target_sites)
     overlap = set(target_sites) & set(conditions)
     if overlap:
         raise DataError(f"features {sorted(overlap)} are both targets and conditions")
@@ -342,7 +333,7 @@ def conditional_rdm(
 
 
 # ---------------------------------------------------------------------------
-# quasi-density, moments, entropies
+# moments, entropies
 
 
 def _density_on_grid(rdm: ReducedDensityMatrix, axes_points) -> np.ndarray:
@@ -361,24 +352,6 @@ def _quadrature(rdm: ReducedDensityMatrix):
     for _ in range(rdm.n_sites - 1):
         w = np.multiply.outer(w, weights)
     return nodes, w * _density_on_grid(rdm, [nodes] * rdm.n_sites)
-
-
-@single_blas_thread()
-def quasi_density(rdm: ReducedDensityMatrix, point) -> float:
-    """Normalized quasi-probability density at a rescaled-domain point.
-
-    The normalizer is the Gauss-Legendre quadrature integral of the
-    unnormalized density over the unit cube, which the node count makes
-    exact for the polynomial integrand.
-    """
-    point = np.atleast_1d(np.asarray(point, dtype=np.float64))
-    if point.shape != (rdm.n_sites,):
-        raise DataError(f"point has shape {point.shape}, expected ({rdm.n_sites},)")
-    if np.any(point < 0.0) or np.any(point > 1.0):
-        raise DataError("quasi-density points live in the rescaled domain [0, 1]")
-    _, wq = _quadrature(rdm)
-    total = float(wq.sum())
-    return _density_on_grid(rdm, point[:, None]).item() / total
 
 
 @single_blas_thread()
@@ -408,12 +381,9 @@ def marginal_moments(rdm: ReducedDensityMatrix, rescaler=None) -> MarginalStats:
     std = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
     raw_mean = raw_std = None
     if rescaler is not None:
-        span = np.array(
-            [rescaler.maximum[s] - rescaler.minimum[s] for s in rdm.sites]
-        )
-        raw_mean = np.array(
-            [rescaler.inverse_value(s, m) for s, m in zip(rdm.sites, mean)]
-        )
+        sites = list(rdm.sites)
+        span = rescaler.maximum[sites] - rescaler.minimum[sites]
+        raw_mean = rescaler.minimum[sites] + mean * span
         raw_std = std * span
     return MarginalStats(rdm.sites, mean, std, covariance, raw_mean, raw_std)
 
@@ -437,17 +407,15 @@ def von_neumann_entropy(rdm) -> float:
 
 
 @single_blas_thread()
-def mutual_information(model, sites_x, sites_y, max_dim: int = DEFAULT_MAX_SUBSYSTEM_DIM) -> float:
+def mutual_information(model, sites_x, sites_y) -> float:
     """Mutual information ``S(X) + S(Y) - S(XY)`` between feature groups."""
     sites_x = tuple(int(s) for s in sites_x)
     sites_y = tuple(int(s) for s in sites_y)
     if set(sites_x) & set(sites_y):
         raise DataError("mutual information needs disjoint feature groups")
-    s_x = von_neumann_entropy(reduced_density_matrix(model, sites_x, max_dim))
-    s_y = von_neumann_entropy(reduced_density_matrix(model, sites_y, max_dim))
-    s_xy = von_neumann_entropy(
-        reduced_density_matrix(model, tuple(sorted(sites_x + sites_y)), max_dim)
-    )
+    s_x = von_neumann_entropy(reduced_density_matrix(model, sites_x))
+    s_y = von_neumann_entropy(reduced_density_matrix(model, sites_y))
+    s_xy = von_neumann_entropy(reduced_density_matrix(model, tuple(sorted(sites_x + sites_y))))
     return s_x + s_y - s_xy
 
 
@@ -536,15 +504,12 @@ def _pairwise_mi(model) -> np.ndarray:
 def all_to_all_mi(model) -> MiMatrices:
     """Mutual information between every pair of single features.
 
-    Returns the raw matrix (symmetric, zero diagonal) and a display variant
-    rescaled to [0, 1] by the largest off-diagonal entry.
+    Returns the raw matrix (symmetric, zero diagonal) and its
+    :func:`~tnad.metrics.mi_display` rescaling.
     """
     raw = _pairwise_mi(model)
-    peak = raw.max()
-    # below 1e-12 nats everything is rounding noise, not structure
-    display = raw / peak if peak > 1e-12 else np.zeros_like(raw)
-    np.fill_diagonal(display, 0.0)
-    return MiMatrices(raw=raw, display=display)
+    return MiMatrices(raw=raw, display=mi_display(raw))
+
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +517,7 @@ def all_to_all_mi(model) -> MiMatrices:
 
 
 def _require_encoder(model):
-    if model.encoder is None or model.encoder.rescaler is None:
+    if model.encoder is None:
         raise DataError("model carries no fitted feature map; attach one via model.encoder")
     return model.encoder
 
@@ -571,13 +536,13 @@ def flag_features(model, raw_sample, k_sigma: float = 1.0) -> AnomalyExplanation
     encoder = _require_encoder(model)
     raw = np.asarray(raw_sample, dtype=np.float64)
     rescaled = encoder.rescale_sample(raw)
-    log_abs, _ = model.log_amplitude(encoder.encode_unit(rescaled))
-    nll = float(-2.0 * log_abs)
+    log_abs, _ = model.log_amplitudes(encoder.encode_unit(rescaled)[None])
+    nll = float(-2.0 * log_abs[0])
 
     _, singles = _bond_densities(_analysis_copy(model, 0))
     flags = []
     for i in range(model.n_features):
-        rdm = ReducedDensityMatrix((i,), _unit_density(singles[i]), model.phys_dim, 1.0)
+        rdm = ReducedDensityMatrix((i,), _unit_density(singles[i]), model.phys_dim)
         stats = marginal_moments(rdm, encoder.rescaler)
         deviation = abs(float(rescaled[i]) - float(stats.mean[0]))
         flags.append(

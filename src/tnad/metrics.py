@@ -24,6 +24,7 @@ __all__ = [
     "histogram_mi",
     "histogram_mi_matrix",
     "histogram_bin_count",
+    "mi_display",
 ]
 
 
@@ -150,6 +151,15 @@ def histogram_mi_matrix(data: np.ndarray) -> np.ndarray:
             if codes[j] is not None:
                 matrix[i, j] = matrix[j, i] = _plug_in_mi(row_codes + codes[j], bins)
     return matrix
+
+
+def mi_display(raw: np.ndarray) -> np.ndarray:
+    """An MI matrix rescaled to [0, 1] by its largest off-diagonal entry, zero diagonal."""
+    peak = raw.max()
+    # below 1e-12 nats everything is rounding noise, not structure
+    display = raw / peak if peak > 1e-12 else np.zeros_like(raw)
+    np.fill_diagonal(display, 0.0)
+    return display
 
 
 def _mi_table(data) -> np.ndarray:

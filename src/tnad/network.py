@@ -206,22 +206,19 @@ class TensorNetwork:
         log_abs[:] = log_out
         sign[:] = np.where(amp[:, 0] < 0.0, -1.0, 1.0)
 
-    def log_amplitude(self, encoded_sample: np.ndarray) -> tuple[float, float]:
-        """Single-sample variant of ``log_amplitudes``."""
-        log_abs, sign = self.log_amplitudes(np.asarray(encoded_sample)[None, :, :])
-        return float(log_abs[0]), float(sign[0])
-
     # -- sweeps ------------------------------------------------------------
 
-    def traversal_schedule(self, start: int) -> list[tuple[int, int]]:
-        """Closed depth-first walk over all edges, once per direction.
+    def sweep_schedule(self) -> list[tuple[int, int]]:
+        """Directed edges of one full sweep: a closed depth-first walk over all edges.
 
-        Starts and ends at ``start`` and enters neighbors in axis order, so
+        The walk goes over each edge once per direction. It starts and ends
+        at :meth:`sweep_start` and enters neighbors in axis order, so
         consecutive edges share the node that is the current center and
         every leaf but the start is entered only to be left at once; from
         an end of a chain, to the other end and back. It keeps its own
         stack, so no chain is too long for it.
         """
+        start = self.sweep_start()
         edges: list[tuple[int, int]] = []
         stack = [(start, -1, iter(self.neighbors(start)))]
         while stack:
@@ -235,10 +232,6 @@ class TensorNetwork:
                 if back >= 0:
                     edges.append((u, back))
         return edges
-
-    def sweep_schedule(self) -> list[tuple[int, int]]:
-        """Directed edges of one full sweep: the closed walk from :meth:`sweep_start`."""
-        return self.traversal_schedule(self.sweep_start())
 
     # -- canonical form ----------------------------------------------------
 

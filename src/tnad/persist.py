@@ -55,7 +55,7 @@ _ISOMETRY_TOLERANCE = 1e-8
 
 def save_model(path, model) -> None:
     """Serialize a trained model (with its fitted feature map) to ``path``."""
-    if model.encoder is None or model.encoder.rescaler is None:
+    if model.encoder is None:
         raise DataError("model has no fitted feature map attached; cannot serialize")
     rescaler = model.encoder.rescaler
 

@@ -159,6 +159,28 @@ class TestMi:
         assert matrix.shape == (4, 4)
         assert matrix.max() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("source", ["model", "data"])
+    def test_display_rescales_the_raw_matrix(self, workspace, source):
+        # both sources share one display rule: divide by the peak, zero diagonal
+        inputs = {
+            "model": ["--model-file", str(workspace / "model.tnad")],
+            "data": ["--data", str(workspace / "probe.csv"), "--label-column", "class"],
+        }[source]
+        runner = CliRunner()
+        raw, display = (
+            workspace / f"mi_{source}_raw.csv", workspace / f"mi_{source}_display.csv"
+        )
+        for flags, out in (([], raw), (["--display"], display)):
+            result = runner.invoke(
+                cli, ["mi", "--from", source, *inputs, *flags, "--out", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+        raw, display = np.loadtxt(raw, delimiter=","), np.loadtxt(display, delimiter=",")
+        assert raw.max() > 1e-6
+        np.testing.assert_allclose(display, raw / raw.max(), rtol=1e-9, atol=1e-12)
+        assert display.max() == pytest.approx(1.0, abs=1e-9)
+        assert not np.diag(display).any()
+
     def test_missing_source_argument(self, workspace):
         runner = CliRunner()
         result = runner.invoke(cli, ["mi", "--from", "model", "--out", "x.csv"])
@@ -201,6 +223,20 @@ class TestExitCodes:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    def test_anomaly_label_without_label_column_exits_two(self, workspace, tmp_path):
+        # without a label column the flag would be ignored and scoring go on
+        out = tmp_path / "scores.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnad.cli", "score",
+             "--model-file", str(workspace / "model.tnad"),
+             "--data", str(workspace / "train.csv"), "--anomaly-label", "1",
+             "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "anomaly labels need a label column" in proc.stderr
+        assert not out.exists()
 
     def test_duplicate_column_exits_two(self, tmp_path):
         bad = tmp_path / "dup.csv"

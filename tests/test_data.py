@@ -54,6 +54,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="label column"):
             load_csv(DatasetSpec(path, label_column="class"))
 
+    def test_anomaly_labels_need_a_label_column(self, csv_file):
+        # otherwise the labels would be ignored and the column read as a feature
+        path = csv_file("a,b,label\n1,2,0\n3,4,1\n")
+        with pytest.raises(DataError, match="anomaly labels need a label column"):
+            DatasetSpec(path, None, ("1",))
+
     def test_ragged_row_names_line(self, csv_file):
         path = csv_file("a,b\n1,2\n3\n")
         with pytest.raises(DataError, match="line 3"):

@@ -9,24 +9,33 @@ from tnad import (
     FeatureRescaler,
     FitError,
     LegendreFeatureMap,
-    NotFittedError,
+    ReducedDensityMatrix,
     fit_rescaler,
     gauss_legendre_unit,
+    marginal_moments,
     orthonormal_basis,
-    shifted_legendre_eval,
 )
+
+
+def shifted_legendre(n, x):
+    """The n-th shifted Legendre polynomial, read off the orthonormal basis."""
+    return orthonormal_basis(n + 1, x)[n] / math.sqrt(2 * n + 1)
+
+
+def unit_rescaler(n_features):
+    return FeatureRescaler(np.zeros(n_features), np.ones(n_features))
 
 
 class TestShiftedLegendre:
     def test_degree_zero_is_one(self):
         for x in (0.0, 0.3, 1.0):
-            assert shifted_legendre_eval(0, x) == 1.0
+            assert shifted_legendre(0, x) == 1.0
 
     def test_degree_one(self):
-        assert shifted_legendre_eval(1, 0.25) == pytest.approx(-0.5, abs=1e-15)
+        assert shifted_legendre(1, 0.25) == pytest.approx(-0.5, abs=1e-15)
 
     def test_degree_two_at_zero(self):
-        assert shifted_legendre_eval(2, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert shifted_legendre(2, 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_recurrence_matches_rodrigues_expansion(self):
         # independent oracle: differentiate (x^2 - x)^n symbolically
@@ -38,17 +47,12 @@ class TestShiftedLegendre:
             for _ in range(n):
                 poly = poly.deriv()
             expected = poly(xs) / math.factorial(n)
-            np.testing.assert_allclose(shifted_legendre_eval(n, xs), expected, atol=1e-12)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DataError):
-            shifted_legendre_eval(2, 1.5)
-        with pytest.raises(DataError):
-            shifted_legendre_eval(2, -0.1)
+            np.testing.assert_allclose(shifted_legendre(n, xs), expected, atol=1e-12)
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(DataError):
-            shifted_legendre_eval(-1, 0.5)
+        # no functions means a highest degree of -1
+        with pytest.raises(DataError, match="n_functions"):
+            LegendreFeatureMap(0, unit_rescaler(1))
 
 
 class TestOrthonormality:
@@ -74,12 +78,11 @@ class TestOrthonormality:
 class TestRescaler:
     def test_plain_affine(self):
         r = fit_rescaler(np.array([[0.0], [10.0]]), margin=0.0)
-        assert r.transform_value(0, 5.0) == pytest.approx(0.5)
+        assert r.transform([5.0]) == pytest.approx([0.5])
 
     def test_margin_two_point(self):
         r = fit_rescaler(np.array([[2.0], [4.0]]), margin=0.05)
-        assert r.transform_value(0, 2.0) == pytest.approx(0.05)
-        assert r.transform_value(0, 4.0) == pytest.approx(0.95)
+        np.testing.assert_allclose(r.transform([[2.0], [4.0]]), [[0.05], [0.95]])
 
     def test_constant_feature_rejected(self):
         with pytest.raises(FitError, match="feature 1"):
@@ -102,59 +105,73 @@ class TestRescaler:
 
     def test_clamping(self):
         r = fit_rescaler(np.array([[0.0], [1.0]]))
-        assert r.transform_value(0, -5.0) == 0.0
-        assert r.transform_value(0, 7.0) == 1.0
+        np.testing.assert_array_equal(r.transform([[-5.0], [7.0]]), [[0.0], [1.0]])
 
     def test_inverse_roundtrip(self):
+        # marginal_moments maps the rescaled mean back to the raw domain;
+        # rescaling that raw mean gives the rescaled mean again
         r = fit_rescaler(np.array([[2.0, -1.0], [4.0, 5.0]]), margin=0.02)
-        for v in (2.0, 3.3, 4.0):
-            assert r.inverse_value(0, r.transform_value(0, v)) == pytest.approx(v)
+        a = np.random.default_rng(3).standard_normal((9, 9))
+        rdm = ReducedDensityMatrix((0, 1), a @ a.T / np.trace(a @ a.T), 3)
+        stats = marginal_moments(rdm, r)
+        np.testing.assert_allclose(r.transform(stats.raw_mean), stats.mean, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(), (5, 1), (5, 3), (4, 5)])
+    def test_last_axis_must_hold_every_feature(self, shape):
+        # a scalar or one column would broadcast against the four features
+        r = unit_rescaler(4)
+        with pytest.raises(DataError, match="4 on the last axis"):
+            r.transform(np.full(shape, 0.5))
 
 
 class TestFeatureMap:
     def unit_map(self, n_functions, n_features=1):
-        rescaler = FeatureRescaler(np.zeros(n_features), np.ones(n_features))
-        return LegendreFeatureMap(n_functions, rescaler)
+        return LegendreFeatureMap(n_functions, unit_rescaler(n_features))
 
     def test_single_function_constant(self):
         fm = self.unit_map(1)
-        np.testing.assert_allclose(fm.encode_value(0, 0.77), [1.0])
+        np.testing.assert_allclose(fm.encode_batch([[0.77]]), [[[1.0]]])
 
     def test_three_functions_midpoint(self):
         fm = self.unit_map(3)
         np.testing.assert_allclose(
-            fm.encode_value(0, 0.5), [1.0, 0.0, -math.sqrt(5) / 2], atol=1e-12
+            fm.encode_batch([[0.5]])[0, 0], [1.0, 0.0, -math.sqrt(5) / 2], atol=1e-12
         )
 
     def test_two_functions_origin(self):
         fm = self.unit_map(2)
-        np.testing.assert_allclose(fm.encode_value(0, 0.0), [1.0, -math.sqrt(3)], atol=1e-12)
+        np.testing.assert_allclose(
+            fm.encode_batch([[0.0]])[0, 0], [1.0, -math.sqrt(3)], atol=1e-12
+        )
 
     def test_encode_sample_elementwise(self):
+        # each feature is encoded on its own: a row's encoding is its
+        # features' one-column encodings side by side
         fm = self.unit_map(3, n_features=2)
-        sample = np.array([0.2, 0.9])
-        encoded = fm.encode_sample(sample)
-        np.testing.assert_array_equal(encoded[0], fm.encode_value(0, 0.2))
-        np.testing.assert_array_equal(encoded[1], fm.encode_value(1, 0.9))
+        encoded = fm.encode_batch([[0.2, 0.9]])
+        np.testing.assert_array_equal(encoded[0, 0], self.unit_map(3).encode_batch([[0.2]])[0, 0])
+        np.testing.assert_array_equal(encoded[0, 1], self.unit_map(3).encode_batch([[0.9]])[0, 0])
 
     def test_encode_sample_all_constant_basis(self):
         fm = self.unit_map(1, n_features=2)
-        np.testing.assert_allclose(fm.encode_sample([0.1, 0.8]), [[1.0], [1.0]])
+        np.testing.assert_allclose(fm.encode_batch([[0.1, 0.8]]), [[[1.0], [1.0]]])
 
     def test_determinism(self):
         fm = self.unit_map(4, n_features=3)
-        sample = [0.1, 0.5, 0.99]
-        np.testing.assert_array_equal(fm.encode_sample(sample), fm.encode_sample(sample))
+        sample = [[0.1, 0.5, 0.99]]
+        np.testing.assert_array_equal(fm.encode_batch(sample), fm.encode_batch(sample))
 
     def test_length_mismatch(self):
         fm = self.unit_map(2, n_features=3)
         with pytest.raises(DataError):
-            fm.encode_sample([0.1, 0.2])
+            fm.encode_batch([[0.1, 0.2]])
+        with pytest.raises(DataError, match=r"expected \(3,\)"):
+            fm.rescale_sample([0.1, 0.2])
 
     def test_unfitted_rejected(self):
-        fm = LegendreFeatureMap(3)
-        with pytest.raises(NotFittedError):
-            fm.encode_sample([0.5])
+        # a feature map cannot be built without its fitted rescaler
+        with pytest.raises(TypeError, match="rescaler"):
+            LegendreFeatureMap(3)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_raw_value_rejected(self, value):
@@ -165,9 +182,7 @@ class TestFeatureMap:
         with pytest.raises(DataError, match="feature 1"):
             fm.encode_batch(np.array([[0.2, 0.3], [0.5, value]]))
         with pytest.raises(DataError, match="feature 1"):
-            fm.encode_sample([0.5, value])
-        with pytest.raises(DataError, match="feature 1"):
-            fm.encode_value(1, value)
+            fm.rescale_sample([0.5, value])
 
     def test_batch_matches_samples(self):
         fm = self.unit_map(3, n_features=2)
@@ -175,7 +190,8 @@ class TestFeatureMap:
         batch = rng.uniform(size=(5, 2))
         encoded = fm.encode_batch(batch)
         for i in range(5):
-            np.testing.assert_allclose(encoded[i], fm.encode_sample(batch[i]), atol=1e-14)
+            np.testing.assert_array_equal(encoded[i], fm.encode_batch(batch[i : i + 1])[0])
+            np.testing.assert_array_equal(encoded[i], fm.encode_unit(fm.rescale_sample(batch[i])))
 
 
 class TestInPlaceEncoding:
@@ -195,9 +211,6 @@ class TestInPlaceEncoding:
         np.testing.assert_array_equal(
             orthonormal_basis(4, 0.3), helpers.orthonormal_basis_out_of_place(4, 0.3)
         )
-        assert shifted_legendre_eval(3, 0.3) == helpers.legendre_table_out_of_place(
-            3, np.asarray(0.3)
-        )[3]
 
     @pytest.mark.parametrize("n_functions", [1, 2, 5])
     def test_encoders_match_the_out_of_place_formula(self, n_functions):
@@ -207,8 +220,9 @@ class TestInPlaceEncoding:
         want = helpers.encode_out_of_place
         np.testing.assert_array_equal(fm.encode_batch(raw), want(fm, raw))
         np.testing.assert_array_equal(fm.encode_batch(raw[:0]), want(fm, raw[:0]))
-        np.testing.assert_array_equal(fm.encode_sample(raw[41]), want(fm, raw[41]))
-        np.testing.assert_array_equal(fm.encode_value(2, raw[45, 2]), want(fm, raw[45])[2])
+        np.testing.assert_array_equal(fm.encode_batch(raw[41:42]), want(fm, raw[41:42]))
+        rescaled = fm.rescale_sample(raw[41])
+        np.testing.assert_array_equal(fm.encode_unit(rescaled), want(fm, raw[41]))
 
     def test_transform_leaves_the_callers_array_untouched(self):
         raw = np.array([[-3.0, 0.5], [0.25, 9.0]])

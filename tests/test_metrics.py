@@ -231,13 +231,13 @@ class TestHistogramMiMatrix:
 SCORE_CHILD = """
 import hashlib, sys
 import numpy as np
-from tnad import LegendreFeatureMap, MpsModel, TtnModel
+from tnad import MpsModel, TtnModel, orthonormal_basis
 if sys.argv[1] == "mps":
     model, width = MpsModel.random(36, 5, init_bond=40, seed=0), 36
 else:
     model, width = TtnModel.random(57, 5, init_bond=16, seed=0), 57
 unit = np.random.default_rng(4).uniform(size=(5000, width))
-log_abs, sign = model.log_amplitudes(LegendreFeatureMap(5).encode_unit(unit))
+log_abs, sign = model.log_amplitudes(np.moveaxis(orthonormal_basis(5, unit), 0, -1))
 print(hashlib.sha256(log_abs.tobytes() + sign.tobytes()).hexdigest())
 """
 

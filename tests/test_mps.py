@@ -51,7 +51,7 @@ class TestLogAmplitude:
         v = np.array([0.8, -0.6]).reshape(1, 2, 1)
         m = MpsModel([u, v], center=0)
         x1, x2 = np.array([1.0, 2.0]), np.array([0.5, 0.3])
-        log_abs, sign = m.log_amplitude(np.stack([x1, x2]))
+        log_abs, sign = m.log_amplitudes(np.stack([x1, x2])[None])
         expected = (u[0, :, 0] @ x1) * (v[0, :, 0] @ x2)
         assert sign * np.exp(log_abs) == pytest.approx(expected, rel=1e-12)
 
@@ -80,8 +80,8 @@ class TestLogAmplitude:
         u = np.array([1.0, 0.0]).reshape(1, 2, 1)
         m = MpsModel([u, u.copy()], center=0)
         encoded = np.array([[0.0, 1.0], [1.0, 1.0]])  # first site orthogonal to core
-        log_abs, _ = m.log_amplitude(encoded)
-        assert log_abs == -np.inf
+        log_abs, _ = m.log_amplitudes(encoded[None])
+        assert log_abs[0] == -np.inf
 
     def test_long_chain_no_underflow(self):
         m = MpsModel.random(120, 2, init_bond=3, seed=2)

@@ -187,7 +187,7 @@ def test_reloaded_twin_trains_to_the_same_bits(kind, tmp_path):
 @pytest.mark.parametrize("model_class", [MpsModel, TtnModel])
 def test_model_kinds_inherit_the_engine_passes(model_class):
     """Amplitudes, the sweep walk and the padding exist once, in the engine."""
-    shared = {"log_amplitudes", "sweep_schedule", "traversal_schedule", "pad_batch"}
+    shared = {"log_amplitudes", "sweep_schedule", "pad_batch"}
     assert not shared & set(vars(model_class))
 
 

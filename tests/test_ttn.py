@@ -54,13 +54,14 @@ class TestTraversal:
         t = TtnModel.random(4, 2, init_bond=2, seed=0)
         leaf1, leaf2 = t.leaf_ids()
         root = 0
-        assert t.traversal_schedule(leaf2) == [
+        assert t.sweep_start() == leaf2
+        assert t.sweep_schedule() == [
             (leaf2, root), (root, leaf1), (leaf1, root), (root, leaf2)
         ]
 
     def test_every_edge_twice_and_closed(self):
         t = TtnModel.random(12, 2, init_bond=2, seed=1)
-        schedule = t.traversal_schedule(t.sweep_start())
+        schedule = t.sweep_schedule()
         counts = {}
         for edge in schedule:
             counts[edge] = counts.get(edge, 0) + 1
@@ -73,7 +74,7 @@ class TestTraversal:
 
     def test_interior_leaves_bounce(self):
         t = TtnModel.random(10, 2, init_bond=2, seed=2)
-        schedule = t.traversal_schedule(t.sweep_start())
+        schedule = t.sweep_schedule()
         start = t.sweep_start()
         for i, (a, b) in enumerate(schedule):
             if b in t.leaf_ids() and b != start:
