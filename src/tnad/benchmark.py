@@ -201,7 +201,7 @@ def benchmark_arrays(
         threshold, tpr, tnr = eer_threshold(train_scores, hidden[train_idx])
         eers.append({"threshold": threshold, "tpr": tpr, "tnr": tnr})
 
-        holdout_scores = score_samples(model, encoder.encode_batch(mixed[holdout]))
+        holdout_scores = score_samples(model, mixed[holdout])
         inductive.append(auc_roc(holdout_scores, hidden[holdout]))
 
         if out_dir is not None:

@@ -86,7 +86,7 @@ def score(model_file, data, label_column, anomaly_labels, out):
     """Score samples; higher NLL means more anomalous."""
     model = load_model(model_file)
     features, labels = load_csv(_dataset_spec(data, label_column, anomaly_labels))
-    scores = score_samples(model, model.encoder.encode_batch(features))
+    scores = score_samples(model, features)
     with open(out, "w", newline="") as handle:
         writer = csv.writer(handle)
         if labels is None:

@@ -93,16 +93,15 @@ class MarginalStats:
     """Moments of the normalized quasi-density of a subsystem.
 
     ``mean``/``std``/``covariance`` live in the rescaled [0, 1] domain;
-    ``raw_mean``/``raw_std`` are mapped back to the raw domain when a
-    rescaler is given.
+    ``raw_mean``/``raw_std`` are mapped back to the raw domain.
     """
 
     sites: tuple[int, ...]
     mean: np.ndarray
     std: np.ndarray
     covariance: np.ndarray
-    raw_mean: np.ndarray | None = None
-    raw_std: np.ndarray | None = None
+    raw_mean: np.ndarray
+    raw_std: np.ndarray
 
 
 @dataclass
@@ -355,7 +354,7 @@ def _quadrature(rdm: ReducedDensityMatrix):
 
 
 @single_blas_thread()
-def marginal_moments(rdm: ReducedDensityMatrix, rescaler=None) -> MarginalStats:
+def marginal_moments(rdm: ReducedDensityMatrix, rescaler) -> MarginalStats:
     """Mean, variance, and covariance of the normalized quasi-density.
 
     Uses a Gauss-Legendre tensor grid with ``2 * phys_dim`` nodes per axis,
@@ -379,12 +378,10 @@ def marginal_moments(rdm: ReducedDensityMatrix, rescaler=None) -> MarginalStats:
     covariance = second - np.outer(mean, mean)
     covariance = 0.5 * (covariance + covariance.T)
     std = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    raw_mean = raw_std = None
-    if rescaler is not None:
-        sites = list(rdm.sites)
-        span = rescaler.maximum[sites] - rescaler.minimum[sites]
-        raw_mean = rescaler.minimum[sites] + mean * span
-        raw_std = std * span
+    sites = list(rdm.sites)
+    span = rescaler.maximum[sites] - rescaler.minimum[sites]
+    raw_mean = rescaler.minimum[sites] + mean * span
+    raw_std = std * span
     return MarginalStats(rdm.sites, mean, std, covariance, raw_mean, raw_std)
 
 

@@ -28,20 +28,22 @@ __all__ = [
 ]
 
 
-def score_samples(model, encoded: np.ndarray) -> np.ndarray:
+def score_samples(model, batch: np.ndarray) -> np.ndarray:
     """Per-sample NLL scores; higher means more anomalous.
 
-    ``encoded`` is a batch as :meth:`~tnad.encoding.LegendreFeatureMap.encode_batch`
-    returns it. The amplitude pass walks it in row blocks
-    (:meth:`~tnad.network.TensorNetwork.log_amplitudes`), so scoring holds
-    the encoded batch, one block's padded encodings and messages, and the
-    ``(n,)`` results, never a second batch-sized array.
+    ``batch`` holds raw rows ``(n, n_features)``, which the model's encoder
+    encodes, or a batch as :meth:`~tnad.encoding.LegendreFeatureMap.encode_batch`
+    returns it; both give the same bits. The amplitude pass walks it in row
+    blocks (:meth:`~tnad.network.TensorNetwork.log_amplitudes`), encoding
+    raw rows one block at a time, so scoring holds the batch, one block's
+    encodings and messages, and the ``(n,)`` results, never a second
+    batch-sized array.
 
     Samples with exactly zero amplitude would score infinite; they are
     mapped to one more than the largest finite score so downstream metrics
     stay finite while those samples still rank as the most anomalous.
     """
-    log_abs, _ = model.log_amplitudes(np.asarray(encoded, dtype=np.float64))
+    log_abs, _ = model.log_amplitudes(batch)
     scores = -2.0 * log_abs
     infinite = ~np.isfinite(scores)
     if infinite.any():

@@ -7,11 +7,14 @@ graph, a chain for :class:`~tnad.mps.MpsModel` and a balanced binary tree
 for :class:`~tnad.ttn.TtnModel`. A model module describes its graph by
 ``axis_spec`` and keeps only its layout, its seeded construction and the
 node a sweep starts from. :class:`TensorNetwork` holds everything that
-needs only the graph: the padding of a batch with dummy features, the
-amplitude pass, the sweep walk, the canonical form and its center moves,
-the two-site merge and split of training, and :class:`Environments`, the
-per-sample message cache of training. :func:`node_message` is the one
-message step of amplitudes and environments alike.
+needs only the graph: the feature legs of a batch, dummy features
+included, the amplitude pass, the sweep walk, the canonical form and its
+center moves, the two-site merge and split of training, and
+:class:`Environments`, the per-sample message cache of training.
+:func:`node_message` is the one message step of amplitudes and
+environments alike. Neither the amplitude pass nor the cache copies the
+batch: both read its feature legs through :meth:`TensorNetwork.feature_leg`,
+and the pass takes raw rows too, encoding them one block at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ __all__ = ["TensorNetwork", "Environments", "node_message", "PAD_VALUE"]
 # rescaled value of every dummy feature: the midpoint of the unit interval
 PAD_VALUE = 0.5
 
-# rows per block of the amplitude pass: bounds the padded copy and the
+# rows per block of the amplitude pass: bounds the encodings and the
 # messages it holds at once, not the batch it scores
 BLOCK_ROWS = 1024
 
@@ -44,7 +47,7 @@ class TensorNetwork:
     state norm is the squared Frobenius norm of the center tensor. A
     subclass sets ``tensors`` (one array per node, indexed by node id),
     ``center``, ``encoder`` and, if it has dummy feature legs after its
-    real ones (:meth:`pad_batch`), ``padding``. It defines ``axis_spec``
+    real ones (:meth:`feature_leg`), ``padding``. It defines ``axis_spec``
     (see :meth:`rooted`), ``n_features``, ``phys_dim`` and ``sweep_start``.
     A bond whose reference is not a node id (the extent-1 ends of an MPS)
     has no neighbor behind it.
@@ -140,34 +143,45 @@ class TensorNetwork:
             )
         return encoded
 
-    def pad_batch(self, encoded: np.ndarray) -> np.ndarray:
-        """An encoded batch ``(n, n_features, phys_dim)`` as the feature legs read it.
+    def feature_leg(self, encoded: np.ndarray, f: int) -> np.ndarray:
+        """Per-sample vectors ``(n, phys_dim)`` on feature leg ``f`` of an encoded batch.
 
-        Checks the shape and returns a float array with the encodings of the
-        ``padding`` dummy features, each at :data:`PAD_VALUE`, appended.
+        A real feature is the view ``encoded[:, f, :]``. A dummy feature, one
+        of the ``padding`` legs after the real ones, is the encoding of
+        :data:`PAD_VALUE`, the same row for every sample, as a read-only
+        broadcast view. So no leg copies the batch.
         """
-        encoded = self._checked_batch(encoded)
-        if not self.padding:
-            return encoded
-        dummy = orthonormal_basis(self.phys_dim, np.full(self.padding, PAD_VALUE)).T
-        pad = np.broadcast_to(dummy, (len(encoded),) + dummy.shape)
-        return np.concatenate([encoded, pad], axis=1)
+        if f < self.n_features:
+            return encoded[:, f, :]
+        dummy = orthonormal_basis(self.phys_dim, PAD_VALUE)
+        return np.broadcast_to(dummy, (len(encoded), self.phys_dim))
 
     @single_blas_thread()
-    def log_amplitudes(self, encoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def log_amplitudes(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Log magnitude and sign of the amplitude of each sample, on one BLAS thread.
 
-        ``encoded`` is ``(n, n_features, phys_dim)``, in any memory layout.
-        The log is ``-inf`` for an exactly vanishing amplitude. The batch is
-        walked in blocks of :data:`BLOCK_ROWS` rows (the last may hold one
-        more), each padded on its own, so beyond the two ``(n,)`` results the
-        pass holds one block's padded encodings and messages, whatever ``n``.
-        Each row's products round alike in any block of two or more rows, so
-        the results are those of one pass over the whole batch. A batch of
-        no rows gives two empty arrays.
+        ``batch`` is either raw rows ``(n, n_features)``, which the model's
+        ``encoder`` encodes, or an encoded batch ``(n, n_features,
+        phys_dim)`` in any memory layout. The log is ``-inf`` for an exactly
+        vanishing amplitude. The batch is walked in blocks of
+        :data:`BLOCK_ROWS` rows (the last may hold one more), raw rows
+        encoded one block at a time, so beyond the batch and the two
+        ``(n,)`` results the pass holds one block's encodings and messages,
+        whatever ``n``. The encoding works value by value, and each row's
+        products round alike in any block of two or more rows, so the
+        results are those of one pass over the whole encoded batch. A batch
+        of no rows gives two empty arrays.
         """
-        encoded = self._checked_batch(encoded)
-        n = len(encoded)
+        batch = np.asarray(batch, dtype=np.float64)
+        raw = batch.ndim == 2
+        if not raw:
+            batch = self._checked_batch(batch)
+        elif batch.shape[1] != self.n_features or self.encoder is None:
+            raise DataError(
+                f"raw rows of shape {batch.shape} need a model with an encoder "
+                f"and {self.n_features} features"
+            )
+        n = len(batch)
         log_abs, sign = np.empty(n), np.empty(n)
         start = 0
         while start < n:
@@ -175,19 +189,20 @@ class TensorNetwork:
             # one-row product by another route, which rounds differently
             stop = n if n - start <= BLOCK_ROWS + 1 else start + BLOCK_ROWS
             rows = slice(start, stop)
-            self._block_log_amplitudes(self.pad_batch(encoded[rows]), log_abs[rows], sign[rows])
+            block = self.encoder.encode_batch(batch[rows]) if raw else batch[rows]
+            self._block_log_amplitudes(block, log_abs[rows], sign[rows])
             start = stop
         return log_abs, sign
 
-    def _block_log_amplitudes(self, padded, log_abs, sign) -> None:
-        """Write the log magnitudes and signs of one padded block's amplitudes.
+    def _block_log_amplitudes(self, encoded, log_abs, sign) -> None:
+        """Write the log magnitudes and signs of one encoded block's amplitudes.
 
         One bottom-up pass of :func:`node_message` runs from the last node to
         node 0, each node seen :meth:`rooted`; each message is renormalized
         per sample into a log scale, so long networks neither under- nor
         overflow.
         """
-        batch = padded.shape[0]
+        batch = encoded.shape[0]
         unit = np.ones((batch, 1)), np.zeros(batch)
         up: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for u in reversed(range(self.n_nodes)):
@@ -195,7 +210,7 @@ class TensorNetwork:
             operands, log_scale = [], np.zeros(batch)
             for kind, ref in legs:
                 if kind == "phys":
-                    operands.append(padded[:, ref, :])
+                    operands.append(self.feature_leg(encoded, ref))
                 else:
                     vec, log_in = up.pop(ref, unit)
                     operands.append(vec)
@@ -368,12 +383,15 @@ class Environments:
     samples' encodings: an ``(n_samples, D_uv)`` array of unit rows plus a
     per-sample log scale. The cache holds exactly the messages pointing
     toward the center and is refreshed one bond at a time as training
-    moves it, so a full sweep costs one message per edge step.
+    moves it, so a full sweep costs one message per edge step. It keeps
+    the caller's encoded batch as given, without a padded copy, and reads
+    each feature leg, dummy ones included, through
+    :meth:`TensorNetwork.feature_leg`.
     """
 
     def __init__(self, model: TensorNetwork, encoded: np.ndarray):
         self.model = model
-        self.encoded = model.pad_batch(encoded)
+        self.encoded = model._checked_batch(encoded)
         self.n_samples = self.encoded.shape[0]
         self._messages: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         order, toward = model._orientation(model.center)
@@ -393,7 +411,7 @@ class Environments:
             if ax == skip:
                 continue
             if kind == "phys":
-                arrays.append(self.encoded[:, ref, :])
+                arrays.append(self.model.feature_leg(self.encoded, ref))
             else:
                 vec, log_scale = self.message(ref, u)
                 arrays.append(vec)

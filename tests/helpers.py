@@ -300,6 +300,11 @@ def random_encoded(rng, n_samples, n_sites, phys_dim):
     return rng.standard_normal((n_samples, n_sites, phys_dim)) + 0.2
 
 
+def unit_rescaler(n_features):
+    """The rescaler that maps every feature's [0, 1] onto itself."""
+    return tnad.FeatureRescaler(np.zeros(n_features), np.ones(n_features))
+
+
 def random_unit_samples(rng, n_samples, n_sites):
     return rng.uniform(0.0, 1.0, size=(n_samples, n_sites))
 

@@ -22,10 +22,6 @@ def shifted_legendre(n, x):
     return orthonormal_basis(n + 1, x)[n] / math.sqrt(2 * n + 1)
 
 
-def unit_rescaler(n_features):
-    return FeatureRescaler(np.zeros(n_features), np.ones(n_features))
-
-
 class TestShiftedLegendre:
     def test_degree_zero_is_one(self):
         for x in (0.0, 0.3, 1.0):
@@ -52,7 +48,7 @@ class TestShiftedLegendre:
     def test_negative_degree_rejected(self):
         # no functions means a highest degree of -1
         with pytest.raises(DataError, match="n_functions"):
-            LegendreFeatureMap(0, unit_rescaler(1))
+            LegendreFeatureMap(0, helpers.unit_rescaler(1))
 
 
 class TestOrthonormality:
@@ -119,14 +115,14 @@ class TestRescaler:
     @pytest.mark.parametrize("shape", [(), (5, 1), (5, 3), (4, 5)])
     def test_last_axis_must_hold_every_feature(self, shape):
         # a scalar or one column would broadcast against the four features
-        r = unit_rescaler(4)
+        r = helpers.unit_rescaler(4)
         with pytest.raises(DataError, match="4 on the last axis"):
             r.transform(np.full(shape, 0.5))
 
 
 class TestFeatureMap:
     def unit_map(self, n_functions, n_features=1):
-        return LegendreFeatureMap(n_functions, unit_rescaler(n_features))
+        return LegendreFeatureMap(n_functions, helpers.unit_rescaler(n_features))
 
     def test_single_function_constant(self):
         fm = self.unit_map(1)

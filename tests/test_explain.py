@@ -228,7 +228,7 @@ class TestMarginalMoments:
         matrix = np.zeros((2, 2))
         matrix[0, 0] = 1.0
         rdm = ReducedDensityMatrix((0,), matrix, 2)
-        stats = marginal_moments(rdm)
+        stats = marginal_moments(rdm, helpers.unit_rescaler(1))
         assert stats.mean[0] == pytest.approx(0.5, abs=1e-12)
         assert stats.covariance[0, 0] == pytest.approx(1.0 / 12.0, abs=1e-12)
 
@@ -237,13 +237,13 @@ class TestMarginalMoments:
         matrix = np.zeros((2, 2))
         matrix[1, 1] = 1.0
         rdm = ReducedDensityMatrix((0,), matrix, 2)
-        stats = marginal_moments(rdm)
+        stats = marginal_moments(rdm, helpers.unit_rescaler(1))
         assert stats.mean[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_product_rdm_zero_covariance(self):
         model = product_mps([[0.8, 0.6], [1.0, -0.4], [0.5, 1.0]])
         rdm = reduced_density_matrix(model, (0, 2))
-        stats = marginal_moments(rdm)
+        stats = marginal_moments(rdm, helpers.unit_rescaler(3))
         assert abs(stats.covariance[0, 1]) <= 1e-10
 
     def test_raw_domain_mapping(self):
@@ -260,7 +260,7 @@ class TestMarginalMoments:
         model = MpsModel.random(6, 2, init_bond=2, seed=1)
         rdm = reduced_density_matrix(model, (0, 1, 2, 3))
         with pytest.raises(ResourceLimitError):
-            marginal_moments(rdm)
+            marginal_moments(rdm, helpers.unit_rescaler(6))
 
 
 class TestEntropy:

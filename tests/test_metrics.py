@@ -7,6 +7,8 @@ import pytest
 import helpers
 from tnad import (
     DataError,
+    FeatureRescaler,
+    LegendreFeatureMap,
     MpsModel,
     auc_roc,
     eer_threshold,
@@ -125,6 +127,17 @@ class TestScoreSamples:
         assert np.isfinite(scores).all()
         assert scores[1] == scores[0] + 1.0 or scores[1] > scores[0]
         assert scores[1] == np.max(scores)
+
+    def test_zero_amplitude_pinned_through_a_raw_row(self):
+        # site 0 reads the second basis function, sqrt(3) (2x - 1): the raw
+        # value 1.0 rescales to exactly 0.5 and zeroes it
+        second, first = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        model = MpsModel([second.reshape(1, 2, 1), first.reshape(1, 2, 1)], center=0)
+        model.encoder = LegendreFeatureMap(2, FeatureRescaler(np.zeros(2), np.full(2, 2.0)))
+        raw = np.array([[0.2, 0.3], [1.0, 0.3], [1.8, 1.1]])
+        scores = score_samples(model, raw)
+        assert np.isfinite(scores).all()
+        assert scores[1] == max(scores[0], scores[2]) + 1.0
 
 
 class TestHistogramMi:

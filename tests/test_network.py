@@ -1,10 +1,13 @@
 """The engine both model kinds share: canonical moves, the environment cache, two-site layout."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import helpers
 from tnad import (
+    DataError,
     LegendreFeatureMap,
     MpsModel,
     TrainConfig,
@@ -13,6 +16,7 @@ from tnad import (
     fit_rescaler,
     load_model,
     save_model,
+    score_samples,
     two_site_step,
 )
 from tnad.explain import _analysis_copy
@@ -164,14 +168,20 @@ def test_amplitudes_at_the_center(where):
     np.testing.assert_array_equal(np.sign(psi), sign)
 
 
-@pytest.mark.parametrize("kind", ["mps", "ttn"])
-def test_reloaded_twin_trains_to_the_same_bits(kind, tmp_path):
+@pytest.mark.parametrize(
+    "kind, n_features",
+    [("mps", 12), ("ttn", 12), ("mps", 11), ("ttn", 11)],
+    ids=["mps", "ttn", "mps-odd", "ttn-padded"],
+)
+def test_reloaded_twin_trains_to_the_same_bits(kind, n_features, tmp_path):
     """A model and its saved and reloaded twin hold equal values, so fitting
-    both must give equal tensors whatever memory layout each started in."""
-    data = np.random.default_rng(8).uniform(size=(300, 12))
+    both must give equal tensors whatever memory layout each started in,
+    one from ``encode_batch``'s strided view and one from its copy; an odd
+    width gives the tree a dummy feature."""
+    data = np.random.default_rng(8).uniform(size=(300, n_features))
     encoder = LegendreFeatureMap(5, fit_rescaler(data))
     model_cls = MpsModel if kind == "mps" else TtnModel
-    model = model_cls.random(12, 5, init_bond=20, seed=1, encoder=encoder)
+    model = model_cls.random(n_features, 5, init_bond=20, seed=1, encoder=encoder)
     save_model(tmp_path / "twin.tnad", model)
     twin = load_model(tmp_path / "twin.tnad")
     for ours, theirs in zip(model.tensors, twin.tensors):
@@ -179,15 +189,15 @@ def test_reloaded_twin_trains_to_the_same_bits(kind, tmp_path):
     config = TrainConfig(learning_rate=5e-3, sweeps=1, batch_size=64, max_bond=20, seed=2)
     encoded = encoder.encode_batch(data)
     fit(model, encoded, config)
-    fit(twin, encoded, config)
+    fit(twin, np.ascontiguousarray(encoded), config)
     for ours, theirs in zip(model.tensors, twin.tensors):
         np.testing.assert_array_equal(ours, theirs)
 
 
 @pytest.mark.parametrize("model_class", [MpsModel, TtnModel])
 def test_model_kinds_inherit_the_engine_passes(model_class):
-    """Amplitudes, the sweep walk and the padding exist once, in the engine."""
-    shared = {"log_amplitudes", "sweep_schedule", "pad_batch"}
+    """Amplitudes, the sweep walk and the feature legs exist once, in the engine."""
+    shared = {"log_amplitudes", "sweep_schedule", "feature_leg"}
     assert not shared & set(vars(model_class))
 
 
@@ -211,7 +221,7 @@ def scoring_model(request):
 def one_pass(model, encoded):
     """The amplitude pass over the whole batch as a single block."""
     log_abs, sign = np.empty(len(encoded)), np.empty(len(encoded))
-    model._block_log_amplitudes(model.pad_batch(encoded), log_abs, sign)
+    model._block_log_amplitudes(encoded, log_abs, sign)
     return log_abs, sign
 
 
@@ -229,7 +239,7 @@ BLOCKS = {
 class TestBlockedAmplitudePass:
     @pytest.mark.parametrize("n_rows", sorted(BLOCKS))
     def test_blocks_and_bits(self, scoring_model, n_rows, monkeypatch):
-        """The pass walks the batch in bounded blocks, each padded on its own, and
+        """The pass walks the batch in bounded blocks, each read in place, and
         gives the bits of a block-by-block loop and of one pass over every row."""
         model = scoring_model
         rng = np.random.default_rng(n_rows)
@@ -237,10 +247,10 @@ class TestBlockedAmplitudePass:
         seen = []
         block_pass = type(model)._block_log_amplitudes
 
-        def spy(self, padded, log_abs, sign):
-            assert padded.shape[1] == model.n_features + model.padding
-            seen.append(len(padded))
-            block_pass(self, padded, log_abs, sign)
+        def spy(self, block, log_abs, sign):
+            assert block.shape[1:] == (model.n_features, model.phys_dim)
+            seen.append(len(block))
+            block_pass(self, block, log_abs, sign)
 
         monkeypatch.setattr(type(model), "_block_log_amplitudes", spy)
         log_abs, sign = model.log_amplitudes(encoded)
@@ -257,6 +267,45 @@ class TestBlockedAmplitudePass:
         if loop:
             np.testing.assert_array_equal(log_abs, np.concatenate([p[0] for p in loop]))
             np.testing.assert_array_equal(sign, np.concatenate([p[1] for p in loop]))
+
+    @pytest.mark.parametrize("n_rows", sorted(BLOCKS))
+    def test_raw_rows_give_the_bits_of_their_encoding(self, scoring_model, n_rows, monkeypatch):
+        """Raw rows are encoded one block at a time, never more than a block
+        at once, and score to the bits of the whole batch encoded first."""
+        model = scoring_model
+        rng = np.random.default_rng(100 + n_rows)
+        # fitted on other rows, so some raw values fall outside and are clamped
+        model.encoder = LegendreFeatureMap(
+            model.phys_dim, fit_rescaler(rng.normal(size=(50, model.n_features)))
+        )
+        raw = rng.normal(size=(n_rows, model.n_features))
+        want = model.log_amplitudes(model.encoder.encode_batch(raw))
+        want_scores = score_samples(model, model.encoder.encode_batch(raw))
+        encoded_rows = []
+        encode = LegendreFeatureMap.encode_batch
+
+        def spy(self, block):
+            encoded_rows.append(len(block))
+            return encode(self, block)
+
+        monkeypatch.setattr(LegendreFeatureMap, "encode_batch", spy)
+        got = model.log_amplitudes(raw)
+        assert encoded_rows == BLOCKS[n_rows]
+        assert max(encoded_rows, default=0) <= BLOCK_ROWS + 1
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(score_samples(model, raw), want_scores)
+
+    def test_raw_rows_are_checked(self, scoring_model):
+        model = scoring_model
+        raw = np.zeros((3, model.n_features))
+        with pytest.raises(DataError, match="encoder"):
+            model.log_amplitudes(raw)  # no encoder to encode them
+        model.encoder = LegendreFeatureMap(model.phys_dim, helpers.unit_rescaler(model.n_features))
+        with pytest.raises(DataError, match="features"):
+            model.log_amplitudes(np.zeros((0, model.n_features + 1)))
+        with pytest.raises(DataError):
+            model.log_amplitudes(np.zeros((3, model.n_features, 1)))
 
     def test_matches_brute_force_across_block_edges(self, scoring_model):
         model = scoring_model
@@ -281,3 +330,39 @@ class TestBlockedAmplitudePass:
         want = model.log_amplitudes(np.ascontiguousarray(view))
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+
+class TestBatchMemory:
+    """numpy reports its buffers to ``tracemalloc``, so a traced peak counts every array."""
+
+    def test_scoring_raw_rows_holds_one_block(self):
+        n_rows, n_features, phys_dim = 20_000, 57, 5
+        raw = np.random.default_rng(18).normal(size=(n_rows, n_features))
+        encoder = LegendreFeatureMap(phys_dim, fit_rescaler(raw))
+        model = TtnModel.random(n_features, phys_dim, init_bond=4, seed=19, encoder=encoder)
+        full_encoding = n_rows * n_features * phys_dim * 8  # 45.6 MB
+        tracemalloc.start()
+        try:
+            score_samples(model, raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_encoding / 4
+
+    def test_environment_cache_does_not_copy_the_batch(self):
+        """A padded tree's cache reads the caller's batch: no array it keeps,
+        and none it drops on the way, comes near the batch's size."""
+        n_rows, n_features, phys_dim = 4000, 57, 5
+        model = TtnModel.random(n_features, phys_dim, init_bond=4, seed=20)
+        assert model.padding == 1
+        encoded = helpers.random_encoded(np.random.default_rng(21), n_rows, n_features, phys_dim)
+        tracemalloc.start()
+        try:
+            env = model.environment_cache(encoded)
+            kept, peak = tracemalloc.get_traced_memory()
+            largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+        finally:
+            tracemalloc.stop()
+        assert env.n_samples == n_rows
+        assert largest < encoded.nbytes / 10
+        assert peak - kept < encoded.nbytes / 10

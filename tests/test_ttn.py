@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import helpers
-from tnad import DataError, TtnModel
+from tnad import DataError, TtnModel, orthonormal_basis
+from tnad.network import PAD_VALUE
 
 
 class TestBuild:
@@ -112,7 +113,9 @@ class TestLogAmplitude:
         first, _ = t.log_amplitudes(batch)
         second, _ = t.log_amplitudes(batch)
         np.testing.assert_array_equal(first, second)
-        assert t.pad_batch(batch).shape == (4, 6, 2)
+        dummy = t.feature_leg(batch, 5)
+        assert dummy.shape == (4, 2)
+        np.testing.assert_array_equal(dummy, np.tile(orthonormal_basis(2, PAD_VALUE), (4, 1)))
 
 
 class TestCanonicalize:
