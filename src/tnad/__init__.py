@@ -10,7 +10,6 @@ and conditional expected values for flagged features.
 """
 
 from .benchmark import (
-    DATASET_PHYS_DIMS,
     BenchmarkResult,
     RunConfig,
     benchmark_arrays,
@@ -79,7 +78,6 @@ __all__ = [
     "AnomalyExplanation",
     "BenchmarkResult",
     "ConditioningError",
-    "DATASET_PHYS_DIMS",
     "DataError",
     "DatasetSpec",
     "DegenerateInputError",

@@ -28,15 +28,7 @@ from .persist import save_model
 from .training import TrainConfig, fit
 from .ttn import TtnModel
 
-__all__ = ["RunConfig", "BenchmarkResult", "run_benchmark", "benchmark_arrays",
-           "DATASET_PHYS_DIMS"]
-
-# physical dimensions that worked well per benchmark dataset and model kind
-DATASET_PHYS_DIMS = {
-    "ecg5000": {"mps": 4, "ttn": 4},
-    "satellite": {"mps": 5, "ttn": 5},
-    "spambase": {"mps": 6, "ttn": 5},
-}
+__all__ = ["RunConfig", "BenchmarkResult", "run_benchmark", "benchmark_arrays"]
 
 
 @dataclass

@@ -45,14 +45,11 @@ class MpsModel(TensorNetwork):
         self.tensors = [np.asarray(c, dtype=np.float64) for c in cores]
         if len(self.tensors) < 2:
             raise DataError("an MPS needs at least 2 sites")
-        for i, core in enumerate(self.tensors):
-            if core.ndim != 3:
-                raise DimensionError(f"core {i} must be rank 3, got rank {core.ndim}")
-        if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[2] != 1:
-            raise DimensionError("boundary bonds must have extent 1")
         self.center = center
         self.encoder = encoder
         self._check_structure()
+        if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[2] != 1:
+            raise DimensionError("boundary bonds must have extent 1")
 
     # -- construction ------------------------------------------------------
 
@@ -100,10 +97,6 @@ class MpsModel(TensorNetwork):
         return len(self.tensors)
 
     n_sites = n_features
-
-    @property
-    def phys_dim(self) -> int:
-        return self.tensors[0].shape[1]
 
     def axis_spec(self, u: int) -> list[tuple[str, int]]:
         """Axes of site ``u``: the bonds to sites ``u - 1`` and ``u + 1`` around feature ``u``.

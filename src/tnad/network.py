@@ -48,13 +48,16 @@ class TensorNetwork:
     subclass sets ``tensors`` (one array per node, indexed by node id),
     ``center``, ``encoder`` and, if it has dummy feature legs after its
     real ones (:meth:`feature_leg`), ``padding``. It defines ``axis_spec``
-    (see :meth:`rooted`), ``n_features``, ``phys_dim`` and ``sweep_start``.
-    A bond whose reference is not a node id (the extent-1 ends of an MPS)
-    has no neighbor behind it.
+    (see :meth:`rooted`), ``n_features`` and ``sweep_start``, and its
+    constructor ends with :meth:`_check_structure`, which checks the
+    tensors against that graph once and reads ``phys_dim``, the one extent
+    of every feature leg, from them. A bond whose reference is not a node
+    id (the extent-1 ends of an MPS) has no neighbor behind it.
     """
 
     tensors: list[np.ndarray]
     center: int
+    phys_dim: int
     padding: int = 0
 
     # -- graph -------------------------------------------------------------
@@ -96,6 +99,18 @@ class TensorNetwork:
         return [self.tensors[v].shape[self.axis_to(v, u)] for u, v in self._edges()]
 
     def _check_structure(self) -> None:
+        """Refuse tensors that do not fit the graph; read ``phys_dim`` off the feature legs."""
+        specs = [self.axis_spec(u) for u in range(self.n_nodes)]
+        for u, (t, spec) in enumerate(zip(self.tensors, specs)):
+            if t.ndim != len(spec):
+                raise DimensionError(f"node {u} must be rank {len(spec)}, got rank {t.ndim}")
+        legs = {
+            t.shape[ax] for t, spec in zip(self.tensors, specs)
+            for ax, (kind, _) in enumerate(spec) if kind == "phys"
+        }
+        if len(legs) != 1:
+            raise DimensionError(f"feature legs have unequal extents {sorted(legs)}")
+        (self.phys_dim,) = legs
         for u, v in self._edges():
             du = self.tensors[u].shape[self.axis_to(u, v)]
             dv = self.tensors[v].shape[self.axis_to(v, u)]
@@ -164,13 +179,14 @@ class TensorNetwork:
         ``encoder`` encodes, or an encoded batch ``(n, n_features,
         phys_dim)`` in any memory layout. The log is ``-inf`` for an exactly
         vanishing amplitude. The batch is walked in blocks of
-        :data:`BLOCK_ROWS` rows (the last may hold one more), raw rows
-        encoded one block at a time, so beyond the batch and the two
-        ``(n,)`` results the pass holds one block's encodings and messages,
-        whatever ``n``. The encoding works value by value, and each row's
-        products round alike in any block of two or more rows, so the
-        results are those of one pass over the whole encoded batch. A batch
-        of no rows gives two empty arrays.
+        :data:`BLOCK_ROWS` rows, a remainder of fewer joining the last full
+        block, and raw rows are encoded one block at a time; so beyond the
+        batch and the two ``(n,)`` results the pass holds one block's
+        encodings and messages, under ``2 * BLOCK_ROWS`` rows, whatever
+        ``n``. The encoding works value by value, and no block but a whole
+        batch is small: the BLAS takes small products (up to a few dozen
+        rows) by other routes, which round differently. A batch of no rows
+        gives two empty arrays.
         """
         batch = np.asarray(batch, dtype=np.float64)
         raw = batch.ndim == 2
@@ -185,9 +201,9 @@ class TensorNetwork:
         log_abs, sign = np.empty(n), np.empty(n)
         start = 0
         while start < n:
-            # a lone last row joins the block before it: the BLAS takes a
-            # one-row product by another route, which rounds differently
-            stop = n if n - start <= BLOCK_ROWS + 1 else start + BLOCK_ROWS
+            # a remainder under a block joins the last full one: the BLAS
+            # takes a small product by another route, which rounds differently
+            stop = n if n - start < 2 * BLOCK_ROWS else start + BLOCK_ROWS
             rows = slice(start, stop)
             block = self.encoder.encode_batch(batch[rows]) if raw else batch[rows]
             self._block_log_amplitudes(block, log_abs[rows], sign[rows])

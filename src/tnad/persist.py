@@ -7,7 +7,7 @@ Layout (all integers little-endian):
     kind    u8                  0 = MPS, 1 = TTN
     L       u32                 number of (real) features
     N       u32                 physical dimension
-    padding u32                 appended dummy features (TTN only, else 0)
+    padding u32                 dummy features: 2 x leaves - L for a TTN, else 0
     rescaler                    L x (min f64, max f64)
     topology                    MPS: L+1 bond extents (u32, includes the 1s)
                                 TTN: node count u32, then per node
@@ -24,8 +24,11 @@ the explanation paths contract everything outside a subsystem to the
 identity, which is exact only for a canonical state. So is a file whose
 rescaler has a non-finite bound, a width that overflows, or an empty or
 reversed interval, which would map every value of that feature to NaN or
-to one end, a file with a bond of extent 0, which holds no state, and a
-tree whose node ids are not in pre-order (see :func:`tnad.ttn.tree_layout`).
+to one end, a file with a bond of extent 0, which holds no state, a file the
+model's constructor refuses, such as a tree whose node ids are not in
+pre-order (see :func:`tnad.ttn.tree_layout`), and a file whose padding
+field differs from the model's count of dummy features, which its
+topology decides.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 from .encoding import FeatureRescaler, LegendreFeatureMap
 from .errors import DataError
 from .mps import MpsModel
-from .ttn import TtnModel, node_shapes, tree_layout
+from .ttn import TtnModel, node_shapes
 
 __all__ = ["save_model", "load_model", "MAGIC", "FORMAT_VERSION"]
 
@@ -101,19 +104,28 @@ def load_model(path):
 
     The returned model carries a :class:`LegendreFeatureMap` built from the
     embedded rescaler, so it can score raw samples directly. Raises
-    :class:`DataError` for a malformed or corrupt file, for one whose
-    tensors hold non-finite entries or are not canonical, for one whose
-    rescaler has a non-finite interval or a maximum not above its minimum or
-    a bond of extent 0, and for a tree whose node ids are not in pre-order.
+    :class:`DataError`, its message prefixed with ``path``, for a malformed
+    or corrupt file, for one whose tensors hold non-finite entries or are
+    not canonical, for one whose rescaler has a non-finite interval or a
+    maximum not above its minimum or a bond of extent 0, for one the
+    model's constructor refuses, such as a tree whose node ids are not in
+    pre-order, and for a padding field that differs from the model's.
     """
-    raw = Path(path).read_bytes()
+    try:
+        return _read_model(Path(path).read_bytes())
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _read_model(raw: bytes):
+    """The model in the bytes of a model file; see :func:`load_model`."""
     if len(raw) < len(MAGIC) + 4:
-        raise DataError(f"{path}: truncated model file")
+        raise DataError("truncated model file")
     if raw[: len(MAGIC)] != MAGIC:
-        raise DataError(f"{path}: bad magic, not a model file")
+        raise DataError("bad magic, not a model file")
     (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
     if zlib.crc32(raw[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise DataError(f"{path}: checksum mismatch, file is corrupt")
+        raise DataError("checksum mismatch, file is corrupt")
 
     body = memoryview(raw)[:-4]
     offset = len(MAGIC)
@@ -122,7 +134,7 @@ def load_model(path):
         """The next ``size`` bytes of the body; refuses a read past its end."""
         nonlocal offset
         if size > len(body) - offset:
-            raise DataError(f"{path}: file ends inside the {what}")
+            raise DataError(f"file ends inside the {what}")
         offset += size
         return body[offset - size : offset]
 
@@ -130,7 +142,7 @@ def load_model(path):
         "<IBIII", take(struct.calcsize("<IBIII"), "header")
     )
     if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format version {version}")
+        raise DataError(f"unsupported format version {version}")
 
     bounds = np.frombuffer(take(16 * n_features, "rescaler"), dtype="<f8").reshape(-1, 2)
     minimum, maximum = bounds[:, 0].astype(np.float64), bounds[:, 1].astype(np.float64)
@@ -138,10 +150,10 @@ def load_model(path):
         span = maximum - minimum
     if not np.isfinite(span).all():
         bad = int(np.argmin(np.isfinite(span)))
-        raise DataError(f"{path}: rescaler interval of feature {bad} is non-finite")
+        raise DataError(f"rescaler interval of feature {bad} is non-finite")
     if np.any(span <= 0.0):
         bad = int(np.argmax(span <= 0.0))
-        raise DataError(f"{path}: rescaler maximum <= minimum for feature {bad}")
+        raise DataError(f"rescaler maximum <= minimum for feature {bad}")
     encoder = LegendreFeatureMap(
         n_functions=phys_dim, rescaler=FeatureRescaler(minimum=minimum, maximum=maximum)
     )
@@ -149,30 +161,20 @@ def load_model(path):
     if kind == _KIND_MPS:
         bonds = np.frombuffer(take(4 * (n_features + 1), "MPS bond list"), dtype="<u4").tolist()
         if 0 in bonds:
-            raise DataError(f"{path}: MPS bond {bonds.index(0)} has extent 0")
+            raise DataError(f"MPS bond {bonds.index(0)} has extent 0")
         shapes = [(bonds[i], phys_dim, bonds[i + 1]) for i in range(n_features)]
-        build = functools.partial(MpsModel, center=0, encoder=encoder)
+        build = functools.partial(MpsModel, encoder=encoder)
     elif kind == _KIND_TTN:
         (n_nodes,) = struct.unpack("<I", take(4, "tree node table"))
         table = list(struct.iter_unpack("<iI", take(8 * n_nodes, "tree node table")))
         parents = [p for p, _ in table]
         parent_bond = [b for _, b in table]
-        try:
-            children, leaf_features = tree_layout(parents)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        shapes = node_shapes(parents, parent_bond, phys_dim)
         if 0 in parent_bond[1:]:  # node 0 is the root, the only node without a parent bond
-            raise DataError(f"{path}: parent bond of node {parent_bond.index(0, 1)} has extent 0")
-        leaf_ids = [u for u in range(n_nodes) if children[u] is None]
-        if 2 * len(leaf_ids) != n_features + padding:
-            raise DataError(f"{path}: leaf count inconsistent with feature count")
-        shapes = node_shapes(parents, children, parent_bond, phys_dim)
-        build = functools.partial(
-            TtnModel, parents=parents, children=children, leaf_features=leaf_features,
-            n_features=n_features, padding=padding, center=leaf_ids[-1], encoder=encoder,
-        )
+            raise DataError(f"parent bond of node {parent_bond.index(0, 1)} has extent 0")
+        build = functools.partial(TtnModel, parents=parents, n_features=n_features, encoder=encoder)
     else:
-        raise DataError(f"{path}: unknown model kind {kind}")
+        raise DataError(f"unknown model kind {kind}")
 
     tensors = []
     for shape in shapes:
@@ -180,15 +182,15 @@ def load_model(path):
         stored = take(8 * math.prod(shape), f"tensor of shape {shape}")
         tensors.append(np.frombuffer(stored, dtype="<f8").reshape(shape).astype(np.float64))
     if offset != len(body):
-        raise DataError(f"{path}: {len(body) - offset} unexpected trailing bytes")
+        raise DataError(f"{len(body) - offset} unexpected trailing bytes")
     model = build(tensors)
+    if padding != model.padding:
+        raise DataError(f"padding field {padding} differs from the model's {model.padding}")
     if not all(np.isfinite(t).all() for t in tensors):
-        raise DataError(f"{path}: model tensors hold non-finite entries")
+        raise DataError("model tensors hold non-finite entries")
     defect = model.isometry_defect()
     if defect > _ISOMETRY_TOLERANCE:
         raise DataError(
-            f"{path}: model is not canonical (isometry defect {defect:.2e} "
-            f"> {_ISOMETRY_TOLERANCE:.0e})"
+            f"model is not canonical (isometry defect {defect:.2e} > {_ISOMETRY_TOLERANCE:.0e})"
         )
     return model
-

@@ -3,16 +3,16 @@
 Leaves carry two encoded features each; internal nodes carry only bonds.
 Axis conventions: the root tensor has axes ``(left_child, right_child)``,
 internal nodes ``(parent, left_child, right_child)``, and leaves
-``(parent, phys_even, phys_odd)``. An odd feature count is padded with one
-dummy feature, so leaves are always full; the shared engine encodes it at
-:data:`tnad.network.PAD_VALUE`.
+``(parent, phys_even, phys_odd)``. Leaf slots past the real features hold
+dummy features (:meth:`TtnModel.random` pads an odd count with one),
+which the shared engine encodes at :data:`tnad.network.PAD_VALUE`.
 
 :class:`TtnModel` gives the shared engine in :mod:`tnad.network` the
-tree's balanced layout, and keeps only its seeded construction and the
-node a sweep starts from, the right-most leaf. The engine's sweep is its
-closed depth-first walk over all edges from there; a merged edge tensor
-keeps edge order, the remaining axes of ``edge[0]`` then those of
-``edge[1]``.
+layout of the tree its parent list describes, and keeps only its seeded
+construction and the node a sweep starts from, the right-most leaf. The
+engine's sweep is its closed depth-first walk over all edges from there;
+a merged edge tensor keeps edge order, the remaining axes of ``edge[0]``
+then those of ``edge[1]``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ __all__ = ["TtnModel"]
 class TtnModel(TensorNetwork):
     """Trainable tree tensor network over encoded real-valued features.
 
+    The parent list alone describes the tree (:func:`tree_layout`).
+
     Attributes
     ----------
     tensors : list of np.ndarray
@@ -43,29 +45,30 @@ class TtnModel(TensorNetwork):
     children : list of tuple or None
         ``(left, right)`` child ids for root/internal nodes, None for leaves.
     center : int
-        Node id of the canonical center.
+        Node id of the canonical center; by default the sweep's start.
     padding : int
-        Number of appended dummy features (0 or 1).
+        Number of dummy features, ``2 * leaves - n_features``.
     """
 
     def __init__(
         self,
         tensors,
         parents,
-        children,
-        leaf_features,
         n_features: int,
-        padding: int,
-        center: int,
+        center: int | None = None,
         encoder: "LegendreFeatureMap | None" = None,
     ):
         self.tensors = [np.asarray(t, dtype=np.float64) for t in tensors]
         self.parents = list(parents)
-        self.children = list(children)
-        self.leaf_features = list(leaf_features)
+        if len(self.tensors) != len(self.parents):
+            raise DataError(f"{len(self.tensors)} tensors for {len(self.parents)} nodes")
+        self.children, self.leaf_features = tree_layout(self.parents)
         self.n_features = n_features
-        self.padding = padding
-        self.center = center
+        leaves = len(self.leaf_ids())
+        self.padding = 2 * leaves - n_features
+        if self.padding < 0:
+            raise DataError(f"{leaves} leaves cannot carry {n_features} features")
+        self.center = self.sweep_start() if center is None else center
         self.encoder = encoder
         self._check_structure()
 
@@ -92,8 +95,7 @@ class TtnModel(TensorNetwork):
             raise DataError(f"a tree needs >= 3 features (got {n_features}); use an MPS instead")
         if phys_dim < 1 or init_bond < 1:
             raise DataError("phys_dim and init_bond must be >= 1")
-        padding = n_features % 2
-        padded = n_features + padding
+        padded = n_features + n_features % 2
 
         parents: list[int] = []
 
@@ -105,39 +107,30 @@ class TtnModel(TensorNetwork):
                 build(count - (count + 1) // 2, idx)
 
         build(padded // 2, -1)
-        children, leaf_features = tree_layout(parents)
-        n_nodes = len(parents)
 
-        # exact-rank cap per parent bond: phys dimensions below vs above the cut
-        phys_below = [0] * n_nodes
-        for u in reversed(range(n_nodes)):
-            if children[u] is None:
-                phys_below[u] = 2
-            else:
-                phys_below[u] = phys_below[children[u][0]] + phys_below[children[u][1]]
+        # exact-rank cap per parent bond: phys dimensions below vs above the
+        # cut; children come after their parents, and a leaf has two
+        phys_below = [0] * len(parents)
+        for u in reversed(range(len(parents))):
+            phys_below[u] = phys_below[u] or 2
+            if parents[u] >= 0:
+                phys_below[parents[u]] += phys_below[u]
         bond = [
-            min(init_bond, phys_dim ** phys_below[u], phys_dim ** (padded - phys_below[u]))
-            for u in range(n_nodes)
+            min(init_bond, phys_dim ** below, phys_dim ** (padded - below))
+            for below in phys_below
         ]
 
         rng = np.random.default_rng(seed)
         tensors = [
             rng.standard_normal(shape) / np.sqrt(np.prod(shape))
-            for shape in node_shapes(parents, children, bond, phys_dim)
+            for shape in node_shapes(parents, bond, phys_dim)
         ]
-        model = cls(
-            tensors, parents, children, leaf_features, n_features, padding,
-            center=0, encoder=encoder,
-        )
+        model = cls(tensors, parents, n_features, encoder=encoder)
         model._canonicalize_all(model.sweep_start())
         model.normalize()
         return model
 
     # -- structure -----------------------------------------------------------
-
-    @property
-    def phys_dim(self) -> int:
-        return self.tensors[self.leaf_ids()[0]].shape[1]
 
     def leaf_ids(self) -> list[int]:
         return [u for u in range(self.n_nodes) if self.children[u] is None]
@@ -194,12 +187,15 @@ def tree_layout(parents) -> tuple[list, list]:
     return children, leaf_features
 
 
-def node_shapes(parents, children, bond, phys_dim: int) -> list[tuple[int, ...]]:
-    """Tensor shape of every node, given the extent ``bond[u]`` of each node's parent bond.
+def node_shapes(parents, bond, phys_dim: int) -> list[tuple[int, ...]]:
+    """Tensor shape of every node of the tree given by ``parents``, given the
+    extent ``bond[u]`` of each node's parent bond.
 
     The root is ``(left, right)``, an inner node ``(parent, left, right)``
-    and a leaf ``(parent, phys_dim, phys_dim)``.
+    and a leaf ``(parent, phys_dim, phys_dim)``. Raises :class:`DataError`
+    for a parent list :func:`tree_layout` refuses.
     """
+    children, _ = tree_layout(parents)
     shapes = []
     for u, c in enumerate(children):
         lower = (phys_dim, phys_dim) if c is None else (bond[c[0]], bond[c[1]])

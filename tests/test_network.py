@@ -8,6 +8,7 @@ import pytest
 import helpers
 from tnad import (
     DataError,
+    DimensionError,
     LegendreFeatureMap,
     MpsModel,
     TrainConfig,
@@ -15,6 +16,7 @@ from tnad import (
     fit,
     fit_rescaler,
     load_model,
+    reduced_density_matrix,
     save_model,
     score_samples,
     two_site_step,
@@ -196,9 +198,70 @@ def test_reloaded_twin_trains_to_the_same_bits(kind, n_features, tmp_path):
 
 @pytest.mark.parametrize("model_class", [MpsModel, TtnModel])
 def test_model_kinds_inherit_the_engine_passes(model_class):
-    """Amplitudes, the sweep walk and the feature legs exist once, in the engine."""
-    shared = {"log_amplitudes", "sweep_schedule", "feature_leg"}
+    """Amplitudes, the sweep walk, the feature legs and their extent exist once, in the engine."""
+    shared = {"log_amplitudes", "sweep_schedule", "feature_leg", "phys_dim"}
     assert not shared & set(vars(model_class))
+
+
+class TestConstructionChecks:
+    """A model's tensors are checked against its graph once, where it is made."""
+
+    def test_tree_is_described_by_its_parents(self):
+        """Children, leaf features, dummy features and the center follow from
+        the parent list: a padded tree rebuilt from it pins its dummy feature."""
+        model = TtnModel.random(5, 3, init_bond=4, seed=0)
+        twin = TtnModel(model.tensors, model.parents, 5)
+        assert (twin.children, twin.leaf_features) == (model.children, model.leaf_features)
+        assert (twin.padding, twin.center, twin.phys_dim) == (1, model.sweep_start(), 3)
+        np.testing.assert_array_equal(
+            reduced_density_matrix(twin, (4,)).matrix, reduced_density_matrix(model, (4,)).matrix
+        )
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ([0, 2, 1, 3, 4], "smaller than its child"),  # leaf 1 hangs below inner node 2
+            ([0, 1, 4, 2, 3], "pre-order"),  # breadth-first ids: leaf 2 is the right-most
+        ],
+        ids=["child-before-parent", "breadth-first"],
+    )
+    def test_tree_not_in_pre_order_refused(self, order, message):
+        model = TtnModel.random(6, 3, init_bond=4, seed=6)
+        new_id = {old: k for k, old in enumerate(order)}
+        parents = [new_id.get(model.parents[old], -1) for old in order]
+        with pytest.raises(DataError, match=message):
+            TtnModel([model.tensors[old] for old in order], parents, 6)
+
+    def test_tree_with_too_few_leaves_refused(self):
+        model = TtnModel.random(6, 3, init_bond=4, seed=6)
+        with pytest.raises(DataError, match="3 leaves cannot carry 7 features"):
+            TtnModel(model.tensors, model.parents, 7)
+        with pytest.raises(DataError, match="4 tensors for 5 nodes"):
+            TtnModel(model.tensors[:-1], model.parents, 6)
+
+    @staticmethod
+    def rebuilt(model, tensors):
+        """A model of ``model``'s kind and graph on other tensors."""
+        if isinstance(model, MpsModel):
+            return MpsModel(tensors)
+        return TtnModel(tensors, model.parents, model.n_features)
+
+    def test_feature_legs_of_unequal_extent_refused(self, model):
+        """Caught where the model is made, not later in a transfer as a numpy error."""
+        tensors = list(model.tensors)
+        u, ax = next(
+            (u, ax) for u in range(1, model.n_nodes)
+            for ax, (kind, _) in enumerate(model.axis_spec(u)) if kind == "phys"
+        )
+        tensors[u] = np.take(tensors[u], [0, 1], axis=ax)
+        with pytest.raises(DimensionError, match=r"unequal extents \[2, 3\]"):
+            self.rebuilt(model, tensors)
+
+    def test_node_of_the_wrong_rank_refused(self, model):
+        tensors = list(model.tensors)
+        tensors[1] = tensors[1][..., None]
+        with pytest.raises(DimensionError, match="node 1 must be rank 3, got rank 4"):
+            self.rebuilt(model, tensors)
 
 
 def test_long_chain_sweep_walk():
@@ -231,8 +294,10 @@ BLOCKS = {
     1: [1],
     BLOCK_ROWS - 1: [BLOCK_ROWS - 1],
     BLOCK_ROWS: [BLOCK_ROWS],
-    BLOCK_ROWS + 1: [BLOCK_ROWS + 1],  # a lone last row joins the block before it
-    2 * BLOCK_ROWS + 7: [BLOCK_ROWS, BLOCK_ROWS, 7],
+    BLOCK_ROWS + 1: [BLOCK_ROWS + 1],
+    2 * BLOCK_ROWS - 1: [2 * BLOCK_ROWS - 1],
+    2 * BLOCK_ROWS: [BLOCK_ROWS, BLOCK_ROWS],
+    2 * BLOCK_ROWS + 7: [BLOCK_ROWS, BLOCK_ROWS + 7],  # a remainder joins the last full block
 }
 
 
@@ -291,10 +356,22 @@ class TestBlockedAmplitudePass:
         monkeypatch.setattr(LegendreFeatureMap, "encode_batch", spy)
         got = model.log_amplitudes(raw)
         assert encoded_rows == BLOCKS[n_rows]
-        assert max(encoded_rows, default=0) <= BLOCK_ROWS + 1
+        assert max(encoded_rows, default=0) < 2 * BLOCK_ROWS
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(score_samples(model, raw), want_scores)
+
+    @pytest.mark.parametrize(
+        "n_rows", [BLOCK_ROWS + 2, BLOCK_ROWS + 8, BLOCK_ROWS + 48, 2 * BLOCK_ROWS + 5]
+    )
+    def test_small_remainder_at_bond_40_gives_the_bits_of_one_pass(self, n_rows):
+        """At bond 40 the BLAS multiplies a block of a few dozen rows by
+        another route than a large one, which rounds some rows differently;
+        no such block is made."""
+        model = MpsModel.random(36, 5, init_bond=40, seed=1)
+        encoded = helpers.random_encoded(np.random.default_rng(n_rows), n_rows, 36, 5)
+        for got, want in zip(model.log_amplitudes(encoded), one_pass(model, encoded)):
+            np.testing.assert_array_equal(got, want)
 
     def test_raw_rows_are_checked(self, scoring_model):
         model = scoring_model

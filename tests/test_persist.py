@@ -189,21 +189,23 @@ def reseal(path, blob):
     path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
 
 
-def relabeled(model, order):
-    """The same tree with node ``order[k]`` renumbered ``k``; leaves take features in id order."""
+def write_relabeled(path, model, order):
+    """Save ``model``, then rewrite its node table and tensors with node ``order[k]`` as ``k``.
+
+    The constructor refuses a tree that is not in pre-order, so such a
+    file can only be made from bytes.
+    """
+    save_model(path, model)
+    stored = load_model(path)
     new_id = {old: k for k, old in enumerate(order)}
-    parents = [new_id.get(model.parents[old], -1) for old in order]
-    children = [
-        None if model.children[old] is None else tuple(new_id[c] for c in model.children[old])
-        for old in order
-    ]
-    leaves = [k for k, c in enumerate(children) if c is None]
-    leaf_features = [(2 * leaves.index(k), 2 * leaves.index(k) + 1) if k in leaves else None
-                     for k in range(len(order))]
-    return TtnModel(
-        [model.tensors[old] for old in order], parents, children, leaf_features,
-        model.n_features, model.padding, new_id[model.center], model.encoder,
-    )
+    table = struct.pack("<I", len(order))
+    for old in order:
+        parent = model.parents[old]
+        bond = stored.tensors[old].shape[0] if parent >= 0 else 0
+        table += struct.pack("<iI", new_id.get(parent, -1), bond)
+    cores = b"".join(stored.tensors[old].astype("<f8").tobytes() for old in order)
+    start = len(MAGIC) + struct.calcsize("<IBIII") + 16 * model.n_features
+    reseal(path, path.read_bytes()[:start] + table + cores)
 
 
 class TestContentChecks:
@@ -272,8 +274,30 @@ class TestContentChecks:
         encoder, _ = fitted_encoder(3, 6, seed=6)
         model = TtnModel.random(6, 3, init_bond=4, seed=6, encoder=encoder)
         path = tmp_path / "tree.tnad"
-        save_model(path, relabeled(model, order))
+        write_relabeled(path, model, list(range(model.n_nodes)))  # the writer's own ids load
+        for a, b in zip(load_model(path).tensors, model.tensors):
+            np.testing.assert_array_equal(a, b)
+        write_relabeled(path, model, order)
         with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind, n_features, padding",
+        [("mps", 6, 7), ("ttn", 7, 0), ("ttn", 7, 2)],
+        ids=["mps-padding-7", "tree-one-below", "tree-one-above"],
+    )
+    def test_padding_field_must_match_the_model(self, tmp_path, kind, n_features, padding):
+        """The topology decides the dummy features; a padding field that
+        disagrees would have the writer and the reader pin different legs."""
+        encoder, _ = fitted_encoder(3, n_features, seed=6)
+        model_class = MpsModel if kind == "mps" else TtnModel
+        path = tmp_path / f"{kind}.tnad"
+        save_model(path, model_class.random(n_features, 3, init_bond=4, seed=6, encoder=encoder))
+        blob = bytearray(path.read_bytes()[:-4])
+        offset = len(MAGIC) + struct.calcsize("<IBII")
+        blob[offset : offset + 4] = struct.pack("<I", padding)
+        reseal(path, bytes(blob))
+        with pytest.raises(DataError, match=f"padding field {padding} differs"):
             load_model(path)
 
     def test_zero_mps_bond_refused(self, tmp_path):

@@ -10,10 +10,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _uses(path: Path) -> str:
-    """The file's source without its import lines, ``__all__`` lists and def/class lines."""
+    """The file's source without its import lines, ``__all__`` lists, def/class
+    lines and the names its module-level assignments bind: a binding is no use."""
     lines = path.read_text().splitlines()
+    tree = ast.parse("\n".join(lines))
+    for node in tree.body:
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        for name in (t for t in targets if isinstance(t, ast.Name)):
+            line = lines[name.lineno - 1]
+            lines[name.lineno - 1] = line[: name.col_offset] + line[name.end_col_offset :]
     skipped = set()
-    for node in ast.walk(ast.parse("\n".join(lines))):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)) or (
             isinstance(node, ast.Assign)
             and any(getattr(t, "id", None) == "__all__" for t in node.targets)
