@@ -8,9 +8,10 @@ its encodings resolves to the identity), and conditioning fixes a feature
 by absorbing its encoded value into the feature's node on the fly.
 
 Both model kinds run the same code. Rooted at node 0, an MPS is a tree
-whose nodes each carry one feature leg, so one bottom-up pass gives any
-density matrix, and one down and one up pass give every single-feature
-density and all-to-all mutual information.
+whose nodes each carry one feature leg, each stored as ``(up, in0,
+in1)``, so one bottom-up pass gives any density matrix, and one down and
+one up pass give every single-feature density and all-to-all mutual
+information.
 
 From the (trace-normalized) density matrices this module derives the
 moments of each marginal, von Neumann entropies, mutual information
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -238,12 +240,11 @@ def _rdm(model, targets, conditions) -> ReducedDensityMatrix:
     The pins are the conditions and every dummy feature at
     :data:`~tnad.network.PAD_VALUE`. A copy's canonical center moves to the
     common ancestor of the targets and pins, and one bottom-up pass over
-    the nodes seen :meth:`~tnad.network.TensorNetwork.rooted` runs
-    from the last node to it. At each node a child bond gives its
-    two-sided object, or the bond identity if it has none; a target leg is
-    the open identity; a pinned leg is absorbed into the node
-    (:func:`_pin`) and its extent-1 leg is the identity; so is any other
-    leg. A node with an object or a pin joins them (:func:`tree_join`);
+    the nodes' in-legs runs from the last node to it. At each node a child
+    bond gives its two-sided object, or the bond identity if it has none;
+    a target leg is the open identity; a pinned leg is absorbed into the
+    node (:func:`_pin`) and its extent-1 leg is the identity; so is any
+    other leg. A node with an object or a pin joins them (:func:`tree_join`);
     the center closes them against the identity on its up bond, since the
     rest of the network is an isometry toward it.
     """
@@ -258,9 +259,9 @@ def _rdm(model, targets, conditions) -> ReducedDensityMatrix:
     open_leg = np.multiply.outer(np.eye(n), np.eye(n))
     up: dict[int, tuple[np.ndarray, list[int]]] = {}
     for u in reversed(range(center, work.n_nodes)):
-        node, legs = work.rooted(u)
+        node = work.tensors[u]
         sides = []
-        for leg, (kind, ref) in enumerate(legs):
+        for leg, (kind, ref) in enumerate(work.axis_spec(u)[1:]):
             side = up.pop(ref, None) if kind == "bond" else None
             if kind == "phys" and ref in targets:
                 side = (open_leg, [ref])
@@ -303,7 +304,7 @@ def reduced_density_matrix(model, sites) -> ReducedDensityMatrix:
     their common ancestor are contracted. Operates on an internal copy;
     the model is not modified.
     """
-    sites = tuple(int(s) for s in sites)
+    sites = tuple(map(operator.index, sites))
     _check_subsystem(model, sites)
     return _rdm(model, sites, {})
 
@@ -317,8 +318,8 @@ def conditional_rdm(model, target_sites, conditions) -> ReducedDensityMatrix:
     contraction. Raises :class:`ConditioningError` when the conditioned
     configuration has (near-)zero probability under the model.
     """
-    target_sites = tuple(int(s) for s in target_sites)
-    conditions = {int(s): float(v) for s, v in conditions.items()}
+    target_sites = tuple(map(operator.index, target_sites))
+    conditions = {operator.index(s): float(v) for s, v in conditions.items()}
     _check_subsystem(model, target_sites)
     overlap = set(target_sites) & set(conditions)
     if overlap:
@@ -406,8 +407,8 @@ def von_neumann_entropy(rdm) -> float:
 @single_blas_thread()
 def mutual_information(model, sites_x, sites_y) -> float:
     """Mutual information ``S(X) + S(Y) - S(XY)`` between feature groups."""
-    sites_x = tuple(int(s) for s in sites_x)
-    sites_y = tuple(int(s) for s in sites_y)
+    sites_x = tuple(map(operator.index, sites_x))
+    sites_y = tuple(map(operator.index, sites_y))
     if set(sites_x) & set(sites_y):
         raise DataError("mutual information needs disjoint feature groups")
     s_x = von_neumann_entropy(reduced_density_matrix(model, sites_x))
@@ -437,7 +438,7 @@ def _bond_densities(work):
     down = {0: np.ones((1, 1))}
     singles: dict[int, np.ndarray] = {}
     for u in range(work.n_nodes):  # parents come before their children
-        node, legs = work.rooted(u)
+        node, legs = work.tensors[u], work.axis_spec(u)[1:]
         for (kind, ref), density in zip(legs, tree_down_step(down[u], node)):
             (down if kind == "bond" else singles)[ref] = density
     return down, singles
@@ -478,9 +479,9 @@ def _pairwise_mi(model) -> np.ndarray:
     up: dict[int, tuple[list[int], np.ndarray]] = {}
     raw = np.zeros((length, length))
     for u in reversed(range(work.n_nodes)):
-        node, legs = work.rooted(u)
+        node = work.tensors[u]
         sides = []
-        for kind, ref in legs:
+        for kind, ref in work.axis_spec(u)[1:]:
             if kind == "bond":
                 sides.append(up.pop(ref, ([], empty)))
             else:
@@ -570,7 +571,7 @@ def conditional_expectations(model, raw_sample, flagged) -> dict[int, float | No
     """
     encoder = _require_encoder(model)
     rescaled = encoder.rescale_sample(raw_sample)
-    flagged = sorted(int(f) for f in flagged)
+    flagged = sorted(map(operator.index, flagged))
     if not flagged:
         raise DataError("conditional expectations need at least one flagged feature")
     conditions_all = {

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError
 from .network import TensorNetwork
 
 if TYPE_CHECKING:
@@ -48,8 +48,6 @@ class MpsModel(TensorNetwork):
         self.center = center
         self.encoder = encoder
         self._check_structure()
-        if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[2] != 1:
-            raise DimensionError("boundary bonds must have extent 1")
 
     # -- construction ------------------------------------------------------
 

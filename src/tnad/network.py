@@ -47,12 +47,15 @@ class TensorNetwork:
     state norm is the squared Frobenius norm of the center tensor. A
     subclass sets ``tensors`` (one array per node, indexed by node id),
     ``center``, ``encoder`` and, if it has dummy feature legs after its
-    real ones (:meth:`feature_leg`), ``padding``. It defines ``axis_spec``
-    (see :meth:`rooted`), ``n_features`` and ``sweep_start``, and its
-    constructor ends with :meth:`_check_structure`, which checks the
-    tensors against that graph once and reads ``phys_dim``, the one extent
-    of every feature leg, from them. A bond whose reference is not a node
-    id (the extent-1 ends of an MPS) has no neighbor behind it.
+    real ones (:meth:`feature_leg`), ``padding``. It defines ``axis_spec``,
+    ``n_features`` and ``sweep_start``, and its constructor ends with
+    :meth:`_check_structure`, which checks the tensors against that graph
+    once and reads ``phys_dim``, the one extent of every feature leg, from
+    them. Every node is stored as ``(up, in0, in1)``, rooted at node 0
+    with ids in pre-order: an MPS site ``(l, p, r)``, a tree node
+    ``(parent, c0, c1)``. A bond whose reference is not a node id, node 0's
+    up bond ``("bond", -1)`` or the last MPS site's ``r``, has no neighbor
+    behind it and extent 1.
     """
 
     tensors: list[np.ndarray]
@@ -79,17 +82,6 @@ class TensorNetwork:
             return self.axis_spec(u).index(("bond", v))
         raise DataError(f"nodes {u} and {v} are not neighbors")
 
-    def rooted(self, u: int) -> tuple[np.ndarray, list[tuple[str, int]]]:
-        """Node ``u`` as ``(up, in0, in1)``, rooted at node 0, and its in-legs' ``axis_spec``.
-
-        Both kinds store a node's up leg first, with ids in pre-order: an MPS
-        site as ``(l, p, r)``, the last one's ``r`` a bond with no node behind
-        it, and a tree node as ``(parent, c0, c1)``, a leaf's in-legs being its
-        features. The tree's root ``(c0, c1)`` gets an up leg of extent 1.
-        """
-        t = self.tensors[u]
-        return (t if t.ndim == 3 else t[None]), self.axis_spec(u)[-2:]
-
     def _edges(self) -> list[tuple[int, int]]:
         """Every bond between two nodes once, as ``(lower id, higher id)``, by higher id."""
         return [(u, v) for v in range(self.n_nodes) for u in self.neighbors(v) if u < v]
@@ -104,6 +96,9 @@ class TensorNetwork:
         for u, (t, spec) in enumerate(zip(self.tensors, specs)):
             if t.ndim != len(spec):
                 raise DimensionError(f"node {u} must be rank {len(spec)}, got rank {t.ndim}")
+            if any(kind == "bond" and not 0 <= ref < self.n_nodes and t.shape[ax] != 1
+                   for ax, (kind, ref) in enumerate(spec)):
+                raise DimensionError(f"node {u}'s bond without a neighbor must have extent 1")
         legs = {
             t.shape[ax] for t, spec in zip(self.tensors, specs)
             for ax, (kind, _) in enumerate(spec) if kind == "phys"
@@ -149,13 +144,19 @@ class TensorNetwork:
         return worst
 
     def _checked_batch(self, encoded) -> np.ndarray:
-        """``encoded`` as a float array, refused unless it is ``(n, n_features, phys_dim)``."""
+        """``encoded`` as floats, refused unless it is a finite ``(n, n_features, phys_dim)``."""
         encoded = np.asarray(encoded, dtype=np.float64)
         if encoded.ndim != 3 or encoded.shape[1:] != (self.n_features, self.phys_dim):
             raise DataError(
                 f"encoded batch has shape {encoded.shape}, expected "
                 f"(n, {self.n_features}, {self.phys_dim})"
             )
+        # a NaN amplitude would pass for a zero one; min and max find any
+        # NaN or infinity without a batch-sized mask
+        if encoded.size and not np.isfinite([encoded.min(), encoded.max()]).all():
+            sample, feature, _ = np.argwhere(~np.isfinite(encoded))[0]
+            raise DataError(f"encoded batch holds a non-finite value at sample {sample}, "
+                            f"feature {feature}")
         return encoded
 
     def feature_leg(self, encoded: np.ndarray, f: int) -> np.ndarray:
@@ -214,26 +215,25 @@ class TensorNetwork:
         """Write the log magnitudes and signs of one encoded block's amplitudes.
 
         One bottom-up pass of :func:`node_message` runs from the last node to
-        node 0, each node seen :meth:`rooted`; each message is renormalized
-        per sample into a log scale, so long networks neither under- nor
-        overflow.
+        node 0, each node's message leaving on its up leg, the first axis;
+        each message is renormalized per sample into a log scale, so long
+        networks neither under- nor overflow.
         """
         batch = encoded.shape[0]
         unit = np.ones((batch, 1)), np.zeros(batch)
         up: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for u in reversed(range(self.n_nodes)):
-            node, legs = self.rooted(u)
+            spec = self.axis_spec(u)
             operands, log_scale = [], np.zeros(batch)
-            for kind, ref in legs:
+            for kind, ref in spec[1:]:
                 if kind == "phys":
                     operands.append(self.feature_leg(encoded, ref))
                 else:
                     vec, log_in = up.pop(ref, unit)
                     operands.append(vec)
                     log_scale = log_scale + log_in
-            # only the in-legs' entries of the spec are read
-            up[u] = node_message(node, [None, *legs], 0, operands, log_scale)
-        amp, log_out = up[0]  # the root's up leg has extent 1
+            up[u] = node_message(self.tensors[u], spec, 0, operands, log_scale)
+        amp, log_out = up[0]  # node 0's up bond has extent 1
         log_abs[:] = log_out
         sign[:] = np.where(amp[:, 0] < 0.0, -1.0, 1.0)
 
@@ -488,21 +488,19 @@ def node_message(tensor, spec, out_axis, operands, log_scale):
     """Message out of a node along ``out_axis``, renormalized per sample.
 
     ``spec`` is the node's ``axis_spec``; ``operands`` holds one
-    per-sample vector ``(b, d)`` for every other axis of ``tensor``, in
-    axis order, and ``log_scale`` the sum of their log scales. A two-leg
-    node (the tree's root) is one matrix product. A three-leg node goes
-    through :func:`batched_transfer`, which loops over one in-leg, the
-    last physical one if the node has any, else the second, and sums the
-    other in each product.
+    per-sample vector ``(b, d)`` for each other axis of the three-leg
+    ``tensor``, in axis order, and ``log_scale`` the sum of their log
+    scales. :func:`batched_transfer` sums one in-leg in each product and
+    loops over the other: the last physical one if any, else node 0's up
+    bond ``("bond", -1)``, told by spec, not extent, whose unit operand
+    makes the message one product, else the second.
     """
     ins = [ax for ax in range(tensor.ndim) if ax != out_axis]
-    if len(ins) == 1:
-        vec = operands[0] @ tensor.transpose(ins[0], out_axis)
-    else:
-        phys = [k for k, ax in enumerate(ins) if spec[ax][0] == "phys"]
-        loop = phys[-1] if phys else 1
-        summed = 1 - loop
-        vec = batched_transfer(
-            operands[summed], tensor.transpose(ins[summed], ins[loop], out_axis), operands[loop]
-        )
+    phys = [k for k, ax in enumerate(ins) if spec[ax][0] == "phys"]
+    up = [k for k, ax in enumerate(ins) if spec[ax] == ("bond", -1)]
+    loop = (phys or up or [1])[-1]
+    summed = 1 - loop
+    vec = batched_transfer(
+        operands[summed], tensor.transpose(ins[summed], ins[loop], out_axis), operands[loop]
+    )
     return renormalize_rows(vec, log_scale)

@@ -12,6 +12,7 @@ Layout (all integers little-endian):
     topology                    MPS: L+1 bond extents (u32, includes the 1s)
                                 TTN: node count u32, then per node
                                      parent i32 (-1 root) and parent-bond u32
+                                     (0 root: its up bond has extent 1)
     cores                       row-major f64 in topology order
     crc32   u32                 of everything above
 
@@ -26,9 +27,9 @@ rescaler has a non-finite bound, a width that overflows, or an empty or
 reversed interval, which would map every value of that feature to NaN or
 to one end, a file with a bond of extent 0, which holds no state, a file the
 model's constructor refuses, such as a tree whose node ids are not in
-pre-order (see :func:`tnad.ttn.tree_layout`), and a file whose padding
-field differs from the model's count of dummy features, which its
-topology decides.
+pre-order (see :func:`tnad.ttn.tree_layout`), a tree file whose root
+parent-bond field is not 0, and a file whose padding field differs from
+the model's count of dummy features, which its topology decides.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def load_model(path):
     not canonical, for one whose rescaler has a non-finite interval or a
     maximum not above its minimum or a bond of extent 0, for one the
     model's constructor refuses, such as a tree whose node ids are not in
-    pre-order, and for a padding field that differs from the model's.
+    pre-order, for a tree whose root parent-bond field is not 0, and for a
+    padding field that differs from the model's.
     """
     try:
         return _read_model(Path(path).read_bytes())
@@ -168,10 +170,12 @@ def _read_model(raw: bytes):
         (n_nodes,) = struct.unpack("<I", take(4, "tree node table"))
         table = list(struct.iter_unpack("<iI", take(8 * n_nodes, "tree node table")))
         parents = [p for p, _ in table]
-        parent_bond = [b for _, b in table]
+        parent_bond = [1] + [b for _, b in table[1:]]
         shapes = node_shapes(parents, parent_bond, phys_dim)
-        if 0 in parent_bond[1:]:  # node 0 is the root, the only node without a parent bond
-            raise DataError(f"parent bond of node {parent_bond.index(0, 1)} has extent 0")
+        if table[0][1] != 0:
+            raise DataError(f"root parent-bond field is {table[0][1]}, expected 0")
+        if 0 in parent_bond:
+            raise DataError(f"parent bond of node {parent_bond.index(0)} has extent 0")
         build = functools.partial(TtnModel, parents=parents, n_features=n_features, encoder=encoder)
     else:
         raise DataError(f"unknown model kind {kind}")

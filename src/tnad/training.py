@@ -315,9 +315,9 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
     search on the local NLL (see :class:`TrainConfig`), projected back onto
     the unit sphere, so no partition-function term appears in the
     gradient. The inner loop ends early once no trial step descends. A
-    degenerate split aborts the step: the original merged tensor is split
-    exactly instead, which restores the state while still moving the
-    center for the rest of the sweep.
+    degenerate split aborts the step: a refused split writes nothing, so
+    the node tensors still hold the state, and a QR step moves the center
+    along ``edge`` for the rest of the sweep.
 
     The updates run on the batch's amplitudes alone: every gradient is
     ``leftᵀ diag(g) right`` over the environment factor pair, so the
@@ -361,8 +361,7 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
             error = str(exc)
 
     if error is not None:
-        # restore: exact split of the untouched merged tensor
-        model.split_edge(edge, original, 0.0, None)
+        model.canonicalize(edge[1])
         env.push(*edge)
         return StepStats(edge, 0.0, loss_before, loss_before, skipped, error)
 
@@ -402,9 +401,9 @@ def fit(model, encoded: np.ndarray, config: TrainConfig) -> TrainReport:
     the same trained tensors and report (timings aside), bit for bit, at
     any BLAS thread count (see :func:`tnad.tensors.single_blas_thread`).
     """
-    encoded = np.asarray(encoded, dtype=np.float64)
-    if encoded.ndim != 3 or encoded.shape[0] == 0:
-        raise DataError("fit needs a non-empty (samples, sites, phys_dim) batch")
+    encoded = model._checked_batch(encoded)
+    if encoded.shape[0] == 0:
+        raise DataError("fit needs a non-empty batch")
     report = TrainReport()
     if config.sweeps == 0:
         report.bond_profile = model.bond_profile()

@@ -1,9 +1,9 @@
 """Balanced binary tree tensor network density model.
 
 Leaves carry two encoded features each; internal nodes carry only bonds.
-Axis conventions: the root tensor has axes ``(left_child, right_child)``,
-internal nodes ``(parent, left_child, right_child)``, and leaves
-``(parent, phys_even, phys_odd)``. Leaf slots past the real features hold
+Axis conventions: inner nodes ``(parent, left_child, right_child)``,
+leaves ``(parent, phys_even, phys_odd)``; the root's parent bond has
+extent 1 and no node behind it. Leaf slots past the real features hold
 dummy features (:meth:`TtnModel.random` pads an odd count with one),
 which the shared engine encodes at :data:`tnad.network.PAD_VALUE`.
 
@@ -136,10 +136,8 @@ class TtnModel(TensorNetwork):
         return [u for u in range(self.n_nodes) if self.children[u] is None]
 
     def axis_spec(self, u: int) -> list[tuple[str, int]]:
-        """Describe every axis of node ``u``: ('bond', neighbor) or ('phys', feature)."""
-        spec: list[tuple[str, int]] = []
-        if self.parents[u] >= 0:
-            spec.append(("bond", self.parents[u]))
+        """Every axis of node ``u``, parent bond first: ('bond', neighbor) or ('phys', feature)."""
+        spec = [("bond", self.parents[u])]
         if self.children[u] is None:
             f0, f1 = self.leaf_features[u]
             spec.extend([("phys", f0), ("phys", f1)])
@@ -189,15 +187,15 @@ def tree_layout(parents) -> tuple[list, list]:
 
 def node_shapes(parents, bond, phys_dim: int) -> list[tuple[int, ...]]:
     """Tensor shape of every node of the tree given by ``parents``, given the
-    extent ``bond[u]`` of each node's parent bond.
+    extent ``bond[u]`` of each node's parent bond, the root's included.
 
-    The root is ``(left, right)``, an inner node ``(parent, left, right)``
-    and a leaf ``(parent, phys_dim, phys_dim)``. Raises :class:`DataError`
-    for a parent list :func:`tree_layout` refuses.
+    An inner node is ``(parent, left, right)`` and a leaf ``(parent,
+    phys_dim, phys_dim)``. Raises :class:`DataError` for a parent list
+    :func:`tree_layout` refuses.
     """
     children, _ = tree_layout(parents)
     shapes = []
     for u, c in enumerate(children):
         lower = (phys_dim, phys_dim) if c is None else (bond[c[0]], bond[c[1]])
-        shapes.append(lower if parents[u] < 0 else (bond[u],) + lower)
+        shapes.append((bond[u],) + lower)
     return shapes

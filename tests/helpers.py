@@ -56,15 +56,12 @@ def ttn_full_tensor(model):
         c0, c1 = model.children[u]
         t0, feats0 = rec(c0)
         t1, feats1 = rec(c1)
-        if model.parents[u] < 0:
-            out = np.tensordot(tensor, t0, axes=(0, 0))
-            out = np.tensordot(out, t1, axes=(0, 0))
-            return out, feats0 + feats1
         out = np.tensordot(tensor, t0, axes=(1, 0))
         out = np.tensordot(out, t1, axes=(1, 0))
         return out, feats0 + feats1
 
     theta, feats = rec(0)
+    theta = theta.take(0, axis=0)  # the root's up bond: extent 1, no node behind it
     order = np.argsort(feats)
     theta = np.transpose(theta, order)
     if model.padding:
@@ -100,6 +97,8 @@ def _ttn_subtree_tensor(model, node, toward):
         if kind == "phys":
             feats.append(ref)
             axis_cursor += 1
+        elif ref < 0:
+            work = work.take(0, axis=axis_cursor)  # the root's up bond: no node behind it
         else:
             sub, sub_feats = _ttn_subtree_tensor(model, ref, node)
             work = np.tensordot(work, sub, axes=(axis_cursor, 0))
@@ -126,6 +125,8 @@ def ttn_full_tensor_with_merged(model, edge, merged):
             if kind == "phys":
                 feats.append(ref)
                 cursor += 1
+            elif ref < 0:
+                theta = theta.take(0, axis=cursor)  # the root's up bond: no node behind it
             else:
                 sub, sub_feats = _ttn_subtree_tensor(model, ref, node)
                 theta = np.tensordot(theta, sub, axes=(cursor, 0))

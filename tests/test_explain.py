@@ -123,6 +123,25 @@ class TestReducedDensityMatrix:
         with pytest.raises(DataError):
             reduced_density_matrix(model, (9,))
 
+    def test_feature_indices_must_be_integers(self):
+        """A float index is refused, not truncated to another feature; numpy integers are indices."""
+        model = MpsModel.random(6, 3, init_bond=3, seed=1)
+        model.encoder = LegendreFeatureMap(3, helpers.unit_rescaler(6))
+        calls = [
+            lambda: reduced_density_matrix(model, (1.7,)),
+            lambda: conditional_rdm(model, (1.0,), {2: 0.5}),
+            lambda: conditional_rdm(model, (0,), {2.9: 0.5}),
+            lambda: mutual_information(model, (0,), (np.float64(2.0),)),
+            lambda: conditional_expectations(model, [0.5] * 6, [1.7]),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+        np.testing.assert_array_equal(
+            reduced_density_matrix(model, (np.int64(1), np.uint8(3))).matrix,
+            reduced_density_matrix(model, (1, 3)).matrix,
+        )
+
 
 def wide_model(kind):
     """Models wide enough to reach every branch of the structured paths."""

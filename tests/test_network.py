@@ -16,9 +16,11 @@ from tnad import (
     fit,
     fit_rescaler,
     load_model,
+    nll_loss,
     reduced_density_matrix,
     save_model,
     score_samples,
+    two_site_gradient,
     two_site_step,
 )
 from tnad.explain import _analysis_copy
@@ -262,6 +264,49 @@ class TestConstructionChecks:
         tensors[1] = tensors[1][..., None]
         with pytest.raises(DimensionError, match="node 1 must be rank 3, got rank 4"):
             self.rebuilt(model, tensors)
+
+    def test_every_node_is_stored_up_bond_first(self, model):
+        """One node shape for both kinds, ``(up, in0, in1)``; node 0's up bond has no node behind it."""
+        assert model.axis_spec(0)[0] == ("bond", -1)
+        assert model.tensors[0].shape[0] == 1
+        for u in range(1, model.n_nodes):
+            assert model.tensors[u].ndim == 3
+            kind, up = model.axis_spec(u)[0]
+            assert kind == "bond" and 0 <= up < u  # the parent, in pre-order
+
+    def test_bond_without_a_neighbor_must_have_extent_1(self, model):
+        """Node 0's up bond, and the last MPS site's right bond, end the network."""
+        ends = [(0, 0)] + [(model.n_nodes - 1, 2)] * isinstance(model, MpsModel)
+        for u, ax in ends:
+            tensors = list(model.tensors)
+            tensors[u] = np.concatenate([tensors[u]] * 2, axis=ax)
+            with pytest.raises(DimensionError, match=f"node {u}'s bond without a neighbor "
+                                                     "must have extent 1"):
+                self.rebuilt(model, tensors)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+@pytest.mark.parametrize(
+    "entry",
+    ["log_amplitudes", "nll_loss", "score_samples", "fit", "fit-no-sweeps", "two_site_gradient"],
+)
+def test_non_finite_encoded_batch_refused(entry, value):
+    """Not taken for a zero-amplitude sample: the first bad sample and feature are named."""
+    model = MpsModel.random(6, 3, init_bond=3, seed=1)
+    encoded = helpers.random_encoded(np.random.default_rng(0), 40, 6, 3)
+    encoded[17, 4, 1] = encoded[30, 0, 0] = value
+    calls = {
+        "log_amplitudes": lambda: model.log_amplitudes(encoded),
+        "nll_loss": lambda: nll_loss(model, encoded),
+        "score_samples": lambda: score_samples(model, encoded),
+        "fit": lambda: fit(model, encoded, TrainConfig(sweeps=1, batch_size=None)),
+        "fit-no-sweeps": lambda: fit(model, encoded, TrainConfig(sweeps=0)),
+        "two_site_gradient": lambda: two_site_gradient(
+            model, (0, 1), model.merge_edge((0, 1)), encoded
+        ),
+    }
+    with pytest.raises(DataError, match="non-finite value at sample 17, feature 4"):
+        calls[entry]()
 
 
 def test_long_chain_sweep_walk():

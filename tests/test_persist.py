@@ -1,7 +1,9 @@
+import re
 import struct
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from tnad import (
     toy_correlated_pairs,
 )
 from tnad.persist import MAGIC
+
+# model files frozen by the benchmark; the format must read and write them unchanged
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def fitted_encoder(n_functions, n_features, seed=0):
@@ -82,6 +87,13 @@ class TestRoundTrip:
         loaded = load_model(path)
         np.testing.assert_array_equal(loaded.encoder.rescaler.minimum, encoder.rescaler.minimum)
         np.testing.assert_array_equal(loaded.encoder.rescaler.maximum, encoder.rescaler.maximum)
+
+
+@pytest.mark.parametrize("name", ["mps36.tnad", "ttn24.tnad"])
+def test_frozen_fixture_resaves_to_its_own_bytes(tmp_path, name):
+    """The file format is fixed: a stored model loads and saves to the bytes it came from."""
+    save_model(tmp_path / name, load_model(FIXTURES / name))
+    assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
 
 
 class TestFileIntegrity:
@@ -310,6 +322,19 @@ class TestContentChecks:
         blob = path.read_bytes()[:start] + struct.pack("<4I", 1, 0, 2, 1)
         reseal(path, blob + last.astype("<f8").tobytes())
         with pytest.raises(DataError, match="bond 1 has extent 0"):
+            load_model(path)
+
+    def test_root_parent_bond_field_must_be_0(self, tmp_path):
+        """The root's up bond has no node behind it: its field holds 0, read as extent 1."""
+        encoder, _ = fitted_encoder(3, 6, seed=2)
+        path = tmp_path / "tree.tnad"
+        save_model(path, TtnModel.random(6, 3, init_bond=3, seed=2, encoder=encoder))
+        blob = bytearray(path.read_bytes()[:-4])
+        offset = len(MAGIC) + struct.calcsize("<IBIII") + 16 * 6 + 4  # node 0's table entry
+        assert struct.unpack_from("<iI", blob, offset) == (-1, 0)
+        struct.pack_into("<I", blob, offset + 4, 7)
+        reseal(path, bytes(blob))
+        with pytest.raises(DataError, match=re.escape(f"{path}: root parent-bond field is 7")):
             load_model(path)
 
     def test_zero_tree_parent_bond_refused(self, tmp_path):

@@ -12,7 +12,9 @@ class TestBuild:
         assert t.padding == 0
         leaves = t.leaf_ids()
         assert len(leaves) == 2
-        assert t.tensors[0].ndim == 2  # root carries only two child bonds
+        # the root's up bond comes first, with extent 1 and no node behind it
+        assert t.axis_spec(0)[0] == ("bond", -1)
+        assert t.tensors[0].shape == (1, 4, 4)
         for leaf in leaves:
             assert t.tensors[leaf].shape[1:] == (2, 2)
 
@@ -139,8 +141,8 @@ class TestMergeSplit:
         leaf1, leaf2 = t.leaf_ids()
         t.canonicalize(0)
         merged = t.merge_edge((0, leaf1))
-        # root's remaining child bond, then the leaf's two physical legs
-        assert merged.shape == (t.tensors[leaf2].shape[0], 2, 2)
+        # root's up bond and remaining child bond, then the leaf's two physical legs
+        assert merged.shape == (1, t.tensors[leaf2].shape[0], 2, 2)
         assert merged.size == 2**4
 
     def test_split_roundtrip_preserves_amplitudes(self):
