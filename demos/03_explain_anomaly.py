@@ -21,7 +21,7 @@ from tnad import (
 data = toy_correlated_pairs(2000, 8, pairs=((1, 2), (5, 6)), seed=42)
 encoder = LegendreFeatureMap(5, fit_rescaler(data))
 model = MpsModel.random(8, 5, init_bond=2, seed=0, encoder=encoder)
-fit(model, encoder.encode_batch(data),
+fit(model, data,
     TrainConfig(learning_rate=4e-3, sweeps=6, batch_size=None, max_bond=10, seed=0))
 
 # Construct an anomaly: a genuine sample whose feature 5 is pushed far

@@ -22,7 +22,7 @@ PAIRS = ((1, 2), (5, 6))
 data = toy_correlated_pairs(2000, 8, pairs=PAIRS, seed=42)
 encoder = LegendreFeatureMap(5, fit_rescaler(data))
 model = TtnModel.random(8, 5, init_bond=2, seed=0, encoder=encoder)
-fit(model, encoder.encode_batch(data),
+fit(model, data,
     TrainConfig(learning_rate=4e-3, sweeps=6, batch_size=None, max_bond=10, seed=0))
 
 matrices = all_to_all_mi(model)

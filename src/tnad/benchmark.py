@@ -185,10 +185,9 @@ def benchmark_arrays(
         )
         model = new_model(model_kind, mixed.shape[1], config, base_train_seed + f, encoder)
         train_cfg = replace(config.train, seed=base_train_seed + f)
-        train_encoded = encoder.encode_batch(train_features)
-        fit(model, train_encoded, train_cfg)
+        fit(model, train_features, train_cfg)
 
-        train_scores = score_samples(model, train_encoded)
+        train_scores = score_samples(model, train_features)
         separation.append(auc_roc(train_scores, hidden[train_idx]))
         threshold, tpr, tnr = eer_threshold(train_scores, hidden[train_idx])
         eers.append({"threshold": threshold, "tpr": tpr, "tnr": tnr})

@@ -65,7 +65,7 @@ def train(data, model_kind, config_path, seed, label_column, out):
         rescaler=fit_rescaler(features, margin=config.margin),
     )
     model = new_model(model_kind, features.shape[1], config, config.train.seed, encoder)
-    report = fit(model, encoder.encode_batch(features), config.train)
+    report = fit(model, features, config.train)
     save_model(out, model)
     report_path = Path(out).with_suffix(Path(out).suffix + ".report.json")
     report_path.write_text(json.dumps(report.to_dict(), indent=2))

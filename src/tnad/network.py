@@ -12,9 +12,10 @@ included, the amplitude pass, the sweep walk, the canonical form and its
 center moves, the two-site merge and split of training, and
 :class:`Environments`, the per-sample message cache of training.
 :func:`node_message` is the one message step of amplitudes and
-environments alike. Neither the amplitude pass nor the cache copies the
-batch: both read its feature legs through :meth:`TensorNetwork.feature_leg`,
-and the pass takes raw rows too, encoding them one block at a time.
+environments alike. Both take raw rows or an encoded batch and read its
+feature legs, one at a time, through :meth:`TensorNetwork.feature_leg`:
+the pass encodes raw rows one block at a time, and the cache keeps their
+unit-interval values, encoding a leg when it reads it.
 """
 
 from __future__ import annotations
@@ -143,34 +144,57 @@ class TensorNetwork:
             worst = max(worst, float(np.abs(m.T @ m - np.eye(m.shape[1])).max()))
         return worst
 
-    def _checked_batch(self, encoded) -> np.ndarray:
-        """``encoded`` as floats, refused unless it is a finite ``(n, n_features, phys_dim)``."""
-        encoded = np.asarray(encoded, dtype=np.float64)
-        if encoded.ndim != 3 or encoded.shape[1:] != (self.n_features, self.phys_dim):
+    def _checked_batch(self, batch) -> np.ndarray:
+        """``batch`` as floats: raw rows ``(n, n_features)`` or an encoded batch
+        ``(n, n_features, phys_dim)``, the one check of every entry point.
+
+        Any other shape is refused with a message that names both; so are
+        raw rows for a model without an encoder of ``phys_dim`` functions,
+        and a NaN or infinity in an encoded batch (raw values are checked
+        where they are rescaled).
+        """
+        batch = np.asarray(batch, dtype=np.float64)
+        if batch.ndim not in (2, 3) or batch.shape[1:] != (
+            (self.n_features,) if batch.ndim == 2 else (self.n_features, self.phys_dim)
+        ):
             raise DataError(
-                f"encoded batch has shape {encoded.shape}, expected "
+                f"batch has shape {batch.shape}; a model of {self.n_features} features takes "
+                f"raw rows (n, {self.n_features}) or an encoded batch "
                 f"(n, {self.n_features}, {self.phys_dim})"
             )
+        if batch.ndim == 2:
+            if self.encoder is None or self.encoder.n_functions != self.phys_dim:
+                raise DataError(f"raw rows need a model with an encoder of {self.phys_dim} "
+                                "functions, the extent of its feature legs")
+            return batch
         # a NaN amplitude would pass for a zero one; min and max find any
         # NaN or infinity without a batch-sized mask
-        if encoded.size and not np.isfinite([encoded.min(), encoded.max()]).all():
-            sample, feature, _ = np.argwhere(~np.isfinite(encoded))[0]
+        if batch.size and not np.isfinite([batch.min(), batch.max()]).all():
+            sample, feature, _ = np.argwhere(~np.isfinite(batch))[0]
             raise DataError(f"encoded batch holds a non-finite value at sample {sample}, "
                             f"feature {feature}")
-        return encoded
+        return batch
 
-    def feature_leg(self, encoded: np.ndarray, f: int) -> np.ndarray:
-        """Per-sample vectors ``(n, phys_dim)`` on feature leg ``f`` of an encoded batch.
+    def feature_leg(self, batch: np.ndarray, f: int, rows=None) -> np.ndarray:
+        """Per-sample vectors ``(len(rows), phys_dim)`` on feature leg ``f``, C-contiguous.
 
-        A real feature is the view ``encoded[:, f, :]``. A dummy feature, one
-        of the ``padding`` legs after the real ones, is the encoding of
-        :data:`PAD_VALUE`, the same row for every sample, as a read-only
-        broadcast view. So no leg copies the batch.
+        ``batch`` is an encoded batch ``(n, n_features, phys_dim)`` or the
+        rows' unit-interval values ``(n, n_features)``, which the encoder
+        encodes here, one leg at a time; ``rows`` picks samples, all if
+        None. A dummy feature, one of the ``padding`` legs after the real
+        ones, is the encoding of :data:`PAD_VALUE` for every sample. The
+        leg is a fresh C-contiguous array whatever the batch's layout: a
+        product rounds by its operands' layout, so a leg read from
+        ``encode_batch``'s strided view, from its copy or from unit values
+        gives the same bits.
         """
-        if f < self.n_features:
-            return encoded[:, f, :]
-        dummy = orthonormal_basis(self.phys_dim, PAD_VALUE)
-        return np.broadcast_to(dummy, (len(encoded), self.phys_dim))
+        idx = slice(None) if rows is None else rows
+        if f >= self.n_features:
+            n = len(batch) if rows is None else len(rows)
+            return np.tile(orthonormal_basis(self.phys_dim, PAD_VALUE), (n, 1))
+        if batch.ndim == 2:
+            return np.ascontiguousarray(self.encoder.encode_unit(batch[idx, f]))
+        return np.ascontiguousarray(batch[idx, f])
 
     @single_blas_thread()
     def log_amplitudes(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,15 +213,8 @@ class TensorNetwork:
         rows) by other routes, which round differently. A batch of no rows
         gives two empty arrays.
         """
-        batch = np.asarray(batch, dtype=np.float64)
+        batch = self._checked_batch(batch)
         raw = batch.ndim == 2
-        if not raw:
-            batch = self._checked_batch(batch)
-        elif batch.shape[1] != self.n_features or self.encoder is None:
-            raise DataError(
-                f"raw rows of shape {batch.shape} need a model with an encoder "
-                f"and {self.n_features} features"
-            )
         n = len(batch)
         log_abs, sign = np.empty(n), np.empty(n)
         start = 0
@@ -387,8 +404,9 @@ class TensorNetwork:
         self.center = v
         return result.discarded_weight
 
-    def environment_cache(self, encoded: np.ndarray) -> "Environments":
-        return Environments(self, encoded)
+    def environment_cache(self, batch: np.ndarray) -> "Environments":
+        """The :class:`Environments` of ``batch``, raw rows or encoded, at the current center."""
+        return Environments(self, batch)
 
 
 class Environments:
@@ -397,62 +415,90 @@ class Environments:
     ``message(u, v)`` is the contraction, per sample, of everything on
     node ``u``'s side of bond ``(u, v)``, ``u`` included, with the
     samples' encodings: an ``(n_samples, D_uv)`` array of unit rows plus a
-    per-sample log scale. The cache holds exactly the messages pointing
-    toward the center and is refreshed one bond at a time as training
-    moves it, so a full sweep costs one message per edge step. It keeps
-    the caller's encoded batch as given, without a padded copy, and reads
-    each feature leg, dummy ones included, through
-    :meth:`TensorNetwork.feature_leg`.
+    per-sample log scale. The cache stores such a message only on a bond
+    between two inner nodes, nodes with more than one neighbor, and holds
+    exactly those pointing toward the center; it is refreshed one bond at
+    a time as training moves the center, so a sweep costs at most one
+    message per edge step. A message out of a leaf (a tree leaf or an MPS
+    end) is computed from the leaf's encodings when it is read, for the
+    rows asked for, and a message into a leaf only where the center's
+    amplitudes read it.
+
+    The batch is either raw rows ``(n, n_features)``, of which the cache
+    keeps only the unit-interval values, or an encoded batch ``(n,
+    n_features, phys_dim)``, kept as given; either way every feature leg
+    is read through :meth:`TensorNetwork.feature_leg`, encoded when it is
+    read, so both forms give the same bits.
     """
 
-    def __init__(self, model: TensorNetwork, encoded: np.ndarray):
+    def __init__(self, model: TensorNetwork, batch: np.ndarray):
         self.model = model
-        self.encoded = model._checked_batch(encoded)
-        self.n_samples = self.encoded.shape[0]
+        batch = model._checked_batch(batch)
+        self.batch = model.encoder.rescaler.transform(batch) if batch.ndim == 2 else batch
+        self.n_samples = self.batch.shape[0]
+        self._inner = {u for u in range(model.n_nodes) if len(model.neighbors(u)) > 1}
         self._messages: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         order, toward = model._orientation(model.center)
         for u in reversed(order[1:]):
             self.push(u, toward[u])
 
-    def message(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Message into ``v`` from ``u``; a bond without a node behind it gives a unit."""
-        if not 0 <= u < self.model.n_nodes:
-            return np.ones((self.n_samples, 1)), np.zeros(self.n_samples)
-        return self._messages[(u, v)]
+    def message(self, u: int, v: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """Message into ``v`` from ``u`` for ``rows``, all if None.
 
-    def _operands(self, u: int, skip: int):
+        Read from the cache on a bond between two inner nodes, else
+        computed here; a bond without a node behind it gives a unit.
+        """
+        n = self.n_samples if rows is None else len(rows)
+        if not 0 <= u < self.model.n_nodes:
+            return np.ones((n, 1)), np.zeros(n)
+        if self._stored(u, v):
+            vec, log_scale = self._messages[(u, v)]
+            return (vec, log_scale) if rows is None else (vec[rows], log_scale[rows])
+        return self._outgoing(u, v, rows)
+
+    def _operands(self, u: int, skip: int, rows=None):
         """Per-sample vectors of every axis of node ``u`` but ``skip``, and their summed log scale."""
-        arrays, logs = [], np.zeros(self.n_samples)
+        arrays, logs = [], np.zeros(self.n_samples if rows is None else len(rows))
         for ax, (kind, ref) in enumerate(self.model.axis_spec(u)):
             if ax == skip:
                 continue
             if kind == "phys":
-                arrays.append(self.model.feature_leg(self.encoded, ref))
+                arrays.append(self.model.feature_leg(self.batch, ref, rows))
             else:
-                vec, log_scale = self.message(ref, u)
+                vec, log_scale = self.message(ref, u, rows)
                 arrays.append(vec)
                 logs = logs + log_scale
         return arrays, logs
 
-    def _outgoing(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Message ``u -> v`` from node ``u``'s current tensor and the cached messages into it."""
+    def _outgoing(self, u: int, v: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """Message ``u -> v`` from node ``u``'s current tensor and the messages into it."""
         out_axis = self.model.axis_to(u, v)
-        operands, logs = self._operands(u, out_axis)
+        operands, logs = self._operands(u, out_axis, rows)
         return node_message(
             self.model.tensors[u], self.model.axis_spec(u), out_axis, operands, logs
         )
 
     def push(self, u: int, v: int) -> None:
-        """Recompute the message ``u -> v`` from node ``u``'s current tensor."""
-        self._messages[(u, v)] = self._outgoing(u, v)
+        """Refresh the cache after node ``u``'s tensor changed and the center moved to ``v``.
+
+        The message ``u -> v`` is recomputed if both nodes are inner; one
+        out of or into a leaf is left to be computed where it is read.
+        """
         self._messages.pop((v, u), None)
+        if self._stored(u, v):
+            self._messages[(u, v)] = self._outgoing(u, v)
+
+    def _stored(self, u: int, v: int) -> bool:
+        """Whether the cache holds the message ``u -> v``: both nodes are inner."""
+        return u in self._inner and v in self._inner
 
     def amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
         """Every sample's rescaled amplitude and its log scale, read at the canonical center.
 
-        The center's message toward its first neighbor meets the cached
-        message back from it: one :func:`node_message` and one row-wise
-        product, with no merged tensor and no environment factor formed.
+        The center's message toward its first neighbor meets the message
+        back from it: one :func:`node_message` and one row-wise product,
+        with no merged tensor and no environment factor formed. At a leaf
+        center the message back is computed here.
         """
         c = self.model.center
         v = self.model.neighbors(c)[0]
@@ -461,7 +507,7 @@ class Environments:
         return (out * back).sum(axis=1), log_out + log_back
 
     def factors(self, edge, rows=None) -> tuple[list[np.ndarray], np.ndarray]:
-        """Per-sample environment factors of the merged tensor at ``edge``.
+        """Per-sample environment factors of the merged tensor at ``edge``, for ``rows``.
 
         Returns ``([left, right], log_scale)``. ``left`` is the row-wise
         Kronecker product, in axis order, of the vectors on the remaining
@@ -470,18 +516,18 @@ class Environments:
         :meth:`TensorNetwork.split_edge` cuts ``merge_edge(edge).reshape(W0,
         W1)``. The outer product of a sample's pair is the gradient of its
         amplitude with respect to the merged tensor, up to the per-sample
-        scale ``exp(log_scale)``.
+        scale ``exp(log_scale)``. Only ``rows`` are read, leaf messages and
+        feature legs included; None reads every row.
         """
-        idx = slice(None) if rows is None else rows
         pair, log_scale = [], 0.0
         for u, v in (edge, edge[::-1]):
-            arrays, logs = self._operands(u, self.model.axis_to(u, v))
-            combined = arrays[0][idx]
+            arrays, logs = self._operands(u, self.model.axis_to(u, v), rows)
+            combined = arrays[0]
             for arr in arrays[1:]:
-                combined = (combined[:, :, None] * arr[idx][:, None, :]).reshape(len(combined), -1)
+                combined = (combined[:, :, None] * arr[:, None, :]).reshape(len(combined), -1)
             pair.append(combined)
             log_scale = log_scale + logs
-        return pair, log_scale[idx]
+        return pair, log_scale
 
 
 def node_message(tensor, spec, out_axis, operands, log_scale):

@@ -126,17 +126,19 @@ class TrainReport:
 
 
 @single_blas_thread()
-def nll_loss(model, encoded: np.ndarray) -> float:
+def nll_loss(model, batch: np.ndarray) -> float:
     """Mean negative log-likelihood of a batch under the Born rule.
 
+    ``batch`` is raw rows or an encoded batch, as for
+    :meth:`~tnad.network.TensorNetwork.log_amplitudes`.
     ``log P(x) = 2 log |amplitude(x)|`` for a unit-norm model. Samples with
     exactly zero amplitude are left out of the mean, with a logged count;
     :class:`NumericalError` if every sample is.
     """
-    encoded = np.asarray(encoded, dtype=np.float64)
-    if encoded.size == 0:
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.size == 0:
         raise DataError("nll_loss needs a non-empty batch")
-    log_abs, _ = model.log_amplitudes(encoded)
+    log_abs, _ = model.log_amplitudes(batch)
     return _reported_nll(log_abs)
 
 
@@ -223,19 +225,22 @@ def two_site_gradient(
     model,
     edge,
     merged: np.ndarray,
-    encoded_batch: np.ndarray,
+    batch: np.ndarray,
 ) -> np.ndarray:
     """NLL gradient with respect to the merged tensor at ``edge``.
 
     The model must be in canonical form with its center at one endpoint of
     ``edge`` and ``merged`` must be the corresponding merged tensor in the
     edge-order layout of ``merge_edge`` (for example its output); the
-    gradient has the same layout. Environments are built for
-    ``encoded_batch`` on the fly; the incremental cache used by
-    :func:`fit` produces the same values. :func:`two_site_step` never
-    forms this tensor; it steps along it with the same sample weights.
+    gradient has the same layout. ``batch`` is raw rows ``(n,
+    n_features)``, which the model's encoder encodes, or an encoded batch
+    ``(n, n_features, phys_dim)``; both give the same bits. Its
+    :class:`~tnad.network.Environments` are built on the fly; the
+    incremental cache used by :func:`fit` produces the same values.
+    :func:`two_site_step` never forms this tensor; it steps along it with
+    the same sample weights.
     """
-    env = model.environment_cache(np.asarray(encoded_batch, dtype=np.float64))
+    env = model.environment_cache(batch)
     (left, right), _ = env.factors(edge)
     weights, n_skipped = _sample_weights(_contract_fractions(merged, left, right))
     if n_skipped:
@@ -386,8 +391,15 @@ def _node_fractions(model, edge, left: np.ndarray, right: np.ndarray) -> np.ndar
 
 
 @single_blas_thread()
-def fit(model, encoded: np.ndarray, config: TrainConfig) -> TrainReport:
-    """Train ``model`` in place on encoded, unlabeled data.
+def fit(model, batch: np.ndarray, config: TrainConfig) -> TrainReport:
+    """Train ``model`` in place on unlabeled data.
+
+    ``batch`` is raw rows ``(n, n_features)``, which the model's encoder
+    encodes, or an encoded batch ``(n, n_features, phys_dim)`` in any
+    memory layout; both train to the same bits. The environment cache
+    keeps raw rows only as their unit-interval values and encodes a
+    feature leg when it reads it, so training on raw rows holds no
+    encoded copy of them.
 
     ``model`` must be canonical at its center, as ``random``,
     ``load_model`` and ``fit`` itself leave it; its center is moved to
@@ -401,8 +413,8 @@ def fit(model, encoded: np.ndarray, config: TrainConfig) -> TrainReport:
     the same trained tensors and report (timings aside), bit for bit, at
     any BLAS thread count (see :func:`tnad.tensors.single_blas_thread`).
     """
-    encoded = model._checked_batch(encoded)
-    if encoded.shape[0] == 0:
+    batch = model._checked_batch(batch)
+    if len(batch) == 0:
         raise DataError("fit needs a non-empty batch")
     report = TrainReport()
     if config.sweeps == 0:
@@ -411,10 +423,10 @@ def fit(model, encoded: np.ndarray, config: TrainConfig) -> TrainReport:
 
     model.canonicalize(model.sweep_start())
     model.normalize()
-    env = model.environment_cache(encoded)
+    env = model.environment_cache(batch)
     schedule = model.sweep_schedule()
     rng = np.random.default_rng(config.seed)
-    n = encoded.shape[0]
+    n = env.n_samples
     draw_batches = config.batch_size is not None and config.batch_size < n
     learning_rate = config.learning_rate
 

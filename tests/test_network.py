@@ -1,5 +1,6 @@
 """The engine both model kinds share: canonical moves, the environment cache, two-site layout."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,8 @@ from tnad import (
     two_site_step,
 )
 from tnad.explain import _analysis_copy
-from tnad.network import BLOCK_ROWS
+from tnad.encoding import orthonormal_basis
+from tnad.network import BLOCK_ROWS, PAD_VALUE, node_message
 from tnad.training import _contract_fractions
 
 
@@ -309,6 +311,144 @@ def test_non_finite_encoded_batch_refused(entry, value):
         calls[entry]()
 
 
+@pytest.mark.parametrize("shape", ["row", "4-D", "wide"])
+@pytest.mark.parametrize(
+    "entry",
+    ["log_amplitudes", "score_samples", "nll_loss", "fit", "two_site_gradient", "environment_cache"],
+)
+def test_one_refusal_for_both_input_forms(model, entry, shape):
+    """A batch that is neither raw rows nor an encoded batch is refused by
+    every entry point with one message naming both shapes."""
+    n, d = model.n_features, model.phys_dim
+    model.encoder = LegendreFeatureMap(d, helpers.unit_rescaler(n))
+    batch = np.full({"row": (n,), "4-D": (4, n, d, 1), "wide": (4, n + 1)}[shape], 0.5)
+    edge = model.sweep_schedule()[0]
+    calls = {
+        "log_amplitudes": lambda: model.log_amplitudes(batch),
+        "score_samples": lambda: score_samples(model, batch),
+        "nll_loss": lambda: nll_loss(model, batch),
+        "fit": lambda: fit(model, batch, TrainConfig(sweeps=1)),
+        "two_site_gradient": lambda: two_site_gradient(model, edge, model.merge_edge(edge), batch),
+        "environment_cache": lambda: model.environment_cache(batch),
+    }
+    message = (f"batch has shape {batch.shape}; a model of {n} features takes raw rows "
+               f"(n, {n}) or an encoded batch (n, {n}, {d})")
+    with pytest.raises(DataError, match=re.escape(message)):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("entry", ["score_samples", "fit"])
+def test_raw_rows_need_an_encoder_as_wide_as_the_feature_legs(model, entry):
+    """An encoder of another width would have its rows cut short in a
+    transfer, or fail there as a numpy error; raw rows are refused first."""
+    raw = np.full((4, model.n_features), 0.5)
+    model.encoder = LegendreFeatureMap(model.phys_dim + 2, helpers.unit_rescaler(model.n_features))
+    call = {"score_samples": lambda: score_samples(model, raw),
+            "fit": lambda: fit(model, raw, TrainConfig(sweeps=1))}[entry]
+    with pytest.raises(DataError, match=f"encoder of {model.phys_dim} functions"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "kind, n_features, bond",
+    [("mps", 36, 40), ("ttn", 57, 16)],
+    ids=["mps36-bond40", "ttn57-padded-bond16"],
+)
+def test_raw_rows_train_to_the_bits_of_their_encoding(kind, n_features, bond):
+    """``fit`` on raw rows gives the tensors, trace and discarded weights of
+    ``fit`` on ``encode_batch(rows)``, a strided view, and on its copy:
+    every leg reaches the products C-contiguous, whatever the batch's layout."""
+    raw = np.random.default_rng(30).normal(size=(400, n_features))
+    encoder = LegendreFeatureMap(5, fit_rescaler(raw))
+    model_cls = MpsModel if kind == "mps" else TtnModel
+    config = TrainConfig(learning_rate=5e-3, sweeps=1, batch_size=64, max_bond=bond, seed=32)
+    encoded = encoder.encode_batch(raw)
+    assert not encoded.flags.c_contiguous
+    models, reports = [], []
+    for batch in (raw, encoded, np.ascontiguousarray(encoded)):
+        models.append(model_cls.random(n_features, 5, init_bond=bond, seed=31, encoder=encoder))
+        reports.append(fit(models[-1], batch, config))
+    assert max(models[0].bond_profile()) == bond
+    for other, report in zip(models[1:], reports[1:]):
+        for ours, theirs in zip(models[0].tensors, other.tensors):
+            np.testing.assert_array_equal(ours, theirs)
+        assert report.nll_trace == reports[0].nll_trace
+        assert report.discarded_weights == reports[0].discarded_weights
+
+
+def test_feature_legs_are_c_contiguous(model):
+    """Raw values, ``encode_batch``'s strided view and its copy give one leg,
+    dummy features included, and always a C-contiguous one."""
+    rng = np.random.default_rng(33)
+    raw = rng.uniform(size=(20, model.n_features))
+    model.encoder = LegendreFeatureMap(model.phys_dim, helpers.unit_rescaler(model.n_features))
+    encoded = model.encoder.encode_batch(raw)
+    rows = rng.choice(20, 7, replace=False)
+    for f in range(model.n_features + model.padding):
+        for pick in (None, rows):
+            legs = [model.feature_leg(b, f, pick) for b in (raw, encoded, encoded.copy())]
+            for leg in legs:
+                assert leg.flags.c_contiguous
+                np.testing.assert_array_equal(leg, legs[1])
+
+
+def eager_message(model, encoded, u, v):
+    """Message ``u -> v`` out of leaf ``u`` for every row, pushed as soon as
+    ``u`` changes, the way a cache of every bond's message computed it."""
+    out_axis = model.axis_to(u, v)
+    operands = []
+    for ax, (kind, ref) in enumerate(model.axis_spec(u)):
+        if ax == out_axis:
+            continue
+        if kind == "phys" and ref >= model.n_features:  # a dummy feature
+            operands.append(np.tile(orthonormal_basis(model.phys_dim, PAD_VALUE), (len(encoded), 1)))
+        elif kind == "phys":
+            operands.append(np.ascontiguousarray(encoded[:, ref]))
+        else:  # a leaf's other bond has no node behind it
+            operands.append(np.ones((len(encoded), 1)))
+    return node_message(model.tensors[u], model.axis_spec(u), out_axis, operands,
+                        np.zeros(len(encoded)))
+
+
+@pytest.mark.parametrize("kind", ["mps", "ttn"])
+def test_cache_invariants_across_a_sweep(kind):
+    """After every step of a sweep the cache holds exactly the inner bonds that
+    point at the center; a leaf message read for some rows is those rows of
+    the eager all-rows message, bit for bit; and the start leaf's amplitudes
+    give ``nll_loss``."""
+    rng = np.random.default_rng(34)
+    raw = rng.uniform(size=(300, 9))
+    encoder = LegendreFeatureMap(3, fit_rescaler(raw))
+    model_cls = MpsModel if kind == "mps" else TtnModel
+    model = model_cls.random(9, 3, init_bond=6, seed=35, encoder=encoder)
+    encoded = encoder.encode_batch(raw)
+    env = model.environment_cache(raw)
+    inner = {u for u in range(model.n_nodes) if len(model.neighbors(u)) > 1}
+    leaves = sorted(set(range(model.n_nodes)) - inner)
+    config = TrainConfig(learning_rate=5e-3, inner_steps=2)
+    for edge in model.sweep_schedule():
+        rows = rng.choice(300, 16, replace=False)
+        assert two_site_step(model, edge, env, rows, 5e-3, config).error is None
+        _, toward = model._orientation(model.center)
+        assert set(env._messages) == {
+            (u, v) for u, v in toward.items() if u in inner and v in inner
+        }
+        for u in leaves:
+            if u == model.center:
+                continue
+            (v,) = model.neighbors(u)
+            want, want_log = eager_message(model, encoded, u, v)
+            for pick in (rows, rows[:2], rng.choice(300, 64, replace=False),
+                         rng.choice(300, 255, replace=False)):
+                got, got_log = env.message(u, v, pick)
+                np.testing.assert_array_equal(got, want[pick])
+                np.testing.assert_array_equal(got_log, want_log[pick])
+    assert model.center == model.sweep_start() and model.center in leaves
+    psi, log_scale = env.amplitudes()
+    nll = -2.0 * float(np.mean(np.log(np.abs(psi)) + log_scale))
+    assert nll == pytest.approx(nll_loss(model, raw), abs=1e-12, rel=0.0)
+
+
 def test_long_chain_sweep_walk():
     """The walk keeps its own stack: a chain longer than the recursion limit walks."""
     model = MpsModel([np.ones((1, 2, 1))] * 1500)
@@ -488,3 +628,26 @@ class TestBatchMemory:
         assert env.n_samples == n_rows
         assert largest < encoded.nbytes / 10
         assert peak - kept < encoded.nbytes / 10
+
+    def test_fit_on_raw_rows_holds_less_than_an_encoding_and_every_message(self):
+        """Training holds neither an encoded copy of its rows nor a message per
+        edge: its traced peak stays under the bytes of the encoded batch plus
+        one float64 ``(rows, bond)`` message on every edge of the fitted model,
+        a fit's live set when it kept both."""
+        n_rows, n_features, phys_dim = 2000, 57, 5
+        raw = np.random.default_rng(22).normal(size=(n_rows, n_features))
+        encoder = LegendreFeatureMap(phys_dim, fit_rescaler(raw))
+        model = TtnModel.random(n_features, phys_dim, init_bond=16, seed=23, encoder=encoder)
+        assert model.padding == 1
+        tracemalloc.start()
+        try:
+            fit(model, raw, TrainConfig(sweeps=2, max_bond=16, seed=24))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        encoding = n_rows * n_features * phys_dim * 8
+        messages = sum(n_rows * bond * 8 for bond in model.bond_profile())
+        assert peak < encoding + messages
+        # 28 inner nodes: 27 inner bonds of the 56
+        assert len(model.bond_profile()) == 56
+        assert len(model.environment_cache(raw[:10])._messages) == 27
