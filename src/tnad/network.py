@@ -14,8 +14,9 @@ center moves, the two-site merge and split of training, and
 :func:`node_message` is the one message step of amplitudes and
 environments alike. Both take raw rows or an encoded batch and read its
 feature legs, one at a time, through :meth:`TensorNetwork.feature_leg`:
-the pass encodes raw rows one block at a time, and the cache keeps their
-unit-interval values, encoding a leg when it reads it.
+the pass encodes raw rows one block at a time and reads a leg as a view,
+and the cache keeps their unit-interval values, encoding a leg when it
+reads it.
 """
 
 from __future__ import annotations
@@ -150,51 +151,48 @@ class TensorNetwork:
 
         Any other shape is refused with a message that names both; so are
         raw rows for a model without an encoder of ``phys_dim`` functions,
-        and a NaN or infinity in an encoded batch (raw values are checked
-        where they are rescaled).
+        and a NaN or infinity in either form.
         """
         batch = np.asarray(batch, dtype=np.float64)
+        raw = batch.ndim == 2
         if batch.ndim not in (2, 3) or batch.shape[1:] != (
-            (self.n_features,) if batch.ndim == 2 else (self.n_features, self.phys_dim)
+            (self.n_features,) if raw else (self.n_features, self.phys_dim)
         ):
             raise DataError(
                 f"batch has shape {batch.shape}; a model of {self.n_features} features takes "
                 f"raw rows (n, {self.n_features}) or an encoded batch "
                 f"(n, {self.n_features}, {self.phys_dim})"
             )
-        if batch.ndim == 2:
-            if self.encoder is None or self.encoder.n_functions != self.phys_dim:
-                raise DataError(f"raw rows need a model with an encoder of {self.phys_dim} "
-                                "functions, the extent of its feature legs")
-            return batch
+        if raw and (self.encoder is None or self.encoder.n_functions != self.phys_dim):
+            raise DataError(f"raw rows need a model with an encoder of {self.phys_dim} "
+                            "functions, the extent of its feature legs")
         # a NaN amplitude would pass for a zero one; min and max find any
         # NaN or infinity without a batch-sized mask
         if batch.size and not np.isfinite([batch.min(), batch.max()]).all():
-            sample, feature, _ = np.argwhere(~np.isfinite(batch))[0]
-            raise DataError(f"encoded batch holds a non-finite value at sample {sample}, "
-                            f"feature {feature}")
+            sample, feature = np.argwhere(~np.isfinite(batch))[0][:2]
+            form = "raw rows hold" if raw else "encoded batch holds"
+            raise DataError(f"{form} a non-finite value at sample {sample}, feature {feature}")
         return batch
 
     def feature_leg(self, batch: np.ndarray, f: int, rows=None) -> np.ndarray:
-        """Per-sample vectors ``(len(rows), phys_dim)`` on feature leg ``f``, C-contiguous.
+        """Per-sample vectors ``(len(rows), phys_dim)`` on feature leg ``f``.
 
-        ``batch`` is an encoded batch ``(n, n_features, phys_dim)`` or the
-        rows' unit-interval values ``(n, n_features)``, which the encoder
-        encodes here, one leg at a time; ``rows`` picks samples, all if
-        None. A dummy feature, one of the ``padding`` legs after the real
-        ones, is the encoding of :data:`PAD_VALUE` for every sample. The
-        leg is a fresh C-contiguous array whatever the batch's layout: a
-        product rounds by its operands' layout, so a leg read from
-        ``encode_batch``'s strided view, from its copy or from unit values
-        gives the same bits.
+        ``batch`` is an encoded batch ``(n, n_features, phys_dim)``, whose
+        leg is the view ``batch[:, f, :]``, or the rows' unit-interval
+        values ``(n, n_features)``, whose leg the encoder encodes here;
+        ``rows`` picks samples, all if None. A dummy feature, one of the
+        ``padding`` legs after the real ones, is the encoding of
+        :data:`PAD_VALUE`, the same row for every sample, as a read-only
+        broadcast view. The leg keeps whatever layout this gives; a caller
+        whose products must round alike for every batch layout copies it.
         """
-        idx = slice(None) if rows is None else rows
         if f >= self.n_features:
             n = len(batch) if rows is None else len(rows)
-            return np.tile(orthonormal_basis(self.phys_dim, PAD_VALUE), (n, 1))
+            return np.broadcast_to(orthonormal_basis(self.phys_dim, PAD_VALUE), (n, self.phys_dim))
+        idx = slice(None) if rows is None else rows
         if batch.ndim == 2:
-            return np.ascontiguousarray(self.encoder.encode_unit(batch[idx, f]))
-        return np.ascontiguousarray(batch[idx, f])
+            return self.encoder.encode_unit(batch[idx, f])
+        return batch[idx, f]
 
     @single_blas_thread()
     def log_amplitudes(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -415,20 +413,25 @@ class Environments:
     ``message(u, v)`` is the contraction, per sample, of everything on
     node ``u``'s side of bond ``(u, v)``, ``u`` included, with the
     samples' encodings: an ``(n_samples, D_uv)`` array of unit rows plus a
-    per-sample log scale. The cache stores such a message only on a bond
-    between two inner nodes, nodes with more than one neighbor, and holds
-    exactly those pointing toward the center; it is refreshed one bond at
-    a time as training moves the center, so a sweep costs at most one
-    message per edge step. A message out of a leaf (a tree leaf or an MPS
-    end) is computed from the leaf's encodings when it is read, for the
-    rows asked for, and a message into a leaf only where the center's
-    amplitudes read it.
+    per-sample log scale. The cache holds the messages that point toward
+    the center on bonds between two inner nodes, nodes with more than one
+    neighbor; it is refreshed one bond at a time as training moves the
+    center, so a sweep costs at most one message per edge step. A message
+    out of a leaf (a tree leaf or an MPS end) is computed from the leaf's
+    encodings when it is read, for the rows asked for, and a message into
+    a leaf only where the center's amplitudes read it. That pays off when
+    steps draw batches much smaller than the data: a step's factors then
+    read a leaf message for the batch's rows only. A full-batch step reads
+    every row of it, and so does the push after the step, so there the
+    cache also keeps each leaf message a step reads, until its leaf
+    changes.
 
     The batch is either raw rows ``(n, n_features)``, of which the cache
     keeps only the unit-interval values, or an encoded batch ``(n,
-    n_features, phys_dim)``, kept as given; either way every feature leg
+    n_features, phys_dim)``, kept as given. Either way every feature leg
     is read through :meth:`TensorNetwork.feature_leg`, encoded when it is
-    read, so both forms give the same bits.
+    read; a leg of some rows is copied C-contiguous, so raw rows give the
+    bits of ``encode_batch(rows)`` with drawn batches and full-batch alike.
     """
 
     def __init__(self, model: TensorNetwork, batch: np.ndarray):
@@ -445,13 +448,13 @@ class Environments:
     def message(self, u: int, v: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """Message into ``v`` from ``u`` for ``rows``, all if None.
 
-        Read from the cache on a bond between two inner nodes, else
-        computed here; a bond without a node behind it gives a unit.
+        Read from the cache if it holds it, else computed here; a bond
+        without a node behind it gives a unit.
         """
         n = self.n_samples if rows is None else len(rows)
         if not 0 <= u < self.model.n_nodes:
             return np.ones((n, 1)), np.zeros(n)
-        if self._stored(u, v):
+        if (u, v) in self._messages:
             vec, log_scale = self._messages[(u, v)]
             return (vec, log_scale) if rows is None else (vec[rows], log_scale[rows])
         return self._outgoing(u, v, rows)
@@ -463,7 +466,12 @@ class Environments:
             if ax == skip:
                 continue
             if kind == "phys":
-                arrays.append(self.model.feature_leg(self.batch, ref, rows))
+                # a product rounds by its operands' layout: some rows of a leg
+                # go in C-contiguous, as numpy's indexing picks them from an
+                # encoded batch, and every row in the layout the amplitude
+                # pass reads, so raw rows give the bits of encode_batch's
+                leg = self.model.feature_leg(self.batch, ref, rows)
+                arrays.append(leg if rows is None else np.ascontiguousarray(leg))
             else:
                 vec, log_scale = self.message(ref, u, rows)
                 arrays.append(vec)
@@ -482,15 +490,24 @@ class Environments:
         """Refresh the cache after node ``u``'s tensor changed and the center moved to ``v``.
 
         The message ``u -> v`` is recomputed if both nodes are inner; one
-        out of or into a leaf is left to be computed where it is read.
+        out of or into a leaf is left to be computed where it is read. The
+        message ``v -> u`` now points away from the center and is dropped.
+        Every stored message, a kept leaf one too, points toward the center,
+        so after a step at ``(u, v)`` only ``v -> u`` could be stale.
         """
         self._messages.pop((v, u), None)
-        if self._stored(u, v):
+        if u in self._inner and v in self._inner:
             self._messages[(u, v)] = self._outgoing(u, v)
 
-    def _stored(self, u: int, v: int) -> bool:
-        """Whether the cache holds the message ``u -> v``: both nodes are inner."""
-        return u in self._inner and v in self._inner
+    def _keep_leaf_messages(self, u: int, v: int) -> None:
+        """Store the message into ``u`` from each of its leaves but ``v``.
+
+        A full-batch step reads every row of them, and so does the push
+        out of ``u`` after it; each is kept until its leaf changes.
+        """
+        for x in self.model.neighbors(u):
+            if x != v and x not in self._inner and (x, u) not in self._messages:
+                self._messages[(x, u)] = self._outgoing(x, u)
 
     def amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
         """Every sample's rescaled amplitude and its log scale, read at the canonical center.
@@ -521,6 +538,8 @@ class Environments:
         """
         pair, log_scale = [], 0.0
         for u, v in (edge, edge[::-1]):
+            if rows is None:
+                self._keep_leaf_messages(u, v)
             arrays, logs = self._operands(u, self.model.axis_to(u, v), rows)
             combined = arrays[0]
             for arr in arrays[1:]:

@@ -234,7 +234,8 @@ def two_site_gradient(
     edge-order layout of ``merge_edge`` (for example its output); the
     gradient has the same layout. ``batch`` is raw rows ``(n,
     n_features)``, which the model's encoder encodes, or an encoded batch
-    ``(n, n_features, phys_dim)``; both give the same bits. Its
+    ``(n, n_features, phys_dim)``; raw rows give the bits of
+    ``encode_batch(rows)``. Its
     :class:`~tnad.network.Environments` are built on the fly; the
     incremental cache used by :func:`fit` produces the same values.
     :func:`two_site_step` never forms this tensor; it steps along it with
@@ -395,8 +396,8 @@ def fit(model, batch: np.ndarray, config: TrainConfig) -> TrainReport:
     """Train ``model`` in place on unlabeled data.
 
     ``batch`` is raw rows ``(n, n_features)``, which the model's encoder
-    encodes, or an encoded batch ``(n, n_features, phys_dim)`` in any
-    memory layout; both train to the same bits. The environment cache
+    encodes, or an encoded batch ``(n, n_features, phys_dim)``; raw rows
+    train to the bits of ``encode_batch(rows)``. The environment cache
     keeps raw rows only as their unit-interval values and encodes a
     feature leg when it reads it, so training on raw rows holds no
     encoded copy of them.

@@ -25,8 +25,7 @@ from tnad import (
     two_site_step,
 )
 from tnad.explain import _analysis_copy
-from tnad.encoding import orthonormal_basis
-from tnad.network import BLOCK_ROWS, PAD_VALUE, node_message
+from tnad.network import BLOCK_ROWS, node_message
 from tnad.training import _contract_fractions
 
 
@@ -293,22 +292,28 @@ class TestConstructionChecks:
     ["log_amplitudes", "nll_loss", "score_samples", "fit", "fit-no-sweeps", "two_site_gradient"],
 )
 def test_non_finite_encoded_batch_refused(entry, value):
-    """Not taken for a zero-amplitude sample: the first bad sample and feature are named."""
+    """Not taken for a zero-amplitude sample: the first bad sample and feature
+    are named, in an encoded batch and in raw rows alike, before any sweep."""
     model = MpsModel.random(6, 3, init_bond=3, seed=1)
-    encoded = helpers.random_encoded(np.random.default_rng(0), 40, 6, 3)
+    model.encoder = LegendreFeatureMap(3, helpers.unit_rescaler(6))
+    rng = np.random.default_rng(0)
+    encoded = helpers.random_encoded(rng, 40, 6, 3)
     encoded[17, 4, 1] = encoded[30, 0, 0] = value
-    calls = {
-        "log_amplitudes": lambda: model.log_amplitudes(encoded),
-        "nll_loss": lambda: nll_loss(model, encoded),
-        "score_samples": lambda: score_samples(model, encoded),
-        "fit": lambda: fit(model, encoded, TrainConfig(sweeps=1, batch_size=None)),
-        "fit-no-sweeps": lambda: fit(model, encoded, TrainConfig(sweeps=0)),
-        "two_site_gradient": lambda: two_site_gradient(
-            model, (0, 1), model.merge_edge((0, 1)), encoded
-        ),
-    }
-    with pytest.raises(DataError, match="non-finite value at sample 17, feature 4"):
-        calls[entry]()
+    raw = rng.uniform(size=(40, 6))
+    raw[17, 4] = raw[30, 0] = value
+    for batch, form in ((encoded, "encoded batch holds"), (raw, "raw rows hold")):
+        calls = {
+            "log_amplitudes": lambda: model.log_amplitudes(batch),
+            "nll_loss": lambda: nll_loss(model, batch),
+            "score_samples": lambda: score_samples(model, batch),
+            "fit": lambda: fit(model, batch, TrainConfig(sweeps=1, batch_size=None)),
+            "fit-no-sweeps": lambda: fit(model, batch, TrainConfig(sweeps=0)),
+            "two_site_gradient": lambda: two_site_gradient(
+                model, (0, 1), model.merge_edge((0, 1)), batch
+            ),
+        }
+        with pytest.raises(DataError, match=f"{form} a non-finite value at sample 17, feature 4"):
+            calls[entry]()
 
 
 @pytest.mark.parametrize("shape", ["row", "4-D", "wide"])
@@ -349,24 +354,28 @@ def test_raw_rows_need_an_encoder_as_wide_as_the_feature_legs(model, entry):
         call()
 
 
+@pytest.mark.parametrize("batch_size", [64, None], ids=["batch64", "full-batch"])
 @pytest.mark.parametrize(
     "kind, n_features, bond",
     [("mps", 36, 40), ("ttn", 57, 16)],
     ids=["mps36-bond40", "ttn57-padded-bond16"],
 )
-def test_raw_rows_train_to_the_bits_of_their_encoding(kind, n_features, bond):
+def test_raw_rows_train_to_the_bits_of_their_encoding(kind, n_features, bond, batch_size):
     """``fit`` on raw rows gives the tensors, trace and discarded weights of
-    ``fit`` on ``encode_batch(rows)``, a strided view, and on its copy:
-    every leg reaches the products C-contiguous, whatever the batch's layout."""
+    ``fit`` on ``encode_batch(rows)``, a strided view, with drawn batches and
+    full-batch. Drawn rows of a leg reach the products C-contiguous, so
+    there the view's copy gives the same bits too; a full batch keeps its
+    layout, and on the MPS the copy trains to other bits (README)."""
     raw = np.random.default_rng(30).normal(size=(400, n_features))
     encoder = LegendreFeatureMap(5, fit_rescaler(raw))
     model_cls = MpsModel if kind == "mps" else TtnModel
-    config = TrainConfig(learning_rate=5e-3, sweeps=1, batch_size=64, max_bond=bond, seed=32)
+    config = TrainConfig(sweeps=1, batch_size=batch_size, max_bond=bond, seed=32)
     encoded = encoder.encode_batch(raw)
     assert not encoded.flags.c_contiguous
     models, reports = [], []
-    for batch in (raw, encoded, np.ascontiguousarray(encoded)):
-        models.append(model_cls.random(n_features, 5, init_bond=bond, seed=31, encoder=encoder))
+    batches = [raw, encoded] + ([np.ascontiguousarray(encoded)] if batch_size else [])
+    for batch in batches:
+        models.append(model_cls.random(n_features, 5, init_bond=2, seed=31, encoder=encoder))
         reports.append(fit(models[-1], batch, config))
     assert max(models[0].bond_profile()) == bond
     for other, report in zip(models[1:], reports[1:]):
@@ -376,20 +385,43 @@ def test_raw_rows_train_to_the_bits_of_their_encoding(kind, n_features, bond):
         assert report.discarded_weights == reports[0].discarded_weights
 
 
-def test_feature_legs_are_c_contiguous(model):
-    """Raw values, ``encode_batch``'s strided view and its copy give one leg,
-    dummy features included, and always a C-contiguous one."""
+def test_cache_copies_only_the_legs_of_picked_rows(model):
+    """The amplitude pass and the cache read an encoded leg of every row as a
+    view of the batch, a raw one in ``encode_unit``'s column-major layout and
+    a dummy one as a broadcast row; picked rows of a leg, from raw values,
+    ``encode_batch``'s strided view or its copy, come C-contiguous, the
+    layout in which the rows of an encoded batch trained before."""
     rng = np.random.default_rng(33)
     raw = rng.uniform(size=(20, model.n_features))
     model.encoder = LegendreFeatureMap(model.phys_dim, helpers.unit_rescaler(model.n_features))
     encoded = model.encoder.encode_batch(raw)
+    batches = (raw, encoded, encoded.copy())
+    envs = [model.environment_cache(b) for b in batches]
     rows = rng.choice(20, 7, replace=False)
-    for f in range(model.n_features + model.padding):
+    _, toward = model._orientation(model.center)
+    checked = 0
+    for u in range(model.n_nodes):
+        # every operand of u but the message it would send toward the center
+        skip = model.axis_to(u, model.neighbors(u)[0] if u == model.center else toward[u])
+        ins = [spec for ax, spec in enumerate(model.axis_spec(u)) if ax != skip]
         for pick in (None, rows):
-            legs = [model.feature_leg(b, f, pick) for b in (raw, encoded, encoded.copy())]
-            for leg in legs:
-                assert leg.flags.c_contiguous
-                np.testing.assert_array_equal(leg, legs[1])
+            wants, _ = envs[1]._operands(u, skip, pick)
+            for env, batch in zip(envs, batches):
+                legs, _ = env._operands(u, skip, pick)
+                for (kind, f), leg, want in zip(ins, legs, wants, strict=True):
+                    if kind != "phys":
+                        continue
+                    checked += 1
+                    np.testing.assert_array_equal(leg, want)
+                    if pick is not None:
+                        assert leg.flags.c_contiguous
+                    elif f >= model.n_features:
+                        assert leg.strides[0] == 0
+                    elif batch.ndim == 3:
+                        assert np.shares_memory(leg, batch)
+                    else:
+                        assert leg.flags.f_contiguous
+    assert checked == 2 * len(batches) * (model.n_features + model.padding)
 
 
 def eager_message(model, encoded, u, v):
@@ -400,22 +432,22 @@ def eager_message(model, encoded, u, v):
     for ax, (kind, ref) in enumerate(model.axis_spec(u)):
         if ax == out_axis:
             continue
-        if kind == "phys" and ref >= model.n_features:  # a dummy feature
-            operands.append(np.tile(orthonormal_basis(model.phys_dim, PAD_VALUE), (len(encoded), 1)))
-        elif kind == "phys":
-            operands.append(np.ascontiguousarray(encoded[:, ref]))
+        if kind == "phys":
+            operands.append(model.feature_leg(encoded, ref))
         else:  # a leaf's other bond has no node behind it
             operands.append(np.ones((len(encoded), 1)))
     return node_message(model.tensors[u], model.axis_spec(u), out_axis, operands,
                         np.zeros(len(encoded)))
 
 
+@pytest.mark.parametrize("full_batch", [False, True], ids=["batch16", "full-batch"])
 @pytest.mark.parametrize("kind", ["mps", "ttn"])
-def test_cache_invariants_across_a_sweep(kind):
-    """After every step of a sweep the cache holds exactly the inner bonds that
-    point at the center; a leaf message read for some rows is those rows of
-    the eager all-rows message, bit for bit; and the start leaf's amplitudes
-    give ``nll_loss``."""
+def test_cache_invariants_across_a_sweep(kind, full_batch):
+    """After every step of a sweep the cache holds the inner bonds that point
+    at the center, and with drawn batches nothing else; a full-batch step
+    also keeps leaf messages toward the center. A leaf message, read for
+    every row or for some, is those rows of the eager all-rows message, bit
+    for bit; and the start leaf's amplitudes give ``nll_loss``."""
     rng = np.random.default_rng(34)
     raw = rng.uniform(size=(300, 9))
     encoder = LegendreFeatureMap(3, fit_rescaler(raw))
@@ -426,23 +458,30 @@ def test_cache_invariants_across_a_sweep(kind):
     inner = {u for u in range(model.n_nodes) if len(model.neighbors(u)) > 1}
     leaves = sorted(set(range(model.n_nodes)) - inner)
     config = TrainConfig(learning_rate=5e-3, inner_steps=2)
+    kept_any = False
     for edge in model.sweep_schedule():
-        rows = rng.choice(300, 16, replace=False)
+        rows = None if full_batch else rng.choice(300, 16, replace=False)
         assert two_site_step(model, edge, env, rows, 5e-3, config).error is None
         _, toward = model._orientation(model.center)
-        assert set(env._messages) == {
-            (u, v) for u, v in toward.items() if u in inner and v in inner
-        }
+        inner_bonds = {(u, v) for u, v in toward.items() if u in inner and v in inner}
+        kept = set(env._messages) - inner_bonds
+        assert inner_bonds <= set(env._messages)
+        assert kept <= {(u, v) for u, v in toward.items() if u in leaves} if full_batch else not kept
+        kept_any = kept_any or bool(kept)
         for u in leaves:
             if u == model.center:
                 continue
             (v,) = model.neighbors(u)
             want, want_log = eager_message(model, encoded, u, v)
-            for pick in (rows, rows[:2], rng.choice(300, 64, replace=False),
-                         rng.choice(300, 255, replace=False)):
+            got, got_log = env.message(u, v)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got_log, want_log)
+            for pick in (rng.choice(300, 16, replace=False), rng.choice(300, 2, replace=False),
+                         rng.choice(300, 64, replace=False), rng.choice(300, 255, replace=False)):
                 got, got_log = env.message(u, v, pick)
                 np.testing.assert_array_equal(got, want[pick])
                 np.testing.assert_array_equal(got_log, want_log[pick])
+    assert kept_any == full_batch
     assert model.center == model.sweep_start() and model.center in leaves
     psi, log_scale = env.amplitudes()
     nll = -2.0 * float(np.mean(np.log(np.abs(psi)) + log_scale))
