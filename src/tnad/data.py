@@ -62,7 +62,10 @@ class PollutionPlan:
     per-feature range for "global" anomalies, "local" adds noise of
     ``noise_scale`` empirical standard deviations to a random
     ``feature_subset_fraction`` of the features, and "dependency" permutes
-    feature columns independently.
+    feature columns independently. ``range_inflation`` must be finite and
+    positive, ``noise_scale`` finite and not negative, and
+    ``feature_subset_fraction`` in (0, 1]; every field out of its range
+    raises :class:`DataError` naming it.
     """
 
     regular_fraction: float = 0.95
@@ -85,6 +88,20 @@ class PollutionPlan:
             raise DataError("generated anomalies requested but no generator kinds given")
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
+        _check_generator_settings(self.range_inflation, self.noise_scale,
+                                  self.feature_subset_fraction)
+
+
+def _check_generator_settings(range_inflation, noise_scale, feature_subset_fraction) -> None:
+    """Refuse anomaly-generator settings outside their ranges, naming the field."""
+    if not (np.isfinite(range_inflation) and range_inflation > 0.0):
+        raise DataError(f"range_inflation must be finite and > 0, got {range_inflation}")
+    if not (np.isfinite(noise_scale) and noise_scale >= 0.0):
+        raise DataError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+    if not 0.0 < feature_subset_fraction <= 1.0:
+        raise DataError(
+            f"feature_subset_fraction must lie in (0, 1], got {feature_subset_fraction}"
+        )
 
 
 def load_csv(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray | None]:
@@ -243,13 +260,16 @@ def generate_anomalies(
     rows with noise of ``noise_scale`` empirical standard deviations added
     to a random feature subset per row. "dependency": independent
     permutations of each feature column, destroying correlations while
-    preserving marginals (needs ``count <= len(regular)``).
+    preserving marginals (needs ``count <= len(regular)``). The three
+    generator settings are refused out of the ranges :class:`PollutionPlan`
+    gives, whatever the kind.
     """
     regular = np.asarray(regular, dtype=np.float64)
     if regular.ndim != 2 or regular.shape[0] < 2:
         raise DataError("anomaly generation needs a (samples, features) matrix")
     if count < 1:
         raise DataError("count must be >= 1")
+    _check_generator_settings(range_inflation, noise_scale, feature_subset_fraction)
     rng = np.random.default_rng(seed)
     n, n_features = regular.shape
 

@@ -30,26 +30,17 @@ __all__ = [
 def _legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
     """Rows 0..n_max of the shifted Legendre recurrence at points ``x``.
 
-    Each row is written in place, with one scratch array the size of ``x``
-    and in the operand order of
-    ``((2k+1) * t * P_k - k * P_{k-1}) / (k+1)``, ``t = 2x - 1``, so the
-    bits are those of that formula evaluated out of place.
+    ``P_{k+1} = ((2k+1) * t * P_k - k * P_{k-1}) / (k+1)``, ``t = 2x - 1``,
+    each row written straight into the table.
     """
     table = np.empty((n_max + 1,) + x.shape, dtype=np.float64)
     table[0] = 1.0
     if n_max < 1:
         return table
-    t = table[1, ...]  # a view even when x is 0-d
-    np.multiply(2.0, x, out=t)
-    t -= 1.0
-    scratch = np.empty_like(t)
+    table[1] = 2.0 * x - 1.0
+    t = table[1]
     for k in range(1, n_max):
-        row = table[k + 1, ...]
-        np.multiply(2 * k + 1, t, out=row)
-        row *= table[k]
-        np.multiply(k, table[k - 1], out=scratch)
-        row -= scratch
-        row /= k + 1
+        table[k + 1] = ((2 * k + 1) * t * table[k] - k * table[k - 1]) / (k + 1)
     return table
 
 
@@ -175,10 +166,11 @@ class LegendreFeatureMap:
 
         The result is a view with the function axis last over a
         ``(n_functions, samples, n_features)`` array, so it is not
-        C-contiguous. Rescaling, the recurrence and the ``sqrt(2n + 1)``
-        scale are written into arrays the encoding owns: besides the result,
-        it holds the ``(samples, n_features)`` rescaled values and one
-        scratch array of that size, and ``raw_matrix`` is left untouched.
+        C-contiguous. Besides the result it holds the ``(samples,
+        n_features)`` rescaled values and, while a recurrence step runs, up
+        to three temporaries of that size; ``raw_matrix`` is left
+        untouched. The engine encodes one block of rows or one feature leg
+        at a time, so there those temporaries are a block's or a leg's.
         """
         raw = np.asarray(raw_matrix, dtype=np.float64)
         if raw.ndim != 2:

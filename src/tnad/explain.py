@@ -392,9 +392,21 @@ def von_neumann_entropy(rdm) -> float:
 
     Natural logarithm; eigenvalues below 1e-14 are dropped, small negative
     eigenvalues (>= -1e-10) are treated as zero, and anything more negative
-    raises :class:`NumericalError`.
+    raises :class:`NumericalError`. A matrix that cannot be a density, one
+    empty or not square, holding a NaN or infinity, or off symmetric by
+    more than 1e-10 in some entry, raises :class:`DataError`.
     """
     matrix = rdm.matrix if isinstance(rdm, ReducedDensityMatrix) else np.asarray(rdm, float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+        raise DataError(f"a density matrix must be square and not empty, got shape {matrix.shape}")
+    # the difference is antisymmetric, so its max is its largest magnitude;
+    # a NaN or infinity anywhere leaves that NaN or infinite
+    with np.errstate(invalid="ignore"):
+        asymmetry = (matrix - matrix.T).max()
+    if not asymmetry <= 1e-10:
+        if not np.isfinite(matrix).all():
+            raise DataError("density matrix holds a non-finite entry")
+        raise DataError(f"density matrix is not symmetric: entries differ by {asymmetry:.3e}")
     eigenvalues = np.linalg.eigvalsh(matrix)
     if eigenvalues.min() < -1e-10:
         raise NumericalError(

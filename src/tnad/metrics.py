@@ -54,23 +54,30 @@ def score_samples(model, batch: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _check_two_classes(labels: np.ndarray) -> np.ndarray:
+def _checked_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as floats and labels as booleans, refused unless both classes are
+    present, the lengths agree and no score is NaN; an infinite score ranks.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if labels.all() or not labels.any():
         raise DataError("both classes must be present")
-    return labels
+    if scores.shape != labels.shape:
+        raise DataError("scores and labels must have equal length")
+    nan = np.flatnonzero(np.isnan(scores))
+    if nan.size:
+        raise DataError(f"score {nan[0]} is NaN and cannot be ranked")
+    return scores, labels
 
 
 def auc_roc(scores, labels) -> float:
     """Probability that a random anomaly outscores a random regular sample.
 
     Mann-Whitney formulation with ties counted one half, computed exactly
-    by rank counting (no floating summation over pairs).
+    by rank counting (no floating summation over pairs). A NaN score is
+    refused with a :class:`DataError` naming its index; an infinite one ranks.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = _check_two_classes(labels)
-    if scores.shape != labels.shape:
-        raise DataError("scores and labels must have equal length")
+    scores, labels = _checked_scores(scores, labels)
     regular = np.sort(scores[~labels])
     anomalies = scores[labels]
     below = np.searchsorted(regular, anomalies, side="left")
@@ -84,12 +91,10 @@ def eer_threshold(scores, labels) -> tuple[float, float, float]:
 
     Scans the finite score grid for the threshold minimizing |TPR - TNR|
     (classify anomalous when score >= threshold); ties prefer higher TPR,
-    then the lower threshold. Returns (threshold, tpr, tnr).
+    then the lower threshold. Returns (threshold, tpr, tnr). A NaN score is
+    refused as by :func:`auc_roc`.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = _check_two_classes(labels)
-    if scores.shape != labels.shape:
-        raise DataError("scores and labels must have equal length")
+    scores, labels = _checked_scores(scores, labels)
     anomalies = np.sort(scores[labels])
     regular = np.sort(scores[~labels])
     candidates = np.unique(scores)

@@ -4,7 +4,7 @@ A state over ``L`` encoded features is a chain of rank-3 cores ``A_i`` of
 shape ``(D_{i-1}, N, D_i)`` with ``D_0 = D_L = 1``: a tree network whose
 nodes each carry one feature leg. :class:`MpsModel` gives the shared
 engine in :mod:`tnad.network` the chain's layout, and keeps only its
-seeded construction and the site a sweep starts from. The engine's
+start's tensor shapes and the site a sweep starts from. The engine's
 amplitude pass runs from the last site to site 0, and its sweep walk from
 site 0 is the sweep right to the end and back. A merged two-site tensor
 keeps edge order, as the tree's does: ``(D_left, N, N, D_right)`` on a
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError
-from .network import TensorNetwork
+from .network import TensorNetwork, up_bond_extents
 
 if TYPE_CHECKING:
     from .encoding import LegendreFeatureMap
@@ -62,27 +62,17 @@ class MpsModel(TensorNetwork):
     ) -> "MpsModel":
         """Seeded random MPS, canonicalized to site 0 and normalized.
 
-        Interior bonds are capped at the maximal exact rank of each cut, so
-        small systems never carry redundant parameters. Entries are drawn
-        from a standard normal scaled by ``1/sqrt(D_left * N * D_right)``,
-        which keeps the initial transfer contractions near unit scale.
+        Bonds are capped at the exact rank of each cut, so small systems
+        never carry redundant parameters.
         """
         if n_sites < 2:
             raise DataError(f"n_sites must be >= 2, got {n_sites}")
         if phys_dim < 1 or init_bond < 1:
             raise DataError("phys_dim and init_bond must be >= 1")
-        bonds = [1] + [
-            min(init_bond, phys_dim**j, phys_dim ** (n_sites - j)) for j in range(1, n_sites)
-        ] + [1]
-        rng = np.random.default_rng(seed)
-        cores = []
-        for i in range(n_sites):
-            shape = (bonds[i], phys_dim, bonds[i + 1])
-            cores.append(rng.standard_normal(shape) / np.sqrt(np.prod(shape)))
-        model = cls(cores, encoder=encoder)
-        model._canonicalize_all(0)
-        model.normalize()
-        return model
+        # a chain is the tree whose site j hangs below site j - 1
+        bonds = up_bond_extents(range(-1, n_sites - 1), [1] * n_sites, phys_dim, init_bond) + [1]
+        shapes = [(bonds[i], phys_dim, bonds[i + 1]) for i in range(n_sites)]
+        return cls._seeded(shapes, seed, encoder=encoder)
 
     # -- structure -----------------------------------------------------------
 

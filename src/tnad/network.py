@@ -5,11 +5,11 @@ one feature leg (Shi, Duan & Vidal 2006, PRA 74, 022320), so both model
 kinds are one structure here: node tensors joined by bonds into a tree
 graph, a chain for :class:`~tnad.mps.MpsModel` and a balanced binary tree
 for :class:`~tnad.ttn.TtnModel`. A model module describes its graph by
-``axis_spec`` and keeps only its layout, its seeded construction and the
-node a sweep starts from. :class:`TensorNetwork` holds everything that
-needs only the graph: the feature legs of a batch, dummy features
-included, the amplitude pass, the sweep walk, the canonical form and its
-center moves, the two-site merge and split of training, and
+``axis_spec`` and keeps only its layout, its start's tensor shapes and
+the node a sweep starts from. :class:`TensorNetwork` holds everything that
+needs only the graph: the seeded start, the feature legs of a batch, dummy
+features included, the amplitude pass, the sweep walk, the canonical form
+and its center moves, the two-site merge and split of training, and
 :class:`Environments`, the per-sample message cache of training.
 :func:`node_message` is the one message step of amplitudes and
 environments alike. Both take raw rows or an encoded batch and read its
@@ -115,6 +115,16 @@ class TensorNetwork:
                 raise DimensionError(f"bond mismatch on edge ({u}, {v}): {du} vs {dv}")
         if not 0 <= self.center < self.n_nodes:
             raise DataError(f"center {self.center} out of range")
+
+    @classmethod
+    def _seeded(cls, shapes, seed: int, *args, **kwargs):
+        """``cls`` of seeded ``standard_normal(shape) / sqrt(size)`` nodes, canonical, norm 1."""
+        rng = np.random.default_rng(seed)
+        tensors = [rng.standard_normal(shape) / np.sqrt(np.prod(shape)) for shape in shapes]
+        model = cls(tensors, *args, **kwargs)
+        model._canonicalize_all(model.sweep_start())
+        model.normalize()
+        return model
 
     def copy(self):
         twin = copy.copy(self)
@@ -547,6 +557,17 @@ class Environments:
             pair.append(combined)
             log_scale = log_scale + logs
         return pair, log_scale
+
+
+def up_bond_extents(parents, legs, phys_dim: int, init_bond: int) -> list[int]:
+    """``init_bond`` capped at the exact rank of each node's up bond: ``phys_dim`` to the
+    fewer of the feature legs (``legs[u]`` at node ``u``) on either side of it. The
+    pre-order ``parents`` put every leg below node 0, whose extent is 1.
+    """
+    below = list(legs)
+    for u in reversed(range(1, len(parents))):  # children come after their parents
+        below[parents[u]] += below[u]
+    return [min(init_bond, phys_dim**b, phys_dim ** (below[0] - b)) for b in below]
 
 
 def node_message(tensor, spec, out_axis, operands, log_scale):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -115,14 +115,7 @@ class TrainReport:
     step_errors: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "nll_trace": self.nll_trace,
-            "discarded_weights": self.discarded_weights,
-            "bond_profile": self.bond_profile,
-            "seconds_per_sweep": self.seconds_per_sweep,
-            "zero_amplitude_skips": self.zero_amplitude_skips,
-            "step_errors": self.step_errors,
-        }
+        return asdict(self)
 
 
 @single_blas_thread()

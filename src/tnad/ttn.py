@@ -8,8 +8,8 @@ dummy features (:meth:`TtnModel.random` pads an odd count with one),
 which the shared engine encodes at :data:`tnad.network.PAD_VALUE`.
 
 :class:`TtnModel` gives the shared engine in :mod:`tnad.network` the
-layout of the tree its parent list describes, and keeps only its seeded
-construction and the node a sweep starts from, the right-most leaf. The
+layout of the tree its parent list describes, and keeps only its start's
+tensor shapes and the node a sweep starts from, the right-most leaf. The
 engine's sweep is its closed depth-first walk over all edges from there;
 a merged edge tensor keeps edge order, the remaining axes of ``edge[0]``
 then those of ``edge[1]``.
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError
-from .network import TensorNetwork
+from .network import TensorNetwork, up_bond_extents
 
 if TYPE_CHECKING:
     from .encoding import LegendreFeatureMap
@@ -95,40 +95,23 @@ class TtnModel(TensorNetwork):
             raise DataError(f"a tree needs >= 3 features (got {n_features}); use an MPS instead")
         if phys_dim < 1 or init_bond < 1:
             raise DataError("phys_dim and init_bond must be >= 1")
-        padded = n_features + n_features % 2
 
         parents: list[int] = []
+        legs: list[int] = []  # a leaf carries two feature legs, an inner node none
 
         def build(count: int, parent: int) -> None:
             idx = len(parents)
             parents.append(parent)
+            legs.append(2 if count == 1 else 0)
             if count > 1:
                 build((count + 1) // 2, idx)
                 build(count - (count + 1) // 2, idx)
 
-        build(padded // 2, -1)
+        build((n_features + 1) // 2, -1)  # an odd count pads one dummy feature
 
-        # exact-rank cap per parent bond: phys dimensions below vs above the
-        # cut; children come after their parents, and a leaf has two
-        phys_below = [0] * len(parents)
-        for u in reversed(range(len(parents))):
-            phys_below[u] = phys_below[u] or 2
-            if parents[u] >= 0:
-                phys_below[parents[u]] += phys_below[u]
-        bond = [
-            min(init_bond, phys_dim ** below, phys_dim ** (padded - below))
-            for below in phys_below
-        ]
-
-        rng = np.random.default_rng(seed)
-        tensors = [
-            rng.standard_normal(shape) / np.sqrt(np.prod(shape))
-            for shape in node_shapes(parents, bond, phys_dim)
-        ]
-        model = cls(tensors, parents, n_features, encoder=encoder)
-        model._canonicalize_all(model.sweep_start())
-        model.normalize()
-        return model
+        bond = up_bond_extents(parents, legs, phys_dim, init_bond)
+        return cls._seeded(node_shapes(parents, bond, phys_dim), seed, parents, n_features,
+                           encoder=encoder)
 
     # -- structure -----------------------------------------------------------
 

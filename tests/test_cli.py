@@ -312,6 +312,24 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("feature_subset_fraction", 2.0), ("range_inflation", -1.0), ("noise_scale", float("nan")),
+    ])
+    def test_out_of_range_generator_setting_exits_two(self, workspace, tmp_path, field, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pollution": {field: value}}))  # NaN as json reads it
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnad.cli", "benchmark",
+             "--data", str(workspace / "probe.csv"), "--label-column", "class",
+             "--anomaly-label", "1", "--config", str(config), "--max-folds", "1",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert f"{field} must" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_success_exits_zero(self, workspace):
         proc = subprocess.run(
             [sys.executable, "-m", "tnad.cli", "score",

@@ -203,6 +203,40 @@ class TestGenerateAnomalies:
         np.testing.assert_array_equal(a, b)
 
 
+# generator settings out of range: each is refused naming its field
+BAD_GENERATOR_SETTINGS = [
+    ("feature_subset_fraction", 2.0),
+    ("feature_subset_fraction", 0.0),
+    ("feature_subset_fraction", -0.5),
+    ("feature_subset_fraction", float("nan")),
+    ("noise_scale", -1.0),
+    ("noise_scale", float("nan")),
+    ("noise_scale", float("inf")),
+    ("range_inflation", -1.0),
+    ("range_inflation", 0.0),
+    ("range_inflation", float("nan")),
+    ("range_inflation", float("inf")),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_GENERATOR_SETTINGS)
+@pytest.mark.parametrize("kind", ["global", "local", "dependency"])
+def test_generator_refuses_out_of_range_setting(field, value, kind):
+    regular = np.random.default_rng(0).normal(size=(20, 4))
+    with pytest.raises(DataError, match=field):
+        generate_anomalies(regular, kind, count=5, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", BAD_GENERATOR_SETTINGS)
+def test_pollution_plan_refuses_out_of_range_setting(field, value):
+    with pytest.raises(DataError, match=field):
+        PollutionPlan(**{field: value})
+
+
+def test_pollution_plan_takes_range_ends():
+    PollutionPlan(noise_scale=0.0, feature_subset_fraction=1.0, range_inflation=1e-3)
+
+
 class TestBuildPollution:
     def make_data(self, n_regular=1000, n_native=200, seed=0):
         rng = np.random.default_rng(seed)

@@ -299,6 +299,24 @@ class TestEntropy:
         with pytest.raises(NumericalError):
             von_neumann_entropy(np.diag([1.1, -0.1]))
 
+    @pytest.mark.parametrize("matrix, message", [
+        (np.full((2, 3), 1 / 3), "must be square"),
+        (np.ones(2) / 2, "must be square"),
+        (np.zeros((0, 0)), "not empty"),
+        (np.array([[-np.inf]]), "non-finite"),
+        (np.array([[0.5, np.nan], [np.nan, 0.5]]), "non-finite"),
+        (np.diag([np.inf, 0.0]), "non-finite"),
+        (np.array([[0.5, 0.9], [0.1, 0.5]]), "not symmetric"),
+        (np.array([[0.5, 1e-9], [0.0, 0.5]]), "not symmetric"),
+    ])
+    def test_matrix_that_is_no_density_refused(self, matrix, message):
+        with pytest.raises(DataError, match=message):
+            von_neumann_entropy(matrix)
+
+    def test_asymmetry_within_bound_read(self):
+        matrix = np.array([[0.5, 1e-11], [0.0, 0.5]])
+        assert von_neumann_entropy(matrix) == pytest.approx(np.log(2), abs=1e-10)
+
     def test_bipartition_entropies_match_and_respect_bond(self):
         for seed in range(4):
             model = MpsModel.random(4, 2, init_bond=3, seed=seed)

@@ -70,6 +70,21 @@ class TestAucRoc:
             auc_roc([1.0, 2.0], [True, True])
 
 
+@pytest.mark.parametrize("metric", [auc_roc, eer_threshold])
+def test_nan_score_refused_naming_its_index(metric):
+    # a NaN compares false both ways, so it would rank as neither class
+    with pytest.raises(DataError, match="score 0 is NaN"):
+        metric([np.nan, 1.0, 0.5], [True, False, False])
+    with pytest.raises(DataError, match="score 2 is NaN"):
+        metric([2.0, 1.0, np.nan, np.nan], [True, False, True, False])
+
+
+def test_infinite_scores_still_rank():
+    scores, labels = [np.inf, 1.0, -np.inf, 0.5], [True, False, False, True]
+    assert auc_roc(scores, labels) == brute_force_auc(np.array(scores), np.array(labels))
+    assert eer_threshold(scores, labels) == brute_force_eer(np.array(scores), np.array(labels))
+
+
 class TestEerThreshold:
     def test_separable_case(self):
         scores = np.array([0.1, 0.2, 0.3, 0.7, 0.8, 0.9])

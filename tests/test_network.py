@@ -25,7 +25,7 @@ from tnad import (
     two_site_step,
 )
 from tnad.explain import _analysis_copy
-from tnad.network import BLOCK_ROWS, node_message
+from tnad.network import BLOCK_ROWS, node_message, up_bond_extents
 from tnad.training import _contract_fractions
 
 
@@ -204,6 +204,65 @@ def test_model_kinds_inherit_the_engine_passes(model_class):
     """Amplitudes, the sweep walk, the feature legs and their extent exist once, in the engine."""
     shared = {"log_amplitudes", "sweep_schedule", "feature_leg", "phys_dim"}
     assert not shared & set(vars(model_class))
+
+
+def random_preorder_tree(rng, n_leaves):
+    """Parent list of a binary tree whose leaf counts split at random, numbered in pre-order."""
+    parents = []
+
+    def build(count, parent):
+        idx = len(parents)
+        parents.append(parent)
+        if count > 1:
+            left = int(rng.integers(1, count))
+            build(left, idx)
+            build(count - left, idx)
+
+    build(n_leaves, -1)
+    return parents
+
+
+def legs_below_and_above(parents, legs):
+    """Feature legs in each node's subtree and outside it, counted by walking the subtree."""
+    children = [[c for c, p in enumerate(parents) if p == u] for u in range(len(parents))]
+    counts = []
+    for u in range(len(parents)):
+        subtree, stack = set(), [u]
+        while stack:
+            w = stack.pop()
+            subtree.add(w)
+            stack.extend(children[w])
+        below = sum(legs[w] for w in subtree)
+        counts.append((below, sum(legs) - below))
+    return counts
+
+
+def test_one_cap_rule_matches_legs_counted_by_brute_force():
+    """Chains of 2-140 sites, the balanced trees of 3-140 features and random pre-order trees."""
+    rng = np.random.default_rng(0)
+    layouts = [(list(range(-1, width - 1)), [1] * width) for width in range(2, 141)]
+    for width in range(3, 141):
+        tree = TtnModel.random(width, 2, init_bond=1)
+        layouts.append((tree.parents, [2 * (c is None) for c in tree.children]))
+    for n_leaves in rng.integers(2, 71, size=40):
+        parents = random_preorder_tree(rng, int(n_leaves))
+        layouts.append((parents, [0 if u in parents else 2 for u in range(len(parents))]))
+    for parents, legs in layouts:
+        counts = legs_below_and_above(parents, legs)
+        assert counts[0][1] == 0
+        for phys_dim in (2, 4, 5):
+            for init_bond in (1, 2, 16, 40):
+                assert up_bond_extents(parents, legs, phys_dim, init_bond) == [
+                    min(init_bond, phys_dim**below, phys_dim**above) for below, above in counts
+                ]
+
+
+def test_seeded_start_has_the_capped_bonds():
+    chain = MpsModel.random(9, 3, init_bond=16, seed=2)
+    assert chain.bond_profile() == up_bond_extents(range(-1, 8), [1] * 9, 3, 16)[1:]
+    tree = TtnModel.random(13, 2, init_bond=5, seed=2)
+    legs = [2 * (c is None) for c in tree.children]
+    assert tree.bond_profile() == up_bond_extents(tree.parents, legs, 2, 5)[1:]
 
 
 class TestConstructionChecks:
