@@ -27,7 +27,7 @@ from collections import deque
 import numpy as np
 
 from .encoding import orthonormal_basis
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, NumericalError
 from .tensors import (
     batched_transfer, frobenius_norm, renormalize_rows, single_blas_thread, truncated_svd,
 )
@@ -412,9 +412,13 @@ class TensorNetwork:
         self.center = v
         return result.discarded_weight
 
-    def environment_cache(self, batch: np.ndarray) -> "Environments":
-        """The :class:`Environments` of ``batch``, raw rows or encoded, at the current center."""
-        return Environments(self, batch)
+    def environment_cache(self, batch: np.ndarray, plan=None) -> "Environments":
+        """The :class:`Environments` of ``batch``, raw rows or encoded, at the current center.
+
+        ``plan`` is the first sweep of a fit that will drive the cache, as
+        for :class:`Environments`; without one every message is kept whole.
+        """
+        return Environments(self, batch, plan)
 
 
 class Environments:
@@ -436,6 +440,24 @@ class Environments:
     cache also keeps each leaf message a step reads, until its leaf
     changes.
 
+    A cache built without a plan keeps every inner-bond message whole,
+    for every row, until the center moves past it. ``plan``, the
+    ``(edge, rows)`` pairs of a fit's first sweep (``rows`` None for every
+    row), and :meth:`plan`, called with each next sweep's pairs before the
+    sweep ahead of it runs, tell the cache the reads to come: each pair is
+    a ``factors(edge, rows)`` and a ``push(*edge)``, and every sweep ends
+    with ``amplitudes()``. A push and ``amplitudes()`` read a message at
+    every row, a step's factors at the step's rows. Each inner-bond
+    message keeps the reads it has left; once none is left it is dropped,
+    and once only one step's factors, of drawn rows, are left, it is
+    stored as those rows of itself, a gather of the all-rows message
+    already computed. A message lives less than a sweep, so its reads are
+    all known once the sweep after the running one is planned. A read of
+    a gathered message at other rows raises
+    :class:`~tnad.errors.NumericalError`, as does a read of an inner-bond
+    message the cache does not hold: nothing is recomputed for picked
+    rows. ``peak_bytes`` is the most the stored messages held at once.
+
     The batch is either raw rows ``(n, n_features)``, of which the cache
     keeps only the unit-interval values, or an encoded batch ``(n,
     n_features, phys_dim)``, kept as given. Either way every feature leg
@@ -444,30 +466,113 @@ class Environments:
     bits of ``encode_batch(rows)`` with drawn batches and full-batch alike.
     """
 
-    def __init__(self, model: TensorNetwork, batch: np.ndarray):
+    def __init__(self, model: TensorNetwork, batch: np.ndarray, plan=None):
         self.model = model
         batch = model._checked_batch(batch)
         self.batch = model.encoder.rescaler.transform(batch) if batch.ndim == 2 else batch
         self.n_samples = self.batch.shape[0]
         self._inner = {u for u in range(model.n_nodes) if len(model.neighbors(u)) > 1}
-        self._messages: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # (u, v) -> (vec, log_scale, rows): rows None for every row, else the
+        # one step's rows it is stored at
+        self._messages: dict[tuple[int, int], tuple] = {}
+        self._held_bytes = self.peak_bytes = 0
+        # planned caches only: each stored message's reads left, and the
+        # messages the planned pushes make, in order, each with its reads
+        self._reads: dict[tuple[int, int], deque] = {}
+        self._made: deque | None = None
+        # the plan's own walk: the messages it leaves live and its center
+        self._live: dict[tuple[int, int], deque] = {}
+        self._planned_center = model.center
         order, toward = model._orientation(model.center)
-        for u in reversed(order[1:]):
-            self.push(u, toward[u])
+        pushes = [(u, toward[u]) for u in reversed(order[1:])]
+        if plan is not None:
+            self._made = deque()
+            for u, v in pushes:
+                self._plan_push(u, v)
+            self.plan(plan)
+        for u, v in pushes:
+            self.push(u, v)
+
+    def plan(self, steps) -> None:
+        """Add a coming sweep's reads: its ``(edge, rows)`` pairs in order, then ``amplitudes()``."""
+        for (u, v), rows in steps:
+            self._plan_reads(self._inner_into(u, v) + self._inner_into(v, u), rows)
+            self._plan_push(u, v)
+        c = self._planned_center
+        w = self.model.neighbors(c)[0]
+        back = [(w, c)] if {w, c} <= self._inner else self._inner_into(w, c)
+        self._plan_reads(self._inner_into(c, w) + back, None)
+
+    def _inner_into(self, u: int, skip: int) -> list[tuple[int, int]]:
+        """The stored bonds into ``u`` but the one from ``skip``: what a message out of ``u`` reads."""
+        if u not in self._inner:
+            return []
+        return [(x, u) for x in self.model.neighbors(u) if x != skip and x in self._inner]
+
+    def _plan_reads(self, keys, rows) -> None:
+        for key in keys:
+            self._live[key].append(rows)
+
+    def _plan_push(self, u: int, v: int) -> None:
+        """What :meth:`push` will read and make, the center then at ``v``."""
+        if {u, v} <= self._inner:
+            self._plan_reads(self._inner_into(u, v), None)
+            self._live[(u, v)] = deque()
+            self._made.append(((u, v), self._live[(u, v)]))
+        self._live.pop((v, u), None)
+        self._planned_center = v
+
+    def _hold(self, key, entry=None) -> None:
+        """Store ``entry`` as ``key``'s message, or drop it if None, counting the bytes held."""
+        old = self._messages.pop(key, None)
+        if old is not None:
+            self._held_bytes -= old[0].nbytes + old[1].nbytes
+        if entry is not None:
+            self._messages[key] = entry
+            self._held_bytes += entry[0].nbytes + entry[1].nbytes
+            self.peak_bytes = max(self.peak_bytes, self._held_bytes)
+
+    def _settle(self, key) -> None:
+        """Drop a planned message with no read left; gather one left with one step's rows."""
+        reads = self._reads[key]
+        if not reads:
+            del self._reads[key]
+            self._hold(key)
+            return
+        vec, log_scale, kept = self._messages[key]
+        if len(reads) == 1 and reads[0] is not None and kept is None:
+            rows = reads[0]
+            self._hold(key, (vec[rows], log_scale[rows], rows))
 
     def message(self, u: int, v: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """Message into ``v`` from ``u`` for ``rows``, all if None.
 
         Read from the cache if it holds it, else computed here; a bond
-        without a node behind it gives a unit.
+        without a node behind it gives a unit. An inner-bond message is
+        only read, never computed here; one stored at a step's rows can be
+        read only at those rows.
         """
         n = self.n_samples if rows is None else len(rows)
         if not 0 <= u < self.model.n_nodes:
             return np.ones((n, 1)), np.zeros(n)
-        if (u, v) in self._messages:
-            vec, log_scale = self._messages[(u, v)]
-            return (vec, log_scale) if rows is None else (vec[rows], log_scale[rows])
-        return self._outgoing(u, v, rows)
+        stored = self._messages.get((u, v))
+        if stored is None:
+            if {u, v} <= self._inner:
+                raise NumericalError(f"the cache holds no message {u} -> {v}")
+            return self._outgoing(u, v, rows)
+        vec, log_scale, kept = stored
+        if kept is None:
+            got = (vec, log_scale) if rows is None else (vec[rows], log_scale[rows])
+        elif rows is not None and np.array_equal(rows, kept):
+            got = vec, log_scale
+        else:
+            raise NumericalError(
+                f"message {u} -> {v} is stored at the rows of one step only, not the rows read"
+            )
+        if (u, v) in self._reads:
+            self._reads[(u, v)].popleft()
+            self._settle((u, v))
+        return got
 
     def _operands(self, u: int, skip: int, rows=None):
         """Per-sample vectors of every axis of node ``u`` but ``skip``, and their summed log scale."""
@@ -505,9 +610,15 @@ class Environments:
         Every stored message, a kept leaf one too, points toward the center,
         so after a step at ``(u, v)`` only ``v -> u`` could be stale.
         """
-        self._messages.pop((v, u), None)
-        if u in self._inner and v in self._inner:
-            self._messages[(u, v)] = self._outgoing(u, v)
+        self._hold((v, u))
+        if {u, v} <= self._inner:
+            vec, log_scale = self._outgoing(u, v)
+            self._hold((u, v), (vec, log_scale, None))
+            if self._made is not None:
+                if not self._made or self._made[0][0] != (u, v):
+                    raise NumericalError(f"push {u} -> {v} is not the plan's next")
+                _, self._reads[(u, v)] = self._made.popleft()
+                self._settle((u, v))
 
     def _keep_leaf_messages(self, u: int, v: int) -> None:
         """Store the message into ``u`` from each of its leaves but ``v``.
@@ -517,7 +628,7 @@ class Environments:
         """
         for x in self.model.neighbors(u):
             if x != v and x not in self._inner and (x, u) not in self._messages:
-                self._messages[(x, u)] = self._outgoing(x, u)
+                self._hold((x, u), (*self._outgoing(x, u), None))
 
     def amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
         """Every sample's rescaled amplitude and its log scale, read at the canonical center.

@@ -113,6 +113,8 @@ class TrainReport:
     seconds_per_sweep: list[float] = field(default_factory=list)
     zero_amplitude_skips: int = 0
     step_errors: list[str] = field(default_factory=list)
+    # most bytes the environment cache's stored messages held at once
+    cache_peak_bytes: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -403,6 +405,15 @@ def fit(model, batch: np.ndarray, config: TrainConfig) -> TrainReport:
     after each sweep, read at the canonical center from the cached
     full-data environments (the value of :func:`nll_loss`, up to rounding).
 
+    Each sweep's batch rows are drawn before the sweep ahead of it runs,
+    from the same generator in the same order, so the draws are unchanged.
+    The cache is told each sweep's ``(edge, rows)`` pairs
+    (:meth:`~tnad.network.Environments.plan`): a message that only one
+    more step will read is stored at that step's rows, and one that
+    nothing will read is dropped, which trains to the same bits as a
+    cache of whole messages. ``TrainReport.cache_peak_bytes`` is the most
+    its stored messages held at once.
+
     Deterministic: the same seed, config, data and numpy/BLAS build give
     the same trained tensors and report (timings aside), bit for bit, at
     any BLAS thread count (see :func:`tnad.tensors.single_blas_thread`).
@@ -417,18 +428,31 @@ def fit(model, batch: np.ndarray, config: TrainConfig) -> TrainReport:
 
     model.canonicalize(model.sweep_start())
     model.normalize()
-    env = model.environment_cache(batch)
     schedule = model.sweep_schedule()
     rng = np.random.default_rng(config.seed)
-    n = env.n_samples
+    n = len(batch)
     draw_batches = config.batch_size is not None and config.batch_size < n
+
+    def sweep_steps():
+        """One sweep's ``(edge, rows)`` pairs, the rows drawn in step order."""
+        return [
+            (edge, rng.choice(n, size=config.batch_size, replace=False) if draw_batches else None)
+            for edge in schedule
+        ]
+
+    steps = sweep_steps()
+    env = model.environment_cache(batch, plan=steps)
     learning_rate = config.learning_rate
 
     for sweep in range(config.sweeps):
         started = time.perf_counter()
         discards = []
-        for edge in schedule:
-            rows = rng.choice(n, size=config.batch_size, replace=False) if draw_batches else None
+        # the cache stores a message at the rows of the one step left to
+        # read it, which may come in the next sweep
+        coming = sweep_steps() if sweep + 1 < config.sweeps else []
+        if coming:
+            env.plan(coming)
+        for edge, rows in steps:
             stats = two_site_step(model, edge, env, rows, learning_rate, config)
             discards.append(stats.discarded_weight)
             report.zero_amplitude_skips += stats.skipped_samples
@@ -440,6 +464,8 @@ def fit(model, batch: np.ndarray, config: TrainConfig) -> TrainReport:
         report.nll_trace.append(_reported_nll(_log_abs(*env.amplitudes())))
         report.seconds_per_sweep.append(time.perf_counter() - started)
         learning_rate *= config.lr_decay
+        steps = coming
 
     report.bond_profile = model.bond_profile()
+    report.cache_peak_bytes = env.peak_bytes
     return report

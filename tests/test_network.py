@@ -749,3 +749,26 @@ class TestBatchMemory:
         # 28 inner nodes: 27 inner bonds of the 56
         assert len(model.bond_profile()) == 56
         assert len(model.environment_cache(raw[:10])._messages) == 27
+
+    def test_mps_fit_holds_a_message_of_every_row_on_few_inner_bonds(self):
+        """An MPS fit keeps a message of every row only while a push or the
+        sweep's NLL still reads it, and then the rows of the one step left to
+        read it: its traced peak stays under a message of a step's rows plus
+        half a message of every row on every inner bond. A cache that keeps
+        every message whole holds a message of every row on every inner bond
+        (20.6 MB here), on top of the rest of the fit."""
+        n_rows, n_features, phys_dim, bond, batch_size = 2000, 36, 5, 40, 256
+        raw = np.random.default_rng(45).normal(size=(n_rows, n_features))
+        encoder = LegendreFeatureMap(phys_dim, fit_rescaler(raw))
+        model = MpsModel.random(n_features, phys_dim, init_bond=bond, seed=46, encoder=encoder)
+        tracemalloc.start()
+        try:
+            fit(model, raw, TrainConfig(sweeps=2, max_bond=bond, batch_size=batch_size, seed=47))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        inner = model.bond_profile()[1:-1]  # the bonds between sites 1 to 34
+        assert len(inner) == 33 and max(inner) == bond
+        every_row = sum(n_rows * b * 8 for b in inner)
+        step_rows = sum(batch_size * b * 8 for b in inner)
+        assert peak < every_row / 2 + step_rows

@@ -481,6 +481,102 @@ class TestCachedNll:
         assert report.nll_trace[-1] == pytest.approx(nll_loss(model, enc), rel=1e-12)
 
 
+def fit_by_hand(model, raw, config):
+    """``fit``'s sweeps driven from outside: the same draws, an unplanned cache
+    that keeps every message whole, ``two_site_step`` and the same decay.
+    Returns the NLL trace, read at the center as ``fit`` reads it."""
+    model.canonicalize(model.sweep_start())
+    model.normalize()
+    env = model.environment_cache(raw)
+    rng = np.random.default_rng(config.seed)
+    n = len(raw)
+    draw = config.batch_size is not None and config.batch_size < n
+    learning_rate, trace = config.learning_rate, []
+    for _ in range(config.sweeps):
+        for edge in model.sweep_schedule():
+            rows = rng.choice(n, size=config.batch_size, replace=False) if draw else None
+            two_site_step(model, edge, env, rows, learning_rate, config)
+        psi, log_scale = env.amplitudes()
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(psi)) + log_scale
+        trace.append(float(-2.0 * log_abs[np.isfinite(log_abs)].mean()))
+        learning_rate *= config.lr_decay
+    return trace
+
+
+def inner_bonds(model):
+    """Extents of the bonds between two inner nodes, the bonds the cache stores."""
+    inner = {u for u in range(model.n_nodes) if len(model.neighbors(u)) > 1}
+    return [bond for (u, v), bond in zip(model._edges(), model.bond_profile())
+            if u in inner and v in inner]
+
+
+class TestRowCache:
+    """``fit`` stores a message read by one more step only at that step's rows."""
+
+    @staticmethod
+    def case(kind, n_features=9, rows=300):
+        raw = np.random.default_rng(40).uniform(size=(rows, n_features))
+        encoder = LegendreFeatureMap(3, fit_rescaler(raw))
+        model_class = MpsModel if kind == "mps" else TtnModel
+        return raw, model_class.random(n_features, 3, init_bond=6, seed=41, encoder=encoder)
+
+    @pytest.mark.parametrize("batch_size", [16, 300, 500], ids=["batch16", "all-rows", "over"])
+    @pytest.mark.parametrize("kind, n_features", [("mps", 9), ("ttn", 11)],
+                             ids=["mps", "padded-tree"])
+    def test_fit_gives_the_bits_of_an_unplanned_cache(self, kind, n_features, batch_size):
+        """Three sweeps, so messages stored at rows of a step in the next sweep
+        are read across two sweep boundaries."""
+        raw, model = self.case(kind, n_features)
+        assert kind == "mps" or model.padding == 1
+        config = TrainConfig(learning_rate=5e-3, inner_steps=2, batch_size=batch_size, sweeps=3,
+                             max_bond=6, seed=42)
+        twin = model.copy()
+        report = fit(model, raw, config)
+        assert report.nll_trace == fit_by_hand(twin, raw, config)
+        for ours, theirs in zip(model.tensors, twin.tensors, strict=True):
+            np.testing.assert_array_equal(ours, theirs)
+
+    def test_a_kept_message_is_read_only_at_its_rows(self):
+        """Built for a sweep from site 0, the MPS cache keeps each message toward
+        site 0 at the rows of the step that reads it next: those rows of the
+        whole message, readable once, at those rows only."""
+        raw, model = self.case("mps")
+        steps = [(edge, np.random.default_rng(u).choice(300, 16, replace=False))
+                 for u, edge in enumerate(model.sweep_schedule())]
+        env = model.environment_cache(raw, plan=steps)
+        whole = model.environment_cache(raw)
+        _, rows = steps[1]  # the step at (1, 2) reads 3 -> 2
+        other = np.sort(rows)
+        for wrong in (None, other, rows[:8]):
+            with pytest.raises(NumericalError, match="rows"):
+                env.message(3, 2, wrong)
+        got, want = env.message(3, 2, rows.copy()), whole.message(3, 2, rows)
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+        with pytest.raises(NumericalError, match="no message 3 -> 2"):
+            env.message(3, 2, rows)
+
+    def test_report_counts_the_bytes_the_cache_held(self):
+        """Drawn batches hold at most two messages of every row and one of a
+        step's rows per inner bond; a full batch holds every inner bond's
+        message of every row, as the cache is built."""
+        n_rows, n_features, batch_size, max_bond = 600, 12, 32, 12
+        raw = np.random.default_rng(43).uniform(size=(n_rows, n_features))
+        encoder = LegendreFeatureMap(3, fit_rescaler(raw))
+        model = MpsModel.random(n_features, 3, init_bond=max_bond, seed=44, encoder=encoder)
+        start = model.copy()
+        # the cache is built with every inner bond's message, at the start's bonds
+        whole = sum(8 * n_rows * bond for bond in inner_bonds(start))
+        drawn = fit(model, raw, TrainConfig(sweeps=2, batch_size=batch_size, max_bond=max_bond))
+        n_inner = len(inner_bonds(model))
+        assert n_inner == n_features - 3
+        assert 0 < drawn.cache_peak_bytes <= 8 * max_bond * (2 * n_rows + n_inner * batch_size)
+        full = fit(start, raw, TrainConfig(sweeps=2, batch_size=None, max_bond=max_bond))
+        assert full.cache_peak_bytes >= whole
+        assert full.to_dict()["cache_peak_bytes"] == full.cache_peak_bytes
+
+
 # Child process for the thread-count test: one fit, printed as JSON. The
 # BLAS reads its thread count when numpy loads, so the count is set in the
 # child's environment, never in this process.
