@@ -181,7 +181,7 @@ def _common_ancestor(model, nodes) -> int:
     """
     low, high = min(nodes), max(nodes)
     while high > low:
-        high = model.axis_spec(high)[0][1]  # a node's up leg comes first
+        high = model.parents[high]
     return high
 
 

@@ -3,22 +3,24 @@
 A state over ``L`` encoded features is a chain of rank-3 cores ``A_i`` of
 shape ``(D_{i-1}, N, D_i)`` with ``D_0 = D_L = 1``: a tree network whose
 nodes each carry one feature leg. :class:`MpsModel` gives the shared
-engine in :mod:`tnad.network` the chain's layout, and keeps only its
-start's tensor shapes and the site a sweep starts from. The engine's
-amplitude pass runs from the last site to site 0, and its sweep walk from
-site 0 is the sweep right to the end and back. A merged two-site tensor
-keeps edge order, as the tree's does: ``(D_left, N, N, D_right)`` on a
-left-to-right edge and ``(N, D_right, D_left, N)`` on a right-to-left one.
+engine in :mod:`tnad.network` the chain's parent list, site ``i`` below
+site ``i - 1`` with feature ``i``, and keeps only its argument checks and
+the site a sweep starts from. The engine's amplitude pass runs from the
+last site to site 0, and its sweep walk from site 0 is the sweep right to
+the end and back. A merged two-site tensor keeps edge order, as the tree's
+does: ``(D_left, N, N, D_right)`` on a left-to-right edge and ``(N,
+D_right, D_left, N)`` on a right-to-left one.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError
-from .network import TensorNetwork, up_bond_extents
+from .network import TensorNetwork, _seeded
 
 if TYPE_CHECKING:
     from .encoding import LegendreFeatureMap
@@ -42,12 +44,11 @@ class MpsModel(TensorNetwork):
     """
 
     def __init__(self, cores, center: int = 0, encoder: "LegendreFeatureMap | None" = None):
-        self.tensors = [np.asarray(c, dtype=np.float64) for c in cores]
-        if len(self.tensors) < 2:
+        cores = list(cores)
+        n = len(cores)
+        if n < 2:
             raise DataError("an MPS needs at least 2 sites")
-        self.center = center
-        self.encoder = encoder
-        self._check_structure()
+        super().__init__(cores, range(-1, n - 1), [1] * n, n, center, encoder)
 
     # -- construction ------------------------------------------------------
 
@@ -69,10 +70,8 @@ class MpsModel(TensorNetwork):
             raise DataError(f"n_sites must be >= 2, got {n_sites}")
         if phys_dim < 1 or init_bond < 1:
             raise DataError("phys_dim and init_bond must be >= 1")
-        # a chain is the tree whose site j hangs below site j - 1
-        bonds = up_bond_extents(range(-1, n_sites - 1), [1] * n_sites, phys_dim, init_bond) + [1]
-        shapes = [(bonds[i], phys_dim, bonds[i + 1]) for i in range(n_sites)]
-        return cls._seeded(shapes, seed, encoder=encoder)
+        return _seeded(range(-1, n_sites - 1), [1] * n_sites, phys_dim, init_bond, seed,
+                       functools.partial(cls, encoder=encoder))
 
     # -- structure -----------------------------------------------------------
 
@@ -80,19 +79,7 @@ class MpsModel(TensorNetwork):
     def cores(self) -> list[np.ndarray]:
         return self.tensors
 
-    @property
-    def n_features(self) -> int:
-        return len(self.tensors)
-
-    n_sites = n_features
-
-    def axis_spec(self, u: int) -> list[tuple[str, int]]:
-        """Axes of site ``u``: the bonds to sites ``u - 1`` and ``u + 1`` around feature ``u``.
-
-        The end sites' outer bonds name sites -1 and L, which do not exist:
-        extent-1 bonds with no neighbor.
-        """
-        return [("bond", u - 1), ("phys", u), ("bond", u + 1)]
+    n_sites = TensorNetwork.n_nodes
 
     def sweep_start(self) -> int:
         """Site the canonical center must occupy when a sweep begins."""

@@ -4,29 +4,33 @@ A matrix product state is a tree tensor network whose nodes each carry
 one feature leg (Shi, Duan & Vidal 2006, PRA 74, 022320), so both model
 kinds are one structure here: node tensors joined by bonds into a tree
 graph, a chain for :class:`~tnad.mps.MpsModel` and a balanced binary tree
-for :class:`~tnad.ttn.TtnModel`. A model module describes its graph by
-``axis_spec`` and keeps only its layout, its start's tensor shapes and
-the node a sweep starts from. :class:`TensorNetwork` holds everything that
-needs only the graph: the seeded start, the feature legs of a batch, dummy
-features included, the amplitude pass, the sweep walk, the canonical form
-and its center moves, the two-site merge and split of training, and
-:class:`Environments`, the per-sample message cache of training.
-:func:`node_message` is the one message step of amplitudes and
-environments alike. Both take raw rows or an encoded batch and read its
-feature legs, one at a time, through :meth:`TensorNetwork.feature_leg`:
-the pass encodes raw rows one block at a time and reads a leg as a view,
-and the cache keeps their unit-interval values, encoding a leg when it
-reads it.
+for :class:`~tnad.ttn.TtnModel`. A model module describes its graph by a
+pre-order parent list and the count of feature legs at each node, and
+keeps only its argument checks and the node a sweep starts from.
+:class:`TensorNetwork` derives each node's axes from those two lists once
+(:func:`node_shapes` gives the tensor shapes they imply, for the seeded
+start and the model-file reader) and holds everything that needs only the
+graph: the feature legs of a batch, dummy features included, the
+amplitude pass, the sweep walk, the canonical form and its center moves,
+the two-site merge and split of training, and :class:`Environments`, the
+per-sample message cache of training. :meth:`TensorNetwork._message`, one
+gather of a node's operands and :func:`node_message`, is the one message
+step of amplitudes and environments alike. Both take raw rows or an
+encoded batch and read its feature legs, one at a time, through
+:meth:`TensorNetwork.feature_leg`: the pass encodes raw rows one block at
+a time and reads a leg as a view, and the cache keeps their unit-interval
+values, encoding a leg when it reads it.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 from collections import deque
 
 import numpy as np
 
-from .encoding import orthonormal_basis
+from .encoding import LegendreFeatureMap, orthonormal_basis
 from .errors import DataError, DimensionError, NumericalError
 from .tensors import (
     batched_transfer, frobenius_norm, renormalize_rows, single_blas_thread, truncated_svd,
@@ -46,24 +50,35 @@ class TensorNetwork:
     """Tensor network on a tree graph, kept canonical; the base of both model kinds.
 
     Every node but ``center`` is an isometry toward it, so the squared
-    state norm is the squared Frobenius norm of the center tensor. A
-    subclass sets ``tensors`` (one array per node, indexed by node id),
-    ``center``, ``encoder`` and, if it has dummy feature legs after its
-    real ones (:meth:`feature_leg`), ``padding``. It defines ``axis_spec``,
-    ``n_features`` and ``sweep_start``, and its constructor ends with
-    :meth:`_check_structure`, which checks the tensors against that graph
-    once and reads ``phys_dim``, the one extent of every feature leg, from
-    them. Every node is stored as ``(up, in0, in1)``, rooted at node 0
-    with ids in pre-order: an MPS site ``(l, p, r)``, a tree node
-    ``(parent, c0, c1)``. A bond whose reference is not a node id, node 0's
-    up bond ``("bond", -1)`` or the last MPS site's ``r``, has no neighbor
-    behind it and extent 1.
+    state norm is the squared Frobenius norm of the center tensor. The
+    graph is the pre-order ``parents`` list, node 0 the root (-1), and
+    ``legs[u]``, the count of feature legs at node ``u``; features are
+    numbered in node order, so node ``u`` carries the ``legs[u]`` after
+    those of nodes ``0 .. u - 1``. The legs past the ``n_features`` real
+    ones are ``padding`` dummy features (:meth:`feature_leg`). A node's
+    axes (:meth:`axis_spec`) are its up bond, its feature legs and the
+    bonds to its children in id order, then, below three axes, a bond to
+    no node, ``("bond", n_nodes)``: every node is stored as ``(up, in0,
+    in1)``, an MPS site ``(l, p, r)``, a tree node ``(parent, c0, c1)``. A
+    bond whose reference is not a node id, node 0's up bond ``("bond",
+    -1)`` or the last MPS site's ``r``, has no neighbor behind it and
+    extent 1. The constructor checks the tensors against that graph once
+    and reads ``phys_dim``, the one extent of every feature leg, from them;
+    ``center`` defaults to the subclass's ``sweep_start``.
     """
 
-    tensors: list[np.ndarray]
-    center: int
-    phys_dim: int
-    padding: int = 0
+    def __init__(self, tensors, parents, legs, n_features: int, center: int | None = None,
+                 encoder: LegendreFeatureMap | None = None):
+        self.tensors = [np.asarray(t, dtype=np.float64) for t in tensors]
+        self.parents = list(parents)
+        if len(self.tensors) != len(self.parents):
+            raise DataError(f"{len(self.tensors)} tensors for {len(self.parents)} nodes")
+        self.n_features = n_features
+        self.padding = sum(legs) - n_features
+        self._axes = _node_axes(self.parents, legs)
+        self.center = self.sweep_start() if center is None else center
+        self.encoder = encoder
+        self._check_structure()
 
     # -- graph -------------------------------------------------------------
 
@@ -71,38 +86,41 @@ class TensorNetwork:
     def n_nodes(self) -> int:
         return len(self.tensors)
 
+    def axis_spec(self, u: int) -> list[tuple[str, int]]:
+        """Every axis of node ``u``, up bond first: ``("bond", node)`` or ``("phys", feature)``."""
+        return self._axes[u]
+
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Nodes joined to ``u`` by a bond, in ``u``'s axis order."""
         return tuple(
-            ref for kind, ref in self.axis_spec(u)
+            ref for kind, ref in self._axes[u]
             if kind == "bond" and 0 <= ref < self.n_nodes
         )
 
     def axis_to(self, u: int, v: int) -> int:
         """Axis of node ``u``'s tensor that carries the bond to neighbor ``v``."""
         if 0 <= u < self.n_nodes and v in self.neighbors(u):
-            return self.axis_spec(u).index(("bond", v))
+            return self._axes[u].index(("bond", v))
         raise DataError(f"nodes {u} and {v} are not neighbors")
 
     def _edges(self) -> list[tuple[int, int]]:
-        """Every bond between two nodes once, as ``(lower id, higher id)``, by higher id."""
-        return [(u, v) for v in range(self.n_nodes) for u in self.neighbors(v) if u < v]
+        """Every bond between two nodes once, as ``(parent, child)``, by child id."""
+        return [(p, u) for u, p in enumerate(self.parents) if p >= 0]
 
     def bond_profile(self) -> list[int]:
-        """Bond extents, one per edge, ordered by the higher node id of the edge."""
-        return [self.tensors[v].shape[self.axis_to(v, u)] for u, v in self._edges()]
+        """Bond extents, one per edge, ordered by child id: each node's up extent but the root's."""
+        return [t.shape[0] for t in self.tensors[1:]]
 
     def _check_structure(self) -> None:
         """Refuse tensors that do not fit the graph; read ``phys_dim`` off the feature legs."""
-        specs = [self.axis_spec(u) for u in range(self.n_nodes)]
-        for u, (t, spec) in enumerate(zip(self.tensors, specs)):
+        for u, (t, spec) in enumerate(zip(self.tensors, self._axes)):
             if t.ndim != len(spec):
                 raise DimensionError(f"node {u} must be rank {len(spec)}, got rank {t.ndim}")
             if any(kind == "bond" and not 0 <= ref < self.n_nodes and t.shape[ax] != 1
                    for ax, (kind, ref) in enumerate(spec)):
                 raise DimensionError(f"node {u}'s bond without a neighbor must have extent 1")
         legs = {
-            t.shape[ax] for t, spec in zip(self.tensors, specs)
+            t.shape[ax] for t, spec in zip(self.tensors, self._axes)
             for ax, (kind, _) in enumerate(spec) if kind == "phys"
         }
         if len(legs) != 1:
@@ -115,16 +133,6 @@ class TensorNetwork:
                 raise DimensionError(f"bond mismatch on edge ({u}, {v}): {du} vs {dv}")
         if not 0 <= self.center < self.n_nodes:
             raise DataError(f"center {self.center} out of range")
-
-    @classmethod
-    def _seeded(cls, shapes, seed: int, *args, **kwargs):
-        """``cls`` of seeded ``standard_normal(shape) / sqrt(size)`` nodes, canonical, norm 1."""
-        rng = np.random.default_rng(seed)
-        tensors = [rng.standard_normal(shape) / np.sqrt(np.prod(shape)) for shape in shapes]
-        model = cls(tensors, *args, **kwargs)
-        model._canonicalize_all(model.sweep_start())
-        model.normalize()
-        return model
 
     def copy(self):
         twin = copy.copy(self)
@@ -239,28 +247,46 @@ class TensorNetwork:
     def _block_log_amplitudes(self, encoded, log_abs, sign) -> None:
         """Write the log magnitudes and signs of one encoded block's amplitudes.
 
-        One bottom-up pass of :func:`node_message` runs from the last node to
+        One bottom-up pass of :meth:`_message` runs from the last node to
         node 0, each node's message leaving on its up leg, the first axis;
         each message is renormalized per sample into a log scale, so long
         networks neither under- nor overflow.
         """
-        batch = encoded.shape[0]
-        unit = np.ones((batch, 1)), np.zeros(batch)
+        unit = np.ones((len(encoded), 1)), np.zeros(len(encoded))
         up: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for u in reversed(range(self.n_nodes)):
-            spec = self.axis_spec(u)
-            operands, log_scale = [], np.zeros(batch)
-            for kind, ref in spec[1:]:
-                if kind == "phys":
-                    operands.append(self.feature_leg(encoded, ref))
-                else:
-                    vec, log_in = up.pop(ref, unit)
-                    operands.append(vec)
-                    log_scale = log_scale + log_in
-            up[u] = node_message(self.tensors[u], spec, 0, operands, log_scale)
+            up[u] = self._message(u, 0, lambda f: self.feature_leg(encoded, f),
+                                  lambda x: up.pop(x, unit))
         amp, log_out = up[0]  # node 0's up bond has extent 1
         log_abs[:] = log_out
         sign[:] = np.where(amp[:, 0] < 0.0, -1.0, 1.0)
+
+    def _operands(self, u: int, skip: int, leg, bond) -> tuple[list[np.ndarray], np.ndarray]:
+        """Per-sample vectors on every axis of node ``u`` but axis ``skip``, in axis order,
+        and their summed log scale.
+
+        ``leg(f)`` gives the vectors on feature leg ``f``, and ``bond(x)``
+        the message into ``u`` from node ``x``, vectors and log scale, for
+        a bond ``("bond", x)``, ``x`` a node id or not. The log scale is the
+        float 0.0 if no bond is read.
+        """
+        arrays, logs = [], 0.0
+        for ax, (kind, ref) in enumerate(self._axes[u]):
+            if ax == skip:
+                continue
+            if kind == "phys":
+                arrays.append(leg(ref))
+            else:
+                vec, log_scale = bond(ref)
+                arrays.append(vec)
+                logs = logs + log_scale
+        return arrays, logs
+
+    def _message(self, u: int, out_axis: int, leg, bond) -> tuple[np.ndarray, np.ndarray]:
+        """Message out of node ``u`` along ``out_axis`` from the operands ``leg`` and
+        ``bond`` give (:meth:`_operands`): one :func:`node_message`."""
+        return node_message(self.tensors[u], self._axes[u], out_axis,
+                            *self._operands(u, out_axis, leg, bond))
 
     # -- sweeps ------------------------------------------------------------
 
@@ -574,32 +600,27 @@ class Environments:
             self._settle((u, v))
         return got
 
+    def _readers(self, u: int, rows):
+        """The ``leg`` and ``bond`` readers of node ``u``'s operands at ``rows``, all if None
+        (:meth:`TensorNetwork._operands`): the batch's legs and the messages into ``u``."""
+
+        def leg(f: int) -> np.ndarray:
+            # a product rounds by its operands' layout: some rows of a leg
+            # go in C-contiguous, as numpy's indexing picks them from an
+            # encoded batch, and every row in the layout the amplitude
+            # pass reads, so raw rows give the bits of encode_batch's
+            got = self.model.feature_leg(self.batch, f, rows)
+            return got if rows is None else np.ascontiguousarray(got)
+
+        return leg, lambda x: self.message(x, u, rows)
+
     def _operands(self, u: int, skip: int, rows=None):
         """Per-sample vectors of every axis of node ``u`` but ``skip``, and their summed log scale."""
-        arrays, logs = [], np.zeros(self.n_samples if rows is None else len(rows))
-        for ax, (kind, ref) in enumerate(self.model.axis_spec(u)):
-            if ax == skip:
-                continue
-            if kind == "phys":
-                # a product rounds by its operands' layout: some rows of a leg
-                # go in C-contiguous, as numpy's indexing picks them from an
-                # encoded batch, and every row in the layout the amplitude
-                # pass reads, so raw rows give the bits of encode_batch's
-                leg = self.model.feature_leg(self.batch, ref, rows)
-                arrays.append(leg if rows is None else np.ascontiguousarray(leg))
-            else:
-                vec, log_scale = self.message(ref, u, rows)
-                arrays.append(vec)
-                logs = logs + log_scale
-        return arrays, logs
+        return self.model._operands(u, skip, *self._readers(u, rows))
 
     def _outgoing(self, u: int, v: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """Message ``u -> v`` from node ``u``'s current tensor and the messages into it."""
-        out_axis = self.model.axis_to(u, v)
-        operands, logs = self._operands(u, out_axis, rows)
-        return node_message(
-            self.model.tensors[u], self.model.axis_spec(u), out_axis, operands, logs
-        )
+        return self.model._message(u, self.model.axis_to(u, v), *self._readers(u, rows))
 
     def push(self, u: int, v: int) -> None:
         """Refresh the cache after node ``u``'s tensor changed and the center moved to ``v``.
@@ -679,6 +700,46 @@ def up_bond_extents(parents, legs, phys_dim: int, init_bond: int) -> list[int]:
     for u in reversed(range(1, len(parents))):  # children come after their parents
         below[parents[u]] += below[u]
     return [min(init_bond, phys_dim**b, phys_dim ** (below[0] - b)) for b in below]
+
+
+def _node_axes(parents, legs) -> list[list[tuple[str, int]]]:
+    """Every node's axes, from the pre-order ``parents`` and each node's count of feature
+    legs: its up bond, its feature legs, numbered in node order, and the bonds to its
+    children in id order, then, below three axes, a bond to no node, ``("bond", n_nodes)``.
+    """
+    first = [0, *itertools.accumulate(legs)]
+    axes = [[("bond", p)] + [("phys", f) for f in range(first[u], first[u + 1])]
+            for u, p in enumerate(parents)]
+    for u, p in enumerate(parents[1:], start=1):
+        axes[p].append(("bond", u))
+    return [spec + [("bond", len(axes))] * (3 - len(spec)) for spec in axes]
+
+
+def node_shapes(parents, legs, bonds, phys_dim: int) -> list[tuple[int, ...]]:
+    """Tensor shape of every node of the graph ``parents`` and ``legs`` describe, given
+    the extent ``bonds[u]`` of each node's up bond, the root's included: ``phys_dim`` on
+    a feature leg, the child's up extent on a bond to a child, and 1 on a bond to no node.
+    """
+    return [
+        tuple(phys_dim if kind == "phys" else bonds[u] if ax == 0 else
+              bonds[ref] if ref < len(bonds) else 1 for ax, (kind, ref) in enumerate(spec))
+        for u, spec in enumerate(_node_axes(parents, legs))
+    ]
+
+
+def _seeded(parents, legs, phys_dim: int, init_bond: int, seed: int, build):
+    """``build(tensors)`` on seeded ``standard_normal(shape) / sqrt(size)`` nodes of the
+    graph ``parents`` and ``legs`` describe, bonds capped by :func:`up_bond_extents`,
+    canonical at its sweep's start and normalized.
+    """
+    bonds = up_bond_extents(parents, legs, phys_dim, init_bond)
+    rng = np.random.default_rng(seed)
+    tensors = [rng.standard_normal(shape) / np.sqrt(np.prod(shape))
+               for shape in node_shapes(parents, legs, bonds, phys_dim)]
+    model = build(tensors)
+    model._canonicalize_all(model.sweep_start())
+    model.normalize()
+    return model
 
 
 def node_message(tensor, spec, out_axis, operands, log_scale):

@@ -27,9 +27,12 @@ rescaler has a non-finite bound, a width that overflows, or an empty or
 reversed interval, which would map every value of that feature to NaN or
 to one end, a file with a bond of extent 0, which holds no state, a file the
 model's constructor refuses, such as a tree whose node ids are not in
-pre-order (see :func:`tnad.ttn.tree_layout`), a tree file whose root
-parent-bond field is not 0, and a file whose padding field differs from
-the model's count of dummy features, which its topology decides.
+pre-order (see :func:`tnad.ttn.tree_layout`) or whose leaves would carry
+more than one dummy feature, a tree file whose root parent-bond field is
+not 0, and a file whose padding field differs from the model's count of
+dummy features, which its topology decides. The tensor shapes of a tree
+file follow from its node table by the engine's one rule,
+:func:`tnad.network.node_shapes`, as they do for a seeded model.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ import numpy as np
 from .encoding import FeatureRescaler, LegendreFeatureMap
 from .errors import DataError
 from .mps import MpsModel
-from .ttn import TtnModel, node_shapes
+from .network import node_shapes
+from .ttn import TtnModel, tree_layout
 
 __all__ = ["save_model", "load_model", "MAGIC", "FORMAT_VERSION"]
 
@@ -89,9 +93,8 @@ def save_model(path, model) -> None:
         blob += struct.pack(f"<{len(bonds)}I", *bonds)
     else:
         blob += struct.pack("<I", work.n_nodes)
-        for u in range(work.n_nodes):
-            parent_bond = work.tensors[u].shape[0] if work.parents[u] >= 0 else 0
-            blob += struct.pack("<iI", work.parents[u], parent_bond)
+        for parent, parent_bond in zip(work.parents, [0] + work.bond_profile()):
+            blob += struct.pack("<iI", parent, parent_bond)
 
     for core in work.tensors:
         blob += np.ascontiguousarray(core, dtype="<f8").tobytes()
@@ -110,8 +113,9 @@ def load_model(path):
     not canonical, for one whose rescaler has a non-finite interval or a
     maximum not above its minimum or a bond of extent 0, for one the
     model's constructor refuses, such as a tree whose node ids are not in
-    pre-order, for a tree whose root parent-bond field is not 0, and for a
-    padding field that differs from the model's.
+    pre-order or whose leaves would carry more than one dummy feature, for
+    a tree whose root parent-bond field is not 0, and for a padding field
+    that differs from the model's.
     """
     try:
         return _read_model(Path(path).read_bytes())
@@ -171,7 +175,7 @@ def _read_model(raw: bytes):
         table = list(struct.iter_unpack("<iI", take(8 * n_nodes, "tree node table")))
         parents = [p for p, _ in table]
         parent_bond = [1] + [b for _, b in table[1:]]
-        shapes = node_shapes(parents, parent_bond, phys_dim)
+        shapes = node_shapes(parents, tree_layout(parents)[1], parent_bond, phys_dim)
         if table[0][1] != 0:
             raise DataError(f"root parent-bond field is {table[0][1]}, expected 0")
         if 0 in parent_bond:

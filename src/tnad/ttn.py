@@ -4,25 +4,26 @@ Leaves carry two encoded features each; internal nodes carry only bonds.
 Axis conventions: inner nodes ``(parent, left_child, right_child)``,
 leaves ``(parent, phys_even, phys_odd)``; the root's parent bond has
 extent 1 and no node behind it. Leaf slots past the real features hold
-dummy features (:meth:`TtnModel.random` pads an odd count with one),
-which the shared engine encodes at :data:`tnad.network.PAD_VALUE`.
+dummy features, at most one (:meth:`TtnModel.random` pads an odd count
+with it), which the shared engine encodes at
+:data:`tnad.network.PAD_VALUE`.
 
 :class:`TtnModel` gives the shared engine in :mod:`tnad.network` the
-layout of the tree its parent list describes, and keeps only its start's
-tensor shapes and the node a sweep starts from, the right-most leaf. The
-engine's sweep is its closed depth-first walk over all edges from there;
-a merged edge tensor keeps edge order, the remaining axes of ``edge[0]``
-then those of ``edge[1]``.
+parent list of the tree and two feature legs at each leaf, and keeps only
+its argument checks, :func:`tree_layout`'s checks of that list and the
+node a sweep starts from, the right-most leaf. The engine's sweep is its
+closed depth-first walk over all edges from there; a merged edge tensor
+keeps edge order, the remaining axes of ``edge[0]`` then those of
+``edge[1]``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import DataError
-from .network import TensorNetwork, up_bond_extents
+from .network import TensorNetwork, _seeded
 
 if TYPE_CHECKING:
     from .encoding import LegendreFeatureMap
@@ -44,10 +45,16 @@ class TtnModel(TensorNetwork):
         Parent node per node (-1 for the root).
     children : list of tuple or None
         ``(left, right)`` child ids for root/internal nodes, None for leaves.
+    leaf_features : list of tuple or None
+        The two features of each leaf, ``(2k, 2k + 1)`` at the ``k``-th
+        leaf left to right, as the engine numbers feature legs in node
+        order; None for inner nodes.
     center : int
         Node id of the canonical center; by default the sweep's start.
     padding : int
-        Number of dummy features, ``2 * leaves - n_features``.
+        Number of dummy features, ``2 * leaves - n_features``: 0 or 1. A
+        tree whose leaves cannot carry ``n_features``, or would carry more
+        than one dummy feature, is refused with :class:`DataError`.
     """
 
     def __init__(
@@ -58,19 +65,17 @@ class TtnModel(TensorNetwork):
         center: int | None = None,
         encoder: "LegendreFeatureMap | None" = None,
     ):
-        self.tensors = [np.asarray(t, dtype=np.float64) for t in tensors]
-        self.parents = list(parents)
-        if len(self.tensors) != len(self.parents):
-            raise DataError(f"{len(self.tensors)} tensors for {len(self.parents)} nodes")
-        self.children, self.leaf_features = tree_layout(self.parents)
-        self.n_features = n_features
+        self.children, legs = tree_layout(parents)
         leaves = len(self.leaf_ids())
-        self.padding = 2 * leaves - n_features
-        if self.padding < 0:
+        if 2 * leaves < n_features:
             raise DataError(f"{leaves} leaves cannot carry {n_features} features")
-        self.center = self.sweep_start() if center is None else center
-        self.encoder = encoder
-        self._check_structure()
+        if 2 * leaves - n_features > 1:
+            raise DataError(f"{leaves} leaves would carry {n_features} features and "
+                            f"{2 * leaves - n_features} dummy ones; a tree holds at most one")
+        super().__init__(tensors, parents, legs, n_features, center, encoder)
+        self.leaf_features = [
+            tuple(f for kind, f in spec if kind == "phys") or None for spec in self._axes
+        ]
 
     # -- construction ------------------------------------------------------
 
@@ -97,50 +102,39 @@ class TtnModel(TensorNetwork):
             raise DataError("phys_dim and init_bond must be >= 1")
 
         parents: list[int] = []
-        legs: list[int] = []  # a leaf carries two feature legs, an inner node none
 
         def build(count: int, parent: int) -> None:
             idx = len(parents)
             parents.append(parent)
-            legs.append(2 if count == 1 else 0)
             if count > 1:
                 build((count + 1) // 2, idx)
                 build(count - (count + 1) // 2, idx)
 
         build((n_features + 1) // 2, -1)  # an odd count pads one dummy feature
 
-        bond = up_bond_extents(parents, legs, phys_dim, init_bond)
-        return cls._seeded(node_shapes(parents, bond, phys_dim), seed, parents, n_features,
-                           encoder=encoder)
+        make = functools.partial(cls, parents=parents, n_features=n_features, encoder=encoder)
+        return _seeded(parents, tree_layout(parents)[1], phys_dim, init_bond, seed, make)
 
     # -- structure -----------------------------------------------------------
 
     def leaf_ids(self) -> list[int]:
-        return [u for u in range(self.n_nodes) if self.children[u] is None]
-
-    def axis_spec(self, u: int) -> list[tuple[str, int]]:
-        """Every axis of node ``u``, parent bond first: ('bond', neighbor) or ('phys', feature)."""
-        spec = [("bond", self.parents[u])]
-        if self.children[u] is None:
-            f0, f1 = self.leaf_features[u]
-            spec.extend([("phys", f0), ("phys", f1)])
-        else:
-            spec.extend(("bond", c) for c in self.children[u])
-        return spec
+        return [u for u, c in enumerate(self.children) if c is None]
 
     def sweep_start(self) -> int:
         """Node the canonical center must occupy when a sweep begins: the right-most leaf."""
         return self.leaf_ids()[-1]
 
 
-def tree_layout(parents) -> tuple[list, list]:
-    """Children and leaf features of the binary tree given by each node's parent id.
+def tree_layout(parents) -> tuple[list, list[int]]:
+    """Children and feature legs of every node of the binary tree given by each
+    node's parent id: ``(left, right)`` and no leg for an inner node, None and
+    two legs for a leaf.
 
     The tree must be numbered in pre-order, the layout every tree
     algorithm here relies on: node 0 is the only root, every parent id is
     smaller than its children's, and each subtree's ids are contiguous.
-    Every inner node has two children; leaves carry features ``(2k,
-    2k + 1)`` left to right. Raises :class:`DataError` otherwise.
+    Every inner node has two children. Raises :class:`DataError`
+    otherwise.
     """
     n_nodes = len(parents)
     if n_nodes < 3:
@@ -161,24 +155,4 @@ def tree_layout(parents) -> tuple[list, list]:
     if order != list(range(n_nodes)):
         raise DataError("node ids are not in pre-order")
     children = [tuple(c) if c else None for c in below]
-    leaf_ids = [u for u in range(n_nodes) if children[u] is None]
-    leaf_features: list = [None] * n_nodes
-    for k, u in enumerate(leaf_ids):
-        leaf_features[u] = (2 * k, 2 * k + 1)
-    return children, leaf_features
-
-
-def node_shapes(parents, bond, phys_dim: int) -> list[tuple[int, ...]]:
-    """Tensor shape of every node of the tree given by ``parents``, given the
-    extent ``bond[u]`` of each node's parent bond, the root's included.
-
-    An inner node is ``(parent, left, right)`` and a leaf ``(parent,
-    phys_dim, phys_dim)``. Raises :class:`DataError` for a parent list
-    :func:`tree_layout` refuses.
-    """
-    children, _ = tree_layout(parents)
-    shapes = []
-    for u, c in enumerate(children):
-        lower = (phys_dim, phys_dim) if c is None else (bond[c[0]], bond[c[1]])
-        shapes.append((bond[u],) + lower)
-    return shapes
+    return children, [2 * (c is None) for c in children]

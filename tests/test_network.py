@@ -1,12 +1,15 @@
 """The engine both model kinds share: canonical moves, the environment cache, two-site layout."""
 
+import ast
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
+import tnad
 from tnad import (
     DataError,
     DimensionError,
@@ -25,7 +28,7 @@ from tnad import (
     two_site_step,
 )
 from tnad.explain import _analysis_copy
-from tnad.network import BLOCK_ROWS, node_message, up_bond_extents
+from tnad.network import BLOCK_ROWS, node_message, node_shapes, up_bond_extents
 from tnad.training import _contract_fractions
 
 
@@ -265,6 +268,56 @@ def test_seeded_start_has_the_capped_bonds():
     assert tree.bond_profile() == up_bond_extents(tree.parents, legs, 2, 5)[1:]
 
 
+def former_axis_spec(model, u):
+    """Node ``u``'s axes as each model kind once wrote them out for itself."""
+    if isinstance(model, MpsModel):
+        return [("bond", u - 1), ("phys", u), ("bond", u + 1)]
+    if model.children[u] is None:  # the k-th leaf, left to right, carries (2k, 2k + 1)
+        k = model.leaf_ids().index(u)
+        return [("bond", model.parents[u]), ("phys", 2 * k), ("phys", 2 * k + 1)]
+    return [("bond", model.parents[u])] + [("bond", c) for c in model.children[u]]
+
+
+@pytest.mark.parametrize("phys_dim", [2, 5])
+def test_engine_rule_reproduces_both_former_layouts(phys_dim):
+    """Chains of 2-140 sites and the trees of 3-140 features, odd widths and
+    even: the axes the engine derives from a parent list and feature legs are
+    the ones each kind wrote out, the bond profile is the old per-edge
+    reading, and ``node_shapes`` gives the seeded tensors' shapes."""
+    chains = [(MpsModel.random(w, phys_dim, init_bond=3, seed=w), list(range(-1, w - 1)), [1] * w)
+              for w in range(2, 141)]
+    trees = []
+    for w in range(3, 141):
+        tree = TtnModel.random(w, phys_dim, init_bond=3, seed=w)
+        trees.append((tree, tree.parents, [2 * (c is None) for c in tree.children]))
+    for model, parents, legs in chains + trees:
+        assert model.parents == parents
+        for u in range(model.n_nodes):
+            assert model.axis_spec(u) == former_axis_spec(model, u)
+            if isinstance(model, TtnModel):
+                leg_refs = tuple(f for kind, f in former_axis_spec(model, u) if kind == "phys")
+                assert model.leaf_features[u] == (leg_refs or None)
+        edges = [(u, v) for v in range(model.n_nodes) for u in model.neighbors(v) if u < v]
+        assert model.bond_profile() == [model.tensors[v].shape[model.axis_to(v, u)]
+                                        for u, v in edges]
+        bonds = up_bond_extents(parents, legs, phys_dim, 3)
+        assert node_shapes(parents, legs, bonds, phys_dim) == [t.shape for t in model.tensors]
+
+
+def test_model_kinds_keep_no_layout_rule_of_their_own():
+    """The engine derives every node's axes and tensor shape from a kind's
+    parent list and feature legs; ``mps.py`` and ``ttn.py`` define no
+    ``axis_spec``, no shape rule and no bond cap, and build no shapes."""
+    root = Path(tnad.__file__).resolve().parent
+    for name in ("mps.py", "ttn.py"):
+        tree = ast.parse((root / name).read_text())
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not defined & {"axis_spec", "node_shapes"}, name
+        assert not named & {"shapes", "up_bond_extents", "node_shapes"}, name
+
+
 class TestConstructionChecks:
     """A model's tensors are checked against its graph once, where it is made."""
 
@@ -300,6 +353,15 @@ class TestConstructionChecks:
             TtnModel(model.tensors, model.parents, 7)
         with pytest.raises(DataError, match="4 tensors for 5 nodes"):
             TtnModel(model.tensors[:-1], model.parents, 6)
+
+    @pytest.mark.parametrize("n_features", [1, 4])
+    def test_tree_with_more_than_one_dummy_feature_refused(self, n_features):
+        """A tree holds at most the one dummy feature that pads an odd count."""
+        model = TtnModel.random(6, 3, init_bond=4, seed=6)
+        assert TtnModel(model.tensors, model.parents, 5).padding == 1
+        with pytest.raises(DataError, match=f"3 leaves would carry {n_features} features "
+                                            f"and {6 - n_features} dummy ones"):
+            TtnModel(model.tensors, model.parents, n_features)
 
     @staticmethod
     def rebuilt(model, tensors):

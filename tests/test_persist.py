@@ -312,6 +312,32 @@ class TestContentChecks:
         with pytest.raises(DataError, match=f"padding field {padding} differs"):
             load_model(path)
 
+    @pytest.mark.parametrize("n_features", [0, 1])
+    def test_tree_with_more_than_one_dummy_feature_refused(self, tmp_path, n_features):
+        """A 4-feature tree's file whose header claims fewer features, its
+        extra rescaler rows dropped and its padding field to match: its two
+        leaves would carry more than the one dummy feature a tree may hold.
+        The reader and the CLI refuse it."""
+        encoder, _ = fitted_encoder(3, 4, seed=6)
+        path = tmp_path / "tree.tnad"
+        save_model(path, TtnModel.random(4, 3, init_bond=4, seed=6, encoder=encoder))
+        blob = path.read_bytes()[:-4]
+        header = bytearray(blob[:HEADER_END])
+        struct.pack_into("<I", header, len(MAGIC) + 5, n_features)  # L
+        struct.pack_into("<I", header, len(MAGIC) + 13, 4 - n_features)  # padding
+        kept = blob[HEADER_END : HEADER_END + 16 * n_features]
+        reseal(path, bytes(header) + kept + blob[HEADER_END + 16 * 4 :])
+        message = f"2 leaves would carry {n_features} features and {4 - n_features} dummy ones"
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnad.cli", "mi", "--from", "model", "--model-file",
+             str(path), "--out", str(tmp_path / "mi.csv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+
     def test_zero_mps_bond_refused(self, tmp_path):
         encoder, _ = fitted_encoder(3, 3, seed=6)
         path = tmp_path / "mps.tnad"
