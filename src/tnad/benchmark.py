@@ -44,8 +44,12 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        with open(path) as handle:
-            payload = json.load(handle)
+        """Read a config file; one that is not JSON text raises :class:`DataError`."""
+        try:
+            with open(path) as handle:
+                payload = json.load(handle)
+        except ValueError as exc:  # bad JSON, or bytes the encoding cannot decode
+            raise DataError(f"{path}: config file is not valid JSON: {exc}") from None
         return cls.from_dict(payload)
 
     @classmethod

@@ -108,52 +108,58 @@ def load_csv(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray | None]:
     """Load a CSV with header into a float matrix and optional anomaly labels.
 
     Returns ``(features, labels)`` with ``labels`` a boolean vector (True =
-    anomaly) or None when the spec names no label column. A label column
-    with no ``anomaly_labels`` is simply dropped from the features (useful
-    when scoring unlabeled copies of labeled files). Row order is the file
-    order. The dialect is comma-separated with optional double quotes and
-    no comment character; blank lines are skipped and cells and header
-    names are stripped of surrounding whitespace. A header that names a
-    column twice is refused. Parse problems report the 1-based file line;
-    a non-numeric or non-finite (``nan``, ``inf``) cell also names its
+    anomaly), or None when the spec gives no ``anomaly_labels``. A label
+    column with no ``anomaly_labels`` is simply dropped from the features
+    (useful when scoring unlabeled copies of labeled files). Row order is
+    the file order. The dialect is comma-separated with optional double
+    quotes and no comment character; blank lines are skipped and cells and
+    header names are stripped of surrounding whitespace. A header that
+    names a column twice is refused, and so is a byte the file's encoding
+    cannot decode. Parse problems report the 1-based file line; a
+    non-numeric or non-finite (``nan``, ``inf``) cell also names its
     column.
 
-    The body is parsed by numpy's C reader straight from the file; any
-    file that reader could read differently from Python's ``float`` goes
-    through the row-by-row parser instead (see ``_c_reader_body``), so
-    both routes return the same arrays and the same errors.
+    The body is parsed by one pass of numpy's C reader straight from the
+    file; any file that reader could read differently from ``csv`` and
+    Python's ``float`` goes through the row-by-row parser instead (see
+    ``_c_reader_body``), so both routes return the same arrays and the
+    same errors.
     """
     path = Path(spec.path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        columns: dict[str, int] = {}
-        for i, name in enumerate(header):
-            if columns.setdefault(name, i) != i:
-                raise DataError(f"{path}: header names column {name!r} twice")
-        if spec.label_column is not None and spec.label_column not in columns:
-            raise DataError(f"{path}: missing label column {spec.label_column!r}")
-        feature_names = [h for h in header if h != spec.label_column]
-        if not feature_names:
-            raise DataError(f"{path}: no feature columns left")
-        feature_idx = [columns[c] for c in feature_names]
-        label_idx = None
-        if spec.label_column is not None and spec.anomaly_labels:
-            label_idx = columns[spec.label_column]
-        body = _c_reader_body(
-            path, handle.encoding, len(header), feature_idx, label_idx, spec.anomaly_labels
-        )
-        if body is None:
-            body = _parse_rows(
-                reader, path, len(header), feature_names, feature_idx, label_idx,
-                spec.anomaly_labels,
+    try:
+        with path.open(newline="") as handle:
+            encoding = handle.encoding
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            columns: dict[str, int] = {}
+            for i, name in enumerate(header):
+                if columns.setdefault(name, i) != i:
+                    raise DataError(f"{path}: header names column {name!r} twice")
+            if spec.label_column is not None and spec.label_column not in columns:
+                raise DataError(f"{path}: missing label column {spec.label_column!r}")
+            feature_names = [h for h in header if h != spec.label_column]
+            if not feature_names:
+                raise DataError(f"{path}: no feature columns left")
+            feature_idx = [columns[c] for c in feature_names]
+            label_idx = columns.get(spec.label_column)
+            body = _c_reader_body(
+                path, encoding, len(header), feature_idx, label_idx, spec.anomaly_labels
             )
+            if body is None:
+                body = _parse_rows(
+                    reader, path, len(header), feature_names, feature_idx, label_idx,
+                    spec.anomaly_labels,
+                )
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: byte {exc.object[exc.start]:#04x} is not valid {encoding} text"
+        ) from None
     features, label_array = body
     if label_array is not None and (label_array.all() or not label_array.any()):
         raise DataError(
@@ -163,50 +169,46 @@ def load_csv(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _c_reader_body(path, encoding, n_fields, feature_idx, label_idx, anomaly_labels):
-    """Features and labels from numpy's C reader, or None to use the row parser.
+    """Features and labels from one pass of numpy's C reader, or None to use the row parser.
 
-    With ``usecols`` the C reader accepts rows with missing or extra
-    fields, and it refuses some cells ``float`` takes (``1_000``,
-    full-width digits, whitespace-only lines). So one streaming pass over
-    the lines first hands the file back when a line holds a double quote
-    or a non-blank line's field count differs from the header's; a cell
-    the reader refuses, a non-finite value or a row count that differs
-    from that pass's does the same. Label cells are read as stripped
-    strings, because labels compare as strings (``"1"`` is not ``"1.0"``).
+    The reader takes every column, so it stops by itself at a row with
+    missing or extra fields; it also refuses some cells ``float`` takes
+    (``1_000``, full-width digits, whitespace-only lines). The label
+    column, read or dropped, goes through a converter in the same pass:
+    it refuses a double quote, which ``csv`` would unquote, and reads the
+    stripped cell as 1 if it is one of ``anomaly_labels``, else 0, because
+    labels compare as strings (``"1"`` is not ``"1.0"``). A refused cell,
+    no data rows, a column count other than the header's or a non-finite
+    value hands the file back.
     """
-    n_lines = 0
-    with path.open(encoding=encoding) as handle:
-        for line in handle:
-            if '"' in line:
-                return None
-            if line.strip():
-                if line.count(",") != n_fields - 1:
-                    return None
-                n_lines += 1
-    if n_lines < 2:
-        return None
-    options = dict(delimiter=",", skiprows=1, comments=None, encoding=encoding)
+    wanted = set(anomaly_labels)
+
+    def label_flag(cell):
+        if '"' in cell:
+            raise ValueError("quoted label cell")
+        return cell.strip() in wanted
+
+    converters = None if label_idx is None else {label_idx: label_flag}
     try:
-        features = np.loadtxt(path, usecols=feature_idx, ndmin=2, **options)
-        labels = None
-        if label_idx is not None:
-            with warnings.catch_warnings():
-                # string reads note each blank line they skip
-                warnings.simplefilter("ignore", UserWarning)
-                cells = np.loadtxt(path, dtype=str, usecols=label_idx, ndmin=1, **options)
-            labels = np.isin(np.char.strip(cells), list(anomaly_labels))
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                               encoding=encoding, ndmin=2, converters=converters)
+    except (ValueError, UserWarning):
         return None
-    if len(features) != n_lines - 1 or not np.isfinite(features).all():
+    if table.shape[1] != n_fields or not np.isfinite(table).all():
         return None
-    return features, labels
+    if label_idx is None:
+        return table, None
+    return table[:, feature_idx], (table[:, label_idx] == 1.0 if wanted else None)
 
 
 def _parse_rows(reader, path, n_fields, feature_names, feature_idx, label_idx, anomaly_labels):
     """Features and labels from ``csv.reader`` rows, converted cell by cell.
 
-    Raises the ``DataError`` that names the line (and column) of the first
-    malformed row or cell.
+    Labels come back only when ``anomaly_labels`` is set. Raises the
+    ``DataError`` that names the line (and column) of the first malformed
+    row or cell.
     """
     wanted = set(anomaly_labels)
     rows, line_nos, labels = [], [], []
@@ -229,7 +231,7 @@ def _parse_rows(reader, path, n_fields, feature_names, feature_idx, label_idx, a
                 ) from None
         rows.append(values)
         line_nos.append(line_no)
-        if label_idx is not None:
+        if wanted:
             labels.append(row[label_idx].strip() in wanted)
 
     if not rows:
@@ -241,7 +243,7 @@ def _parse_rows(reader, path, n_fields, feature_names, feature_idx, label_idx, a
             f"{path}: line {line_nos[row]}, column {feature_names[col]!r}: "
             f"non-finite value {features[row, col]}"
         )
-    return features, (np.asarray(labels, dtype=bool) if label_idx is not None else None)
+    return features, (np.asarray(labels, dtype=bool) if wanted else None)
 
 
 def generate_anomalies(

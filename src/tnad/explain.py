@@ -211,7 +211,8 @@ def _analysis_copy(model, center: int):
 
 
 def _finalize_rdm(rho, sites, requested, n) -> ReducedDensityMatrix:
-    """Symmetrize, reorder open legs to the requested site order, normalize."""
+    """Reorder open legs to the requested site order, refuse a vanishing
+    trace, then symmetrize and normalize (:func:`_unit_density`)."""
     k = len(sites)
     if tuple(sites) != tuple(requested):
         pos = {s: i for i, s in enumerate(sites)}
@@ -219,14 +220,13 @@ def _finalize_rdm(rho, sites, requested, n) -> ReducedDensityMatrix:
         tensor = rho.reshape((n,) * (2 * k))
         tensor = np.transpose(tensor, perm + [k + p for p in perm])
         rho = tensor.reshape(n**k, n**k)
-    rho = 0.5 * (rho + rho.T)
-    trace = float(np.trace(rho))
+    trace = float(np.trace(rho))  # symmetrizing keeps the diagonal
     if trace < _MIN_CONDITIONAL_TRACE:
         raise ConditioningError(
             f"density matrix trace {trace:.3e} is below {_MIN_CONDITIONAL_TRACE:.0e}; "
             "the conditioning values are (near-)impossible under the model"
         )
-    return ReducedDensityMatrix(sites=tuple(requested), matrix=rho / trace, phys_dim=n)
+    return ReducedDensityMatrix(sites=tuple(requested), matrix=_unit_density(rho), phys_dim=n)
 
 
 def _identity_object(bond: int) -> np.ndarray:
@@ -295,18 +295,16 @@ def _check_subsystem(model, sites) -> None:
         )
 
 
-@single_blas_thread()
 def reduced_density_matrix(model, sites) -> ReducedDensityMatrix:
     """Marginal density matrix of the model over the given features.
 
     The model's canonical structure lets everything outside the subsystem
     contract to the identity, so only the nodes between the features and
-    their common ancestor are contracted. Operates on an internal copy;
-    the model is not modified.
+    their common ancestor are contracted: this is :func:`conditional_rdm`
+    with no conditions. Operates on an internal copy; the model is not
+    modified.
     """
-    sites = tuple(map(operator.index, sites))
-    _check_subsystem(model, sites)
-    return _rdm(model, sites, {})
+    return conditional_rdm(model, sites, {})
 
 
 @single_blas_thread()

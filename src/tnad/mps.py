@@ -68,8 +68,6 @@ class MpsModel(TensorNetwork):
         """
         if n_sites < 2:
             raise DataError(f"n_sites must be >= 2, got {n_sites}")
-        if phys_dim < 1 or init_bond < 1:
-            raise DataError("phys_dim and init_bond must be >= 1")
         return _seeded(range(-1, n_sites - 1), [1] * n_sites, phys_dim, init_bond, seed,
                        functools.partial(cls, encoder=encoder))
 

@@ -730,8 +730,11 @@ def node_shapes(parents, legs, bonds, phys_dim: int) -> list[tuple[int, ...]]:
 def _seeded(parents, legs, phys_dim: int, init_bond: int, seed: int, build):
     """``build(tensors)`` on seeded ``standard_normal(shape) / sqrt(size)`` nodes of the
     graph ``parents`` and ``legs`` describe, bonds capped by :func:`up_bond_extents`,
-    canonical at its sweep's start and normalized.
+    canonical at its sweep's start and normalized. Refuses a ``phys_dim`` or
+    ``init_bond`` below 1.
     """
+    if phys_dim < 1 or init_bond < 1:
+        raise DataError("phys_dim and init_bond must be >= 1")
     bonds = up_bond_extents(parents, legs, phys_dim, init_bond)
     rng = np.random.default_rng(seed)
     tensors = [rng.standard_normal(shape) / np.sqrt(np.prod(shape))

@@ -302,11 +302,16 @@ def truncated_svd(
         # gesdd occasionally fails to converge
         return _svd_via_gram(m, rel_threshold, max_rank)
 
-    keep = _kept_rank(s, rel_threshold, max_rank)
+    return _svd_result(u, s, vt, _kept_rank(s, rel_threshold, max_rank))
+
+
+def _svd_result(left: np.ndarray, s: np.ndarray, right: np.ndarray, keep: int) -> SvdResult:
+    """The first ``keep`` columns of ``left``, values of ``s`` and rows of ``right``;
+    the rest of ``s`` is the discarded weight."""
     return SvdResult(
-        left_isometry=np.ascontiguousarray(u[:, :keep]),
+        left_isometry=np.ascontiguousarray(left[:, :keep]),
         singular_values=s[:keep].copy(),
-        right_isometry=np.ascontiguousarray(vt[:keep, :]),
+        right_isometry=np.ascontiguousarray(right[:keep, :]),
         discarded_weight=float(np.sum(s[keep:] ** 2)),
     )
 
@@ -344,9 +349,4 @@ def _svd_via_gram(m: np.ndarray, rel_threshold: float, max_rank: int | None) -> 
     q, r = np.linalg.qr(a.T @ u)
     q *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     left, right = (u, q.T) if a is m else (q, u.T)
-    return SvdResult(
-        left_isometry=np.ascontiguousarray(left),
-        singular_values=s[:keep].copy(),
-        right_isometry=np.ascontiguousarray(right),
-        discarded_weight=float(np.sum(s[keep:] ** 2)),
-    )
+    return _svd_result(left, s, right, keep)

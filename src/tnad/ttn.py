@@ -98,8 +98,6 @@ class TtnModel(TensorNetwork):
         if n_features < 3:
             # one leaf is no tree: there is no root tensor and nothing to sweep
             raise DataError(f"a tree needs >= 3 features (got {n_features}); use an MPS instead")
-        if phys_dim < 1 or init_bond < 1:
-            raise DataError("phys_dim and init_bond must be >= 1")
 
         parents: list[int] = []
 

@@ -34,6 +34,20 @@ def run_in_child(source, arg, threads):
     return done.stdout.strip()
 
 
+def text_encoding() -> str:
+    """The encoding a text-mode ``open`` with no ``encoding`` uses here."""
+    with open(__file__) as handle:
+        return handle.encoding
+
+
+def text_encoding_decodes(raw: bytes) -> bool:
+    try:
+        raw.decode(text_encoding())
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
 def mps_full_tensor(model):
     """Full coefficient tensor of an MPS, shape (N,) * L."""
     theta = model.cores[0]

@@ -105,6 +105,13 @@ class TestRunConfig:
         loaded = RunConfig.from_json(path)
         assert loaded == config
 
+    @pytest.mark.parametrize("content", [b"{not json", b"", b"\xff{}"])
+    def test_file_that_is_not_json_refused_naming_it(self, tmp_path, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match="config.json: config file is not valid JSON"):
+            RunConfig.from_json(path)
+
     def test_defaults_from_empty(self):
         config = RunConfig.from_dict({})
         assert config.train.sweeps == 10

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import helpers
 from tnad import toy_two_clusters
 from tnad.cli import cli
 
@@ -329,6 +330,39 @@ class TestExitCodes:
         assert f"{field} must" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--data", "train.csv"],
+        ["benchmark", "--data", "probe.csv", "--label-column", "class", "--anomaly-label", "1",
+         "--max-folds", "1"],
+    ])
+    def test_config_that_is_not_json_exits_two(self, workspace, tmp_path, command):
+        config = tmp_path / "bad.json"
+        config.write_text("{not json")
+        command = [str(workspace / arg) if arg.endswith(".csv") else arg for arg in command]
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnad.cli", *command, "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "bad.json: config file is not valid JSON" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(helpers.text_encoding_decodes(b"\xff"),
+                        reason="the locale encoding decodes 0xff")
+    def test_undecodable_csv_byte_exits_two(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnad.cli", "mi", "--from", "data",
+             "--data", str(bad), "--out", str(tmp_path / "mi.csv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "bad.csv: byte 0xff is not valid" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_success_exits_zero(self, workspace):
         proc = subprocess.run(

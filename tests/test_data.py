@@ -1,6 +1,10 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
+import helpers
 from tnad import data as data_module
 from tnad import (
     DataError,
@@ -160,6 +164,93 @@ class TestReaderParity:
         np.testing.assert_array_equal(features, expected_features)
         np.testing.assert_array_equal(got_labels, expected_labels)
         np.testing.assert_array_equal(got_labels, labels == 1)
+
+
+# (whole file, spec, whether the row parser runs); the last three give "no data rows"
+ONE_PASS_CASES = {
+    "label column first": ("c,a,b\n0,1,2\n1,3,4\n", LABELS, False),
+    "quoted label cell": ('a,b,c\n1,2,"1"\n3,4,0\n', LABELS, True),
+    "dropped string label column": ("a,b,c\n1,2,normal\n3,4, attack \n", DROP_C, False),
+    "quoted header only": ('"a", "b" ,c\n1,2,0\n3,4,1\n', LABELS, False),
+    "header only, one column": ("a\n", {}, True),
+    "header only, three columns": ("a,b,c\n", LABELS, True),
+    "header and blank lines": ("a,b,c\n\n\n", DROP_C, True),
+}
+
+
+class TestOnePassReader:
+    @pytest.mark.parametrize("case", ONE_PASS_CASES)
+    def test_load_csv_matches_row_parser(self, case, csv_file, monkeypatch):
+        text, spec_args, row_parser_runs = ONE_PASS_CASES[case]
+        spec = DatasetSpec(csv_file(text), **spec_args)
+        expected = row_parser_result(spec, monkeypatch)
+
+        calls = []
+        original = data_module._parse_rows
+        monkeypatch.setattr(data_module, "_parse_rows",
+                            lambda *args: calls.append(1) or original(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, DataError):
+                with pytest.raises(DataError) as raised:
+                    load_csv(spec)
+                assert str(raised.value) == str(expected)
+            else:
+                features, labels = load_csv(spec)
+                np.testing.assert_array_equal(features, expected[0])
+                if expected[1] is None:
+                    assert labels is None
+                else:
+                    np.testing.assert_array_equal(labels, expected[1])
+        assert bool(calls) == row_parser_runs
+
+    def test_quoted_label_cell_is_unquoted(self, csv_file):
+        path = csv_file('a,b,c\n1,2,"1"\n3,4,0\n')
+        _, labels = load_csv(DatasetSpec(path, **LABELS))
+        np.testing.assert_array_equal(labels, [True, False])
+
+    def test_labeled_load_reads_the_file_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        labels = (rng.random(300) < 0.1).astype(int)
+        labels[:2] = (0, 1)
+        path = tmp_path / "test.csv"
+        with open(path, "w") as handle:
+            handle.write(",".join([f"f{j}" for j in range(6)] + ["label"]) + "\n")
+            np.savetxt(handle, np.column_stack([rng.normal(size=(300, 6)), labels]),
+                       fmt="%.17g", delimiter=",")
+        calls = []
+        original = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+        _, got = load_csv(DatasetSpec(str(path), label_column="label", anomaly_labels=("1",)))
+        np.testing.assert_array_equal(got, labels == 1)
+        assert len(calls) == 1
+
+
+BAD_BYTE_MESSAGE = re.escape(
+    f"bad.csv: byte 0xff is not valid {helpers.text_encoding()} text")
+
+
+@pytest.mark.skipif(helpers.text_encoding_decodes(b"\xff"),
+                    reason="the locale encoding decodes 0xff")
+class TestUndecodableByte:
+    def test_in_the_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,b\xff\n1,2\n3,4\n")
+        with pytest.raises(DataError, match=BAD_BYTE_MESSAGE):
+            load_csv(DatasetSpec(str(path)))
+
+    def test_in_the_body(self, tmp_path, monkeypatch):
+        # past the first decoded chunk, so the header reads and the C reader meets the byte
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n")
+        spy = []
+        original = data_module._c_reader_body
+        monkeypatch.setattr(data_module, "_c_reader_body",
+                            lambda *args: spy.append(original(*args)) or spy[-1])
+        with pytest.raises(DataError, match=BAD_BYTE_MESSAGE):
+            load_csv(DatasetSpec(str(path)))
+        assert spy == [None]
 
 
 class TestGenerateAnomalies:
