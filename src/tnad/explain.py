@@ -193,20 +193,25 @@ def _pin(tensor: np.ndarray, axis: int, encoding: np.ndarray) -> np.ndarray:
 
 
 def _analysis_copy(model, center: int):
-    """Copy of the model with its dummy features pinned, canonical at ``center``.
+    """Copy of the model with its dummy features pinned, canonical at ``center``:
+    the one working copy every density pass starts from.
 
     The state is only ever evaluated with a dummy feature at
     :data:`~tnad.network.PAD_VALUE`, so for density-matrix work it is a
-    condition, not a marginal. Once its encoding is absorbed into its node
-    (:func:`_pin`), the canonical form lets every subtree without an open
-    leg contract to the identity.
+    condition, not a marginal. Its encoding is absorbed into its node
+    (:func:`_pin`) while the canonical center sits there, which leaves
+    every other node an isometry toward it; then the center moves on by QR
+    steps along the path (:meth:`~tnad.network.TensorNetwork.canonicalize`).
+    The pinned leg keeps extent 1, and the canonical form lets every
+    subtree without an open leg contract to the identity.
     """
     work = model.copy()
     where = _feature_axes(work)
     for feature in range(work.n_features, work.n_features + work.padding):
         u, axis = where[feature]
+        work.canonicalize(u)
         work.tensors[u] = _pin(work.tensors[u], axis, orthonormal_basis(work.phys_dim, PAD_VALUE))
-    work._canonicalize_all(center)
+    work.canonicalize(center)
     return work
 
 
@@ -237,25 +242,24 @@ def _identity_object(bond: int) -> np.ndarray:
 def _rdm(model, targets, conditions) -> ReducedDensityMatrix:
     """Density matrix of ``targets`` with ``conditions`` pinned, for either model kind.
 
-    The pins are the conditions and every dummy feature at
-    :data:`~tnad.network.PAD_VALUE`. A copy's canonical center moves to the
-    common ancestor of the targets and pins, and one bottom-up pass over
-    the nodes' in-legs runs from the last node to it. At each node a child
-    bond gives its two-sided object, or the bond identity if it has none;
-    a target leg is the open identity; a pinned leg is absorbed into the
-    node (:func:`_pin`) and its extent-1 leg is the identity; so is any
-    other leg. A node with an object or a pin joins them (:func:`tree_join`);
-    the center closes them against the identity on its up bond, since the
-    rest of the network is an isometry toward it.
+    The pass runs on the working copy (:func:`_analysis_copy`, dummy
+    features already pinned) canonical at the common ancestor of the
+    targets and conditions: one bottom-up pass over the nodes' in-legs,
+    from the last node to it. At each node a child bond gives its
+    two-sided object, or the bond identity if it has none; a target leg is
+    the open identity; a condition leg is absorbed into the node
+    (:func:`_pin`) and its extent-1 leg is the identity; so is any other
+    leg. A node with an object or a condition joins them
+    (:func:`tree_join`), the center too; the center's join is then traced
+    over its up bond, since the rest of the network is an isometry toward
+    it.
     """
     n = model.phys_dim
-    pins = {f: PAD_VALUE for f in range(model.n_features, model.n_features + model.padding)}
-    pins.update(conditions)
-    encodings = dict(zip(pins, orthonormal_basis(n, np.array(list(pins.values()), float)).T))
+    values = np.array(list(conditions.values()), float)
+    encodings = dict(zip(conditions, orthonormal_basis(n, values).T))
     where = _feature_axes(model)
-    center = _common_ancestor(model, [where[f][0] for f in (*targets, *pins)])
-    work = model.copy()
-    work.canonicalize(center)
+    center = _common_ancestor(model, [where[f][0] for f in (*targets, *conditions)])
+    work = _analysis_copy(model, center)
     open_leg = np.multiply.outer(np.eye(n), np.eye(n))
     up: dict[int, tuple[np.ndarray, list[int]]] = {}
     for u in reversed(range(center, work.n_nodes)):
@@ -265,7 +269,7 @@ def _rdm(model, targets, conditions) -> ReducedDensityMatrix:
             side = up.pop(ref, None) if kind == "bond" else None
             if kind == "phys" and ref in targets:
                 side = (open_leg, [ref])
-            elif kind == "phys" and ref in pins:
+            elif kind == "phys" and ref in conditions:
                 node = _pin(node, 1 + leg, encodings[ref])
                 side = (_identity_object(1), [])
             sides.append(side)
@@ -274,10 +278,9 @@ def _rdm(model, targets, conditions) -> ReducedDensityMatrix:
         (obj0, feats0), (obj1, feats1) = (
             side or (_identity_object(node.shape[1 + leg]), []) for leg, side in enumerate(sides)
         )
-        if u == center:
-            rho = tree_pair_densities(obj0[:, None], np.eye(node.shape[0]), node, obj1[:, None])
-            return _finalize_rdm(rho[0, 0], tuple(feats0 + feats1), targets, n)
         up[u] = (tree_join(obj0, obj1, node), feats0 + feats1)
+    joined, feats = up[center]
+    return _finalize_rdm(np.trace(joined, axis1=0, axis2=3), tuple(feats), targets, n)
 
 
 def _check_subsystem(model, sites) -> None:
@@ -385,22 +388,27 @@ def marginal_moments(rdm: ReducedDensityMatrix, rescaler) -> MarginalStats:
 
 
 @single_blas_thread()
-def von_neumann_entropy(rdm) -> float:
+def von_neumann_entropy(rdm) -> float | np.ndarray:
     """Entropy ``-sum(lam * log(lam))`` over the density matrix spectrum.
 
-    Natural logarithm; eigenvalues below 1e-14 are dropped, small negative
-    eigenvalues (>= -1e-10) are treated as zero, and anything more negative
-    raises :class:`NumericalError`. A matrix that cannot be a density, one
-    empty or not square, holding a NaN or infinity, or off symmetric by
-    more than 1e-10 in some entry, raises :class:`DataError`.
+    ``rdm`` is one density matrix ``(n, n)``, or a
+    :class:`ReducedDensityMatrix`, whose entropy is a float, or a stack
+    ``(..., n, n)`` of them, whose entropies come back as an array
+    ``(...)``, each the bits of its own matrix's call. Natural logarithm;
+    eigenvalues below 1e-14 are dropped, small negative eigenvalues (>=
+    -1e-10) are treated as zero, and anything more negative raises
+    :class:`NumericalError`. A matrix that cannot be a density, one empty
+    or not square, holding a NaN or infinity, or off symmetric by more
+    than 1e-10 in some entry, raises :class:`DataError`. A stack runs every
+    check on every matrix and fails as its first failing check would.
     """
     matrix = rdm.matrix if isinstance(rdm, ReducedDensityMatrix) else np.asarray(rdm, float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2] or not matrix.size:
         raise DataError(f"a density matrix must be square and not empty, got shape {matrix.shape}")
     # the difference is antisymmetric, so its max is its largest magnitude;
     # a NaN or infinity anywhere leaves that NaN or infinite
     with np.errstate(invalid="ignore"):
-        asymmetry = (matrix - matrix.T).max()
+        asymmetry = (matrix - matrix.swapaxes(-1, -2)).max()
     if not asymmetry <= 1e-10:
         if not np.isfinite(matrix).all():
             raise DataError("density matrix holds a non-finite entry")
@@ -410,8 +418,10 @@ def von_neumann_entropy(rdm) -> float:
         raise NumericalError(
             f"density matrix has eigenvalue {eigenvalues.min():.3e} < -1e-10"
         )
-    lam = eigenvalues[eigenvalues > 1e-14]
-    return max(float(-(lam * np.log(lam)).sum()), 0.0)
+    # a dropped eigenvalue becomes 1, whose term is exactly 0
+    lam = np.where(eigenvalues > 1e-14, eigenvalues, 1.0)
+    entropy = np.maximum(-(lam * np.log(lam)).sum(axis=-1), 0.0)
+    return float(entropy) if matrix.ndim == 2 else entropy
 
 
 @single_blas_thread()
@@ -432,9 +442,9 @@ def mutual_information(model, sites_x, sites_y) -> float:
 
 
 def _unit_density(rho: np.ndarray) -> np.ndarray:
-    """Symmetrized, trace-normalized copy of a density matrix."""
-    rho = 0.5 * (rho + rho.T)
-    return rho / np.trace(rho)
+    """Symmetrized, trace-normalized copy of a density matrix, or of each of a stack."""
+    rho = 0.5 * (rho + rho.swapaxes(-1, -2))
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
 
 
 def _bond_densities(work):
@@ -473,15 +483,17 @@ def _pairwise_mi(model) -> np.ndarray:
     """Mutual information of every pair of single features, in one down and one up pass.
 
     The up pass closes, at each node, every pair split between its two
-    in-legs against the node; then the one-feature messages of both legs,
-    stacked, move up to the node's up bond as ``(bond, features, p, pbar,
-    bondbar)``. Pre-order puts the smaller features on the first in-leg.
+    in-legs against the node and prices each left feature's row of pairs
+    with one stacked :func:`von_neumann_entropy`; then the one-feature
+    messages of both legs, stacked, move up to the node's up bond as
+    ``(bond, features, p, pbar, bondbar)``. Pre-order puts the smaller
+    features on the first in-leg.
     """
     work = _analysis_copy(model, 0)
     n = work.phys_dim
     length = work.n_features
     down, singles = _bond_densities(work)
-    single = [von_neumann_entropy(_unit_density(singles[f])) for f in range(length)]
+    single = np.array([von_neumann_entropy(_unit_density(singles[f])) for f in range(length)])
     identity = np.multiply.outer(np.eye(n), np.eye(n)).reshape(n, 1, n, n, n)
     # no messages on a leg of extent 1: a pinned dummy feature, or a bond
     # without a node behind it
@@ -500,9 +512,9 @@ def _pairwise_mi(model) -> np.ndarray:
         if left_feats and right_feats:
             rho = tree_pair_densities(left, down[u], node, right)
             for a, fi in enumerate(left_feats):
-                for b, fj in enumerate(right_feats):
-                    pair = von_neumann_entropy(_unit_density(rho[a, b]))
-                    raw[fi, fj] = raw[fj, fi] = single[fi] + single[fj] - pair
+                pair = von_neumann_entropy(_unit_density(rho[a]))
+                mi = single[fi] + single[right_feats] - pair
+                raw[fi, right_feats] = raw[right_feats, fi] = mi
         if u != 0:
             up[u] = (left_feats + right_feats, _messages_up(left, right, node))
     return raw

@@ -112,13 +112,16 @@ class TensorNetwork:
         return [t.shape[0] for t in self.tensors[1:]]
 
     def _check_structure(self) -> None:
-        """Refuse tensors that do not fit the graph; read ``phys_dim`` off the feature legs."""
+        """Refuse tensors that do not fit the graph or hold a NaN or infinity; read
+        ``phys_dim`` off the feature legs."""
         for u, (t, spec) in enumerate(zip(self.tensors, self._axes)):
             if t.ndim != len(spec):
                 raise DimensionError(f"node {u} must be rank {len(spec)}, got rank {t.ndim}")
             if any(kind == "bond" and not 0 <= ref < self.n_nodes and t.shape[ax] != 1
                    for ax, (kind, ref) in enumerate(spec)):
                 raise DimensionError(f"node {u}'s bond without a neighbor must have extent 1")
+            if not np.isfinite(t).all():
+                raise DataError(f"node {u} holds a non-finite entry")
         legs = {
             t.shape[ax] for t, spec in zip(self.tensors, self._axes)
             for ax, (kind, _) in enumerate(spec) if kind == "phys"
@@ -352,8 +355,8 @@ class TensorNetwork:
     def _canonicalize_all(self, target: int) -> None:
         """Make every node but ``target`` an isometry toward it, farthest first.
 
-        For tensors that are not canonical yet (a fresh random model, a
-        copy with features pinned); ``canonicalize`` serves the rest.
+        For tensors that are not canonical yet, a fresh random model;
+        ``canonicalize`` serves the rest.
         Each node that absorbs an R factor is rescaled by a power of two so
         its largest entry lies in [0.5, 1): the carried norm of a long chain
         cannot underflow, and the scaling is exact, so no other bit moves.

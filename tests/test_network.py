@@ -396,6 +396,16 @@ class TestConstructionChecks:
             kind, up = model.axis_spec(u)[0]
             assert kind == "bond" and 0 <= up < u  # the parent, in pre-order
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_refused(self, model, value):
+        """Refused where the model is made, before a score reads it as a vanishing amplitude."""
+        for u in (0, model.n_nodes - 1):
+            tensors = list(model.tensors)
+            tensors[u] = tensors[u].copy()
+            tensors[u].flat[-1] = value
+            with pytest.raises(DataError, match=f"node {u} holds a non-finite entry"):
+                self.rebuilt(model, tensors)
+
     def test_bond_without_a_neighbor_must_have_extent_1(self, model):
         """Node 0's up bond, and the last MPS site's right bond, end the network."""
         ends = [(0, 0)] + [(model.n_nodes - 1, 2)] * isinstance(model, MpsModel)

@@ -2,6 +2,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -94,6 +95,20 @@ def test_frozen_fixture_resaves_to_its_own_bytes(tmp_path, name):
     """The file format is fixed: a stored model loads and saves to the bytes it came from."""
     save_model(tmp_path / name, load_model(FIXTURES / name))
     assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
+
+
+def test_saving_makes_no_whole_file_copy(tmp_path):
+    """Saving holds the model's working copy and the file's bytes, not a copy of the file."""
+    model = MpsModel.random(36, 5, init_bond=40, seed=0)
+    model.encoder, _ = fitted_encoder(5, 36)
+    path = tmp_path / "model.tnad"
+    tracemalloc.start()
+    try:
+        save_model(path, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * path.stat().st_size
 
 
 class TestFileIntegrity:
