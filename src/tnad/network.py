@@ -33,7 +33,8 @@ import numpy as np
 from .encoding import LegendreFeatureMap, orthonormal_basis
 from .errors import DataError, DimensionError, NumericalError
 from .tensors import (
-    batched_transfer, frobenius_norm, renormalize_rows, single_blas_thread, truncated_svd,
+    SvdResult, batched_transfer, frobenius_norm, renormalize_rows, single_blas_thread,
+    truncated_svd,
 )
 
 __all__ = ["TensorNetwork", "Environments", "node_message", "PAD_VALUE"]
@@ -411,14 +412,23 @@ class TensorNetwork:
         merged: np.ndarray,
         rel_threshold: float = 0.0,
         max_rank: int | None = None,
-    ) -> float:
+        warm_start: bool = False,
+    ) -> SvdResult:
         """Split a merged edge tensor by truncated SVD, the center moving to ``edge[1]``.
 
         ``merged`` has the layout of :meth:`merge_edge` and is cut between
         the two nodes' remaining axes. The singular values are absorbed
         into the tensor at ``edge[1]``, the direction of travel, which is
-        renormalized to unit state norm. Returns the discarded weight (sum
-        of squared truncated singular values).
+        renormalized to unit state norm. Returns the cut's
+        :class:`~tnad.tensors.SvdResult`: its ``discarded_weight`` is the
+        squared error of the cut, its ``route`` the route that made it.
+
+        The split is exact unless ``warm_start`` is set and the bond is
+        already at ``max_rank``: then ``edge[0]``'s tensor from before the
+        split, its bond axis last, is the ``start`` of
+        :func:`~tnad.tensors.truncated_svd`, which may make it a subspace
+        split. That start pays only when ``merged`` stays near the current
+        state, as a training step's update does.
         """
         u, v = edge
         ax_u, ax_v = self.axis_to(u, v), self.axis_to(v, u)
@@ -429,9 +439,11 @@ class TensorNetwork:
             raise DimensionError(
                 f"merged tensor has shape {merged.shape}, expected {u_shape + v_shape}"
             )
-        result = truncated_svd(
-            merged.reshape(int(np.prod(u_shape)), int(np.prod(v_shape))), rel_threshold, max_rank
-        )
+        rows = int(np.prod(u_shape))
+        start = None
+        if warm_start and self.tensors[u].shape[ax_u] == max_rank:
+            start = np.moveaxis(self.tensors[u], ax_u, -1).reshape(rows, max_rank)
+        result = truncated_svd(merged.reshape(rows, -1), rel_threshold, max_rank, start)
         k = result.rank
         weight = result.singular_values / frobenius_norm(result.singular_values)
         left = np.moveaxis(result.left_isometry.reshape(u_shape + (k,)), -1, ax_u)
@@ -439,7 +451,7 @@ class TensorNetwork:
         right = np.moveaxis(right.reshape((k,) + v_shape), 0, ax_v)
         self.tensors[u], self.tensors[v] = map(np.ascontiguousarray, (left, right))
         self.center = v
-        return result.discarded_weight
+        return result
 
     def environment_cache(self, batch: np.ndarray, plan=None) -> "Environments":
         """The :class:`Environments` of ``batch``, raw rows or encoded, at the current center.

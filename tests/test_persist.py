@@ -111,6 +111,28 @@ def test_saving_makes_no_whole_file_copy(tmp_path):
     assert peak < 2.5 * path.stat().st_size
 
 
+@pytest.mark.parametrize("kind", ["mps", "ttn"])
+def test_saving_a_model_canonical_at_its_sweep_start_copies_no_tensor(tmp_path, kind):
+    """A loaded model is saved as it is, to the bytes it came from, with no working copy."""
+    if kind == "mps":
+        model = MpsModel.random(36, 5, init_bond=40, seed=0)
+    else:
+        model = TtnModel.random(64, 5, init_bond=16, seed=0)
+    model.encoder, _ = fitted_encoder(5, model.n_features)
+    first, second = tmp_path / "first.tnad", tmp_path / "second.tnad"
+    save_model(first, model)
+    loaded = load_model(first)
+    assert loaded.center == loaded.sweep_start()
+    tracemalloc.start()
+    try:
+        save_model(second, loaded)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * second.stat().st_size
+    assert second.read_bytes() == first.read_bytes()
+
+
 class TestFileIntegrity:
     def write_model(self, tmp_path):
         encoder, _ = fitted_encoder(2, 4, seed=5)

@@ -55,6 +55,28 @@ class TestBatchedTransfer:
             rng.standard_normal((b, 3, k))[:, 1, :],
         )
 
+    @pytest.mark.parametrize(
+        "layout", ["tree-node-view", "mps-core"], ids=["strided", "c-contiguous"]
+    )
+    def test_gives_the_bits_of_the_plain_slice_loop(self, layout):
+        rng = np.random.default_rng(12)
+        if layout == "tree-node-view":
+            # a tree node (d, l, r) seen as (l, r, d), as the message step reads it
+            tensor = rng.standard_normal((16, 16, 16)).transpose(1, 2, 0)
+        else:
+            tensor = rng.standard_normal((40, 5, 40))
+        m, k, _ = tensor.shape
+        left, right = rng.standard_normal((300, m)), rng.standard_normal((300, k))
+        with single_blas_thread():
+            expected = left @ tensor[:, 0, :]
+            expected *= right[:, :1]
+            for j in range(1, k):
+                term = left @ tensor[:, j, :]
+                term *= right[:, j : j + 1]
+                expected += term
+            got = batched_transfer(left, tensor, right)
+        np.testing.assert_array_equal(got, expected)
+
 
 class TestTreeJoin:
     """``tree_join`` against an ``np.einsum`` reference."""
@@ -281,6 +303,93 @@ class TestSplitRoute:
         assert calls["svd"] == 1
         np.testing.assert_allclose(r.singular_values, np.full(4, 1e155), rtol=1e-12)
         assert r.discarded_weight == 0.0
+
+
+def planted_step(seed, rows=256, cols=256, cap=16, noise=0.05):
+    """A training split at its cap: ``alpha * A B`` plus a small update, and ``A``.
+
+    ``A`` is ``(rows, cap)``, the bond's current basis weighted by a planted,
+    decaying spectrum; ``B`` has orthonormal rows, as the node across the bond.
+    """
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((rows, cap)))
+    start = basis * np.geomspace(1.0, 0.02, cap)
+    across, _ = np.linalg.qr(rng.standard_normal((cols, cap)))
+    update = rng.standard_normal((rows, cols)) / np.sqrt(rows * cols)
+    return 0.97 * start @ across.T + noise * update, start
+
+
+def same_split(a, b):
+    for field in ("left_isometry", "singular_values", "right_isometry"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+    assert a.discarded_weight == b.discarded_weight
+
+
+class TestSubspaceSplit:
+    """The subspace route of ``truncated_svd``: a split at its cap, started from its basis."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_close_to_the_exact_split_and_an_honest_account(self, seed):
+        m, start = planted_step(seed)
+        r = truncated_svd(m, 1e-4, 16, start)
+        exact = truncated_svd(m, 1e-4, 16)
+        assert (r.route, exact.route) == ("subspace", "gram")
+        assert r.rank == exact.rank == 16
+        total = float(np.sum(m * m))
+        assert r.discarded_weight - exact.discarded_weight <= 1e-3 * total
+        u, vt = r.left_isometry, r.right_isometry
+        assert np.abs(u.T @ u - np.eye(16)).max() <= 1e-12
+        assert np.abs(vt @ vt.T - np.eye(16)).max() <= 1e-12
+        # the reported weight is the squared error of the returned split
+        assert abs(r.discarded_weight - np.sum((m - u @ (u.T @ m)) ** 2)) <= 1e-12 * total
+        recon = u * r.singular_values @ vt
+        assert abs(r.discarded_weight - np.sum((m - recon) ** 2)) <= 1e-12 * total
+        assert (np.diff(r.singular_values) <= 0).all()
+
+    def test_repeats_bit_for_bit(self):
+        m, start = planted_step(7)
+        same_split(truncated_svd(m, 1e-4, 16, start), truncated_svd(m, 1e-4, 16, start))
+
+    @pytest.mark.parametrize(
+        "threshold, cap, shape",
+        [(1e-8, 16, (256, 256)), (0.0, 16, (256, 256)), (1e-4, 40, (200, 200)),
+         (1e-4, 22, (256, 256)), (1e-4, 16, (256, 191))],
+        ids=["below-gram-threshold", "exact", "mps-200x200-cap-40", "cap-22", "short-side-191"],
+    )
+    def test_splits_that_do_not_take_the_route_are_exact(self, threshold, cap, shape):
+        m, start = planted_step(8, *shape, cap=cap)
+        r = truncated_svd(m, threshold, cap, start)
+        assert r.route in ("gram", "gesdd")
+        same_split(r, truncated_svd(m, threshold, cap))
+
+    def test_start_must_have_the_rows_of_the_matrix(self):
+        m, start = planted_step(9)
+        with pytest.raises(DimensionError, match="start"):
+            truncated_svd(m, 1e-4, 16, start[1:])
+
+    def test_failing_route_falls_back_to_the_exact_split(self, monkeypatch):
+        m, start = planted_step(10)
+        exact = truncated_svd(m, 1e-4, 16)
+        qr = np.linalg.qr
+        calls = []
+
+        def refuse_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:  # the route's first step
+                raise np.linalg.LinAlgError("QR failed")
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", refuse_first)
+        r = truncated_svd(m, 1e-4, 16, start)
+        assert r.route == "subspace->gram"
+        same_split(r, exact)
+
+    def test_overflowing_subspace_falls_back_to_gesdd(self):
+        m, start = planted_step(11, 24, 24, cap=2)
+        r = truncated_svd(1e155 * m, 1e-4, 2, start)
+        assert r.route == "subspace->gram->gesdd"
+        s = np.linalg.svd(m, compute_uv=False)
+        np.testing.assert_allclose(r.singular_values, 1e155 * s[:2], rtol=1e-12)
 
 
 class TestSingleBlasThread:

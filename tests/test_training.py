@@ -577,6 +577,43 @@ class TestRowCache:
         assert full.to_dict()["cache_peak_bytes"] == full.cache_peak_bytes
 
 
+class TestSplitRoutes:
+    """``TrainReport.split_routes``: which route made each of a fit's splits."""
+
+    @staticmethod
+    def fit_recipe(kind, n_features, rows, init_bond, max_bond, batch):
+        """A fit of the thread-count test's recipe below, in this process."""
+        data = toy_correlated_pairs(rows, n_features, pairs=((1, 2), (5, 6)), noise=0.025,
+                                    spread=0.10, seed=11)
+        encoder = LegendreFeatureMap(5, fit_rescaler(data))
+        model_class = MpsModel if kind == "mps" else TtnModel
+        model = model_class.random(n_features, 5, init_bond=init_bond, seed=3, encoder=encoder)
+        return model, fit(model, encoder.encode_batch(data), TrainConfig(
+            learning_rate=4e-3, sweeps=2, batch_size=batch, max_bond=max_bond, seed=5))
+
+    def test_tree_splits_at_the_cap_take_the_subspace_route(self):
+        model, report = self.fit_recipe("ttn", 16, 600, 16, 16, 256)
+        routes = report.split_routes
+        assert routes.get("subspace", 0) >= 1
+        assert sum(routes.values()) == 2 * len(model.sweep_schedule())
+        assert report.to_dict()["split_routes"] == routes
+        assert model.isometry_defect() <= 1e-12
+
+    def test_mps_splits_stay_exact(self):
+        model, report = self.fit_recipe("mps", 8, 600, 40, 40, 256)
+        assert set(report.split_routes) == {"gram"}
+        assert sum(report.split_routes.values()) == 2 * len(model.sweep_schedule())
+
+    def test_aborted_step_reports_no_route(self, monkeypatch):
+        raw = toy_two_clusters(80, 4, seed=2)
+        encoder = LegendreFeatureMap(3, fit_rescaler(raw))
+        model = MpsModel.random(4, 3, init_bond=2, seed=2, encoder=encoder)
+        fail_next_split(monkeypatch, model)
+        report = fit(model, raw, TrainConfig(sweeps=1, batch_size=None))
+        assert len(report.step_errors) == 1
+        assert sum(report.split_routes.values()) == len(model.sweep_schedule()) - 1
+
+
 # Child process for the thread-count test: one fit, printed as JSON. The
 # BLAS reads its thread count when numpy loads, so the count is set in the
 # child's environment, never in this process.

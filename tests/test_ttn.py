@@ -181,3 +181,39 @@ class TestMergeSplit:
         assert t.parents[deep_leaf] != 0
         with pytest.raises(DataError, match="center"):
             t.merge_edge((deep_leaf, t.parents[deep_leaf]))
+
+
+class TestWarmStartSplit:
+    """``split_edge(..., warm_start=True)``: a subspace split only for a bond at its cap."""
+
+    def case(self):
+        """A 16-feature tree at bond 16, centered on an edge between two inner
+        nodes (a 256 x 256 split), and a merged tensor a step away from its state."""
+        t = TtnModel.random(16, 5, init_bond=16, seed=4)
+        for edge in t.sweep_schedule():
+            t.canonicalize(edge[0])
+            merged = t.merge_edge(edge)
+            if merged.shape == (16, 16, 16, 16):
+                break
+        rng = np.random.default_rng(5)
+        merged = merged + 0.02 * rng.standard_normal(merged.shape) / 256
+        return t, edge, merged
+
+    def test_split_at_the_cap_is_a_subspace_split(self):
+        t, edge, merged = self.case()
+        result = t.split_edge(edge, merged, 1e-4, 16, warm_start=True)
+        assert result.route == "subspace"
+        assert result.rank == 16
+        assert t.state_norm() == pytest.approx(1.0, abs=1e-12)
+        assert t.isometry_defect() <= 1e-12
+
+    @pytest.mark.parametrize("max_rank, warm_start", [(20, True), (16, False)],
+                             ids=["bond-below-cap", "no-warm-start"])
+    def test_other_splits_are_exact(self, max_rank, warm_start):
+        t, edge, merged = self.case()
+        reference = t.copy()
+        got = t.split_edge(edge, merged, 1e-4, max_rank, warm_start=warm_start)
+        want = reference.split_edge(edge, merged, 1e-4, max_rank)
+        assert got.route == want.route == "gram"
+        for a, b in zip(t.tensors, reference.tensors, strict=True):
+            np.testing.assert_array_equal(a, b)
