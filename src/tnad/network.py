@@ -412,7 +412,6 @@ class TensorNetwork:
         merged: np.ndarray,
         rel_threshold: float = 0.0,
         max_rank: int | None = None,
-        warm_start: bool = False,
     ) -> SvdResult:
         """Split a merged edge tensor by truncated SVD, the center moving to ``edge[1]``.
 
@@ -423,12 +422,12 @@ class TensorNetwork:
         :class:`~tnad.tensors.SvdResult`: its ``discarded_weight`` is the
         squared error of the cut, its ``route`` the route that made it.
 
-        The split is exact unless ``warm_start`` is set and the bond is
-        already at ``max_rank``: then ``edge[0]``'s tensor from before the
-        split, its bond axis last, is the ``start`` of
-        :func:`~tnad.tensors.truncated_svd`, which may make it a subspace
-        split. That start pays only when ``merged`` stays near the current
-        state, as a training step's update does.
+        If the bond is already at ``max_rank``, ``edge[0]``'s tensor from
+        before the split, its bond axis last, is the ``start`` of
+        :func:`~tnad.tensors.truncated_svd`, which makes the split a
+        subspace split where that pays; every other split is exact. That
+        start suits a ``merged`` that stays near the current state, as a
+        training step's does.
         """
         u, v = edge
         ax_u, ax_v = self.axis_to(u, v), self.axis_to(v, u)
@@ -441,7 +440,7 @@ class TensorNetwork:
             )
         rows = int(np.prod(u_shape))
         start = None
-        if warm_start and self.tensors[u].shape[ax_u] == max_rank:
+        if self.tensors[u].shape[ax_u] == max_rank:
             start = np.moveaxis(self.tensors[u], ax_u, -1).reshape(rows, max_rank)
         result = truncated_svd(merged.reshape(rows, -1), rel_threshold, max_rank, start)
         k = result.rank

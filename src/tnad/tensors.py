@@ -235,8 +235,11 @@ class SvdResult:
 
     ``left_isometry`` has orthonormal columns, ``right_isometry`` orthonormal
     rows, ``singular_values`` is non-increasing and strictly positive, and
-    ``discarded_weight`` is the squared Frobenius reconstruction error: the
-    sum of the squared singular values that were dropped. ``route`` names
+    ``discarded_weight`` is always the squared Frobenius reconstruction
+    error. On the exact routes, ``"gram"`` and ``"gesdd"``, the values are
+    ``m``'s and that error is the sum of the squared values dropped; on a
+    ``"subspace"`` split they are the values of ``m`` projected on the
+    subspace, and the error adds the weight outside it. ``route`` names
     the route that made the split, ``"gram"``, ``"gesdd"`` or
     ``"subspace"``, after the routes that failed before it, if any, each
     followed by ``"->"`` (``"gram->gesdd"``: ``eigh`` failed, ``gesdd``
@@ -261,9 +264,14 @@ class SvdResult:
 _GRAM_MIN_THRESHOLD = 1e-7
 # A split at its cap takes the subspace route only if its shorter side is
 # at least this many times the cap: the subspace of three blocks of ``cap``
-# columns is then at most a quarter of that side. At 1 BLAS thread on a
-# 2-vCPU Xeon, a 256 x 256 split at cap 16 pays (8.4 -> 1.5 ms) and a
-# 200 x 200 split at cap 40 does not (4.0 ms either way).
+# columns is then at most a quarter of that side. Timed against the Gram
+# route at 1 BLAS thread on a 2-vCPU Xeon (square splits at a planted
+# spectrum), ratio 16 pays (256 x 256 at cap 16: 8.5 -> 1.6 ms), ratio 12
+# does (192 x 192 at cap 16: 4.3 -> 1.1 ms; 240 x 240 at cap 20: 6.8 ->
+# 2.0 ms), ratio 8 still does (128 x 128 at cap 16: 1.8 -> 0.8 ms) and
+# ratio 5 does not (200 x 200 at cap 40: 4.1 ms either way). So the
+# crossover lies between 5 and 8; the margin above it keeps the route to
+# shapes like the one whose accuracy was measured (ratio 16).
 _SUBSPACE_MIN_RATIO = 12
 
 
@@ -274,7 +282,7 @@ def truncated_svd(
     max_rank: int | None = None,
     start: np.ndarray | None = None,
 ) -> SvdResult:
-    """Truncated SVD keeping singular values with ``s >= rel_threshold * s_max``.
+    """Truncated SVD keeping ``s >= rel_threshold * s_max``, exact or within a subspace.
 
     The retained rank is additionally capped at ``max_rank``; at least one
     singular value is always kept. The threshold is relative to the largest
@@ -296,11 +304,17 @@ def truncated_svd(
     that state plus an update. With a ``start``, a Gram-route threshold, a
     ``max_rank`` and a shorter side of ``m`` at least 12 times ``max_rank``,
     the split is a subspace split (:func:`_svd_in_subspace`): it cuts ``m``
-    within the span of ``start``, ``m mᵀ start`` and ``(m mᵀ)² start``. Its
-    discarded weight is still the squared error of the split it returns,
-    and may exceed the exact split's; on the 256 x 256 cap-16 splits of a
-    57-feature tree fit the excess had median 4.7e-4 and maximum 8.3e-3 of
-    ``|m|²``. If it fails or meets a non-finite value, the exact routes
+    within the span ``Q`` of ``start``, ``m mᵀ start`` and ``(m mᵀ)²
+    start``, so its singular values are those of ``Qᵀ m``. Its discarded
+    weight is still the squared error of the split it returns, and may
+    exceed the exact split's. At an equal kept rank the excess is at most
+    the weight outside the span, ``|m|² - |Qᵀ m|²``, but that bound is
+    loose, so no split is checked against it: on the 256 x 256 cap-16
+    splits of 57-feature tree fits the outside weight reached 0.38 of
+    ``|m|²`` (median 0.008 to 0.06 per fit), while the excess had median
+    at most 4.7e-4 and maximum 8.3e-3 of ``|m|²`` at the default learning
+    rate, and maxima of 9.8e-3 to 2.0e-2 at learning rates 0.05 to 0.5.
+    If the route fails or meets a non-finite value, the exact routes
     split. Without a ``start`` every split is exact.
 
     Raises

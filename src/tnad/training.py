@@ -7,8 +7,8 @@ adapts the bond dimension and moves the canonical center along the edge.
 
 Most splits are exact: they cut the merged tensor's full spectrum. A
 split whose bond is already at ``max_bond`` starts from the bond's
-current basis (:meth:`~tnad.network.TensorNetwork.split_edge` with
-``warm_start``), and where that pays, a shorter side of at least 12 times
+current basis (:meth:`~tnad.network.TensorNetwork.split_edge`), and
+where that pays, a shorter side of at least 12 times
 ``max_bond``, it is a subspace split (:func:`tnad.tensors.truncated_svd`):
 in practice the tree's 256 x 256 splits between inner nodes at bond 16,
 never an MPS split at bond 40. On a 57-feature tree fit such a split
@@ -343,9 +343,9 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
     ``leftᵀ diag(g) right`` over the environment factor pair, so the
     merged tensor stays ``alpha * original + leftᵀ diag(c) right`` and is
     formed once, by one GEMM, before the split. Since it stays near the
-    current state, the split starts from the bond's current basis
-    (``warm_start``), which makes a split at the cap of a wide enough bond
-    a subspace split; ``StepStats.split_route`` names the route.
+    current state, :meth:`split_edge` may start the split from the bond's
+    current basis: a split at the cap of a wide enough bond is a subspace
+    split. ``StepStats.split_route`` names the route.
     """
     original = model.merge_edge(edge)
     (left, right), log_scale = env.factors(edge, rows)
@@ -377,9 +377,7 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
     if error is None:
         merged = alpha * original + _weighted_sum(coeffs, left, right).reshape(original.shape)
         try:
-            split = model.split_edge(
-                edge, merged, config.svd_rel_threshold, config.max_bond, warm_start=True
-            )
+            split = model.split_edge(edge, merged, config.svd_rel_threshold, config.max_bond)
         except DegenerateInputError as exc:
             error = str(exc)
 

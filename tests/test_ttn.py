@@ -4,6 +4,7 @@ import pytest
 import helpers
 from tnad import DataError, TtnModel, orthonormal_basis
 from tnad.network import PAD_VALUE
+from tnad.tensors import truncated_svd
 
 
 class TestBuild:
@@ -184,7 +185,7 @@ class TestMergeSplit:
 
 
 class TestWarmStartSplit:
-    """``split_edge(..., warm_start=True)``: a subspace split only for a bond at its cap."""
+    """``split_edge`` starts a split from the bond's basis only at its cap."""
 
     def case(self):
         """A 16-feature tree at bond 16, centered on an edge between two inner
@@ -201,19 +202,20 @@ class TestWarmStartSplit:
 
     def test_split_at_the_cap_is_a_subspace_split(self):
         t, edge, merged = self.case()
-        result = t.split_edge(edge, merged, 1e-4, 16, warm_start=True)
+        result = t.split_edge(edge, merged, 1e-4, 16)
         assert result.route == "subspace"
         assert result.rank == 16
         assert t.state_norm() == pytest.approx(1.0, abs=1e-12)
         assert t.isometry_defect() <= 1e-12
 
-    @pytest.mark.parametrize("max_rank, warm_start", [(20, True), (16, False)],
-                             ids=["bond-below-cap", "no-warm-start"])
-    def test_other_splits_are_exact(self, max_rank, warm_start):
+    @pytest.mark.parametrize("max_rank, rel_threshold, route", [(20, 1e-4, "gram"),
+                                                                (16, 0.0, "gesdd")],
+                             ids=["bond-below-cap", "exact-threshold"])
+    def test_other_splits_are_exact(self, max_rank, rel_threshold, route):
         t, edge, merged = self.case()
-        reference = t.copy()
-        got = t.split_edge(edge, merged, 1e-4, max_rank, warm_start=warm_start)
-        want = reference.split_edge(edge, merged, 1e-4, max_rank)
-        assert got.route == want.route == "gram"
-        for a, b in zip(t.tensors, reference.tensors, strict=True):
-            np.testing.assert_array_equal(a, b)
+        got = t.split_edge(edge, merged, rel_threshold, max_rank)
+        want = truncated_svd(merged.reshape(256, 256), rel_threshold, max_rank)
+        assert got.route == want.route == route
+        np.testing.assert_array_equal(got.singular_values, want.singular_values)
+        np.testing.assert_array_equal(got.left_isometry, want.left_isometry)
+        assert got.discarded_weight == want.discarded_weight
