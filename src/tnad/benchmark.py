@@ -6,6 +6,14 @@ unlabeled model on the remaining folds. Ranking quality is reported on
 the training folds (separation task) and on the held-out fold (inductive
 task). The trainer only ever sees feature matrices; the hidden labels
 stay on the evaluation side.
+
+:func:`train_model` trains one model as ``tnad train`` and every fold do,
+and :func:`save_trained` writes it with its ``TrainReport`` beside it as
+``<path>.report.json``. With an output directory, each trained fold
+leaves ``fold<f>_<kind>.tnad`` and ``fold<f>_<kind>.tnad.report.json``:
+``nll_trace``, ``discarded_weights``, ``bond_profile``,
+``seconds_per_sweep``, ``zero_amplitude_skips``, ``step_errors``,
+``cache_peak_bytes`` and ``split_routes``.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .errors import DataError
 from .metrics import auc_roc, eer_threshold, score_samples
 from .mps import MpsModel
 from .persist import save_model
-from .training import TrainConfig, fit
+from .training import TrainConfig, TrainReport, fit
 from .ttn import TtnModel
 
 __all__ = ["RunConfig", "BenchmarkResult", "run_benchmark", "benchmark_arrays"]
@@ -133,12 +141,31 @@ class BenchmarkResult:
         return asdict(self)
 
 
-def new_model(kind: str, n_features: int, config: RunConfig, seed: int, encoder):
-    if kind == "mps":
-        return MpsModel.random(n_features, config.phys_dim, config.init_bond, seed, encoder)
-    if kind == "ttn":
-        return TtnModel.random(n_features, config.phys_dim, config.init_bond, seed, encoder)
-    raise DataError(f"unknown model kind {kind!r}; expected 'mps' or 'ttn'")
+def train_model(kind: str, features: np.ndarray, config: RunConfig, seed: int):
+    """Train a new ``kind`` model (``"mps"`` or ``"ttn"``) on raw rows.
+
+    The encoder's rescaler is fitted on ``features``, the tensors are
+    seeded at ``seed``, and :func:`~tnad.training.fit` runs
+    ``config.train`` with its seed replaced by ``seed``. Returns ``(model,
+    report)``. An unknown kind raises :class:`DataError`.
+    """
+    kinds = {"mps": MpsModel, "ttn": TtnModel}
+    if kind not in kinds:
+        raise DataError(f"unknown model kind {kind!r}; expected 'mps' or 'ttn'")
+    encoder = LegendreFeatureMap(config.phys_dim, fit_rescaler(features, margin=config.margin))
+    model = kinds[kind].random(features.shape[1], config.phys_dim, config.init_bond, seed, encoder)
+    return model, fit(model, features, replace(config.train, seed=seed))
+
+
+def save_trained(path, model, report: TrainReport) -> Path:
+    """Write ``model`` to ``path`` and its training report to ``<path>.report.json``.
+
+    Returns the report's path.
+    """
+    save_model(path, model)
+    report_path = Path(f"{path}.report.json")
+    report_path.write_text(json.dumps(report.to_dict(), indent=2))
+    return report_path
 
 
 def benchmark_arrays(
@@ -182,14 +209,7 @@ def benchmark_arrays(
         holdout = folds[f]
         train_idx = np.sort(np.concatenate([folds[g] for g in range(config.n_folds) if g != f]))
         train_features = mixed[train_idx]
-
-        encoder = LegendreFeatureMap(
-            n_functions=config.phys_dim,
-            rescaler=fit_rescaler(train_features, margin=config.margin),
-        )
-        model = new_model(model_kind, mixed.shape[1], config, base_train_seed + f, encoder)
-        train_cfg = replace(config.train, seed=base_train_seed + f)
-        fit(model, train_features, train_cfg)
+        model, report = train_model(model_kind, train_features, config, base_train_seed + f)
 
         train_scores = score_samples(model, train_features)
         separation.append(auc_roc(train_scores, hidden[train_idx]))
@@ -201,7 +221,7 @@ def benchmark_arrays(
 
         if out_dir is not None:
             path = out_dir / f"fold{f}_{model_kind}.tnad"
-            save_model(path, model)
+            save_trained(path, model, report)
             paths.append(str(path))
         timing.append(time.perf_counter() - started)
 

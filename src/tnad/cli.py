@@ -16,14 +16,15 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .benchmark import RunConfig, new_model, run_benchmark
+from .benchmark import RunConfig, run_benchmark, save_trained, train_model
 from .data import DatasetSpec, load_csv
-from .encoding import LegendreFeatureMap, fit_rescaler
 from .errors import NumericalError, TnadError
 from .explain import all_to_all_mi, explain_sample
 from .metrics import histogram_mi_matrix, mi_display, score_samples
-from .persist import load_model, save_model
-from .training import fit
+from .persist import load_model
+# unused here: perfbench/test_perfbench.py checks that its tracer wraps `fit`
+# in every module holding the name, and looks it up in this one
+from .training import fit  # noqa: F401
 
 
 def _load_config(path, seed) -> RunConfig:
@@ -60,15 +61,8 @@ def train(data, model_kind, config_path, seed, label_column, out):
     """Train a model on a CSV of raw features (unlabeled)."""
     config = _load_config(config_path, seed)
     features, _ = load_csv(_dataset_spec(data, label_column, ()))
-    encoder = LegendreFeatureMap(
-        n_functions=config.phys_dim,
-        rescaler=fit_rescaler(features, margin=config.margin),
-    )
-    model = new_model(model_kind, features.shape[1], config, config.train.seed, encoder)
-    report = fit(model, features, config.train)
-    save_model(out, model)
-    report_path = Path(out).with_suffix(Path(out).suffix + ".report.json")
-    report_path.write_text(json.dumps(report.to_dict(), indent=2))
+    model, report = train_model(model_kind, features, config, config.train.seed)
+    report_path = save_trained(out, model, report)
     click.echo(f"model written to {out}")
     click.echo(f"training report written to {report_path}")
     if report.nll_trace:
@@ -168,7 +162,7 @@ def mi(source, model_file, data, label_column, display, out):
 @click.option("--out", required=True, type=click.Path(), help="Output directory.")
 def benchmark(data, label_column, anomaly_labels, model_kind, config_path, seed, max_folds, out):
     """Pollute, fold, train, and report separation/inductive AUCROC."""
-    config = RunConfig.from_json(config_path) if config_path else RunConfig()
+    config = _load_config(config_path, None)
     spec = _dataset_spec(data, label_column, anomaly_labels)
     result = run_benchmark(spec, model_kind, config, out_dir=out,
                            max_folds=max_folds, seed=seed)

@@ -17,8 +17,6 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import DataError
 from .network import TensorNetwork, _seeded
 
@@ -33,9 +31,8 @@ class MpsModel(TensorNetwork):
 
     Attributes
     ----------
-    cores : list of np.ndarray
-        Site tensors of shape ``(D_left, phys_dim, D_right)``; the same
-        list as ``tensors``.
+    tensors : list of np.ndarray
+        Site tensors of shape ``(D_left, phys_dim, D_right)``.
     center : int
         Canonical-center site index.
     encoder : LegendreFeatureMap or None
@@ -72,10 +69,6 @@ class MpsModel(TensorNetwork):
                        functools.partial(cls, encoder=encoder))
 
     # -- structure -----------------------------------------------------------
-
-    @property
-    def cores(self) -> list[np.ndarray]:
-        return self.tensors
 
     n_sites = TensorNetwork.n_nodes
 

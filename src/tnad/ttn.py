@@ -45,10 +45,6 @@ class TtnModel(TensorNetwork):
         Parent node per node (-1 for the root).
     children : list of tuple or None
         ``(left, right)`` child ids for root/internal nodes, None for leaves.
-    leaf_features : list of tuple or None
-        The two features of each leaf, ``(2k, 2k + 1)`` at the ``k``-th
-        leaf left to right, as the engine numbers feature legs in node
-        order; None for inner nodes.
     center : int
         Node id of the canonical center; by default the sweep's start.
     padding : int
@@ -73,9 +69,6 @@ class TtnModel(TensorNetwork):
             raise DataError(f"{leaves} leaves would carry {n_features} features and "
                             f"{2 * leaves - n_features} dummy ones; a tree holds at most one")
         super().__init__(tensors, parents, legs, n_features, center, encoder)
-        self.leaf_features = [
-            tuple(f for kind, f in spec if kind == "phys") or None for spec in self._axes
-        ]
 
     # -- construction ------------------------------------------------------
 

@@ -8,7 +8,6 @@ canonicalization, and environment code paths they are used to check.
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -24,8 +23,6 @@ def run_in_child(source, arg, threads):
     child's standard output, stripped; a failing child fails the test.
     """
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
-    package_root = str(Path(tnad.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", source, arg],
         env=env, capture_output=True, text=True, timeout=300,
@@ -50,8 +47,8 @@ def text_encoding_decodes(raw: bytes) -> bool:
 
 def mps_full_tensor(model):
     """Full coefficient tensor of an MPS, shape (N,) * L."""
-    theta = model.cores[0]
-    for core in model.cores[1:]:
+    theta = model.tensors[0]
+    for core in model.tensors[1:]:
         theta = np.tensordot(theta, core, axes=(theta.ndim - 1, 0))
     return theta[0, ..., 0]
 
@@ -66,7 +63,7 @@ def ttn_full_tensor(model):
     def rec(u):
         tensor = model.tensors[u]
         if model.children[u] is None:
-            return tensor, list(model.leaf_features[u])
+            return tensor, [f for kind, f in model.axis_spec(u) if kind == "phys"]
         c0, c1 = model.children[u]
         t0, feats0 = rec(c0)
         t1, feats1 = rec(c1)
@@ -85,12 +82,12 @@ def ttn_full_tensor(model):
 
 
 def full_tensor(model):
-    return mps_full_tensor(model) if hasattr(model, "cores") else ttn_full_tensor(model)
+    return mps_full_tensor(model) if isinstance(model, tnad.MpsModel) else ttn_full_tensor(model)
 
 
 def mps_full_tensor_with_merged(model, site, merged):
     """Full tensor with cores ``site`` and ``site + 1`` replaced by ``merged``."""
-    pieces = model.cores[:site] + [merged] + model.cores[site + 2 :]
+    pieces = model.tensors[:site] + [merged] + model.tensors[site + 2 :]
     theta = pieces[0]
     for piece in pieces[1:]:
         theta = np.tensordot(theta, piece, axes=(theta.ndim - 1, 0))
@@ -163,7 +160,7 @@ def full_tensor_with_merged(model, edge, merged):
     A right-to-left MPS edge ``(i + 1, i)`` merges as ``(p, r, l, p)``; it is
     transposed back to the chain's ``(l, p, p, r)``.
     """
-    if hasattr(model, "cores"):
+    if isinstance(model, tnad.MpsModel):
         if edge[0] > edge[1]:
             merged = np.transpose(merged, (2, 3, 0, 1))
         return mps_full_tensor_with_merged(model, min(edge), merged)

@@ -1,17 +1,26 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tnad import (
     DataError,
+    LegendreFeatureMap,
     PollutionPlan,
     RunConfig,
     TrainConfig,
+    TtnModel,
     benchmark_arrays,
+    build_pollution,
+    fit,
+    fit_rescaler,
     load_model,
+    stratified_folds,
     toy_two_clusters,
 )
+from tnad.benchmark import train_model
 
 
 def small_config(n_folds=4):
@@ -95,6 +104,46 @@ class TestBenchmarkArrays:
         entry = result.eer_thresholds[0]
         assert set(entry) == {"threshold", "tpr", "tnr"}
         assert 0.0 <= entry["tpr"] <= 1.0
+
+
+class TestFoldReports:
+    """Each saved fold model has its training report beside it."""
+
+    def test_each_trained_fold_keeps_the_report_of_its_fit(self, labeled_dataset, tmp_path):
+        data, labels = labeled_dataset
+        config = small_config()
+        result = benchmark_arrays(data, labels, "ttn", config, out_dir=tmp_path, max_folds=2,
+                                  seed=5)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fold0_ttn.tnad", "fold0_ttn.tnad.report.json",
+            "fold1_ttn.tnad", "fold1_ttn.tnad.report.json",
+        ]
+        # the fold rows and seeds the protocol documents: pollution at the
+        # seed, folds at seed + 1, fold f trained at seed + 2 + f
+        mixed, hidden = build_pollution(data, labels, replace(config.pollution, seed=5))
+        folds = stratified_folds(hidden, config.n_folds, seed=6)
+        for f, path in enumerate(result.model_paths):
+            kept = [folds[g] for g in range(config.n_folds) if g != f]
+            rows = mixed[np.sort(np.concatenate(kept))]
+            encoder = LegendreFeatureMap(config.phys_dim, fit_rescaler(rows, margin=config.margin))
+            model = TtnModel.random(4, config.phys_dim, config.init_bond, 7 + f, encoder)
+            expected = fit(model, rows, replace(config.train, seed=7 + f)).to_dict()
+            saved = json.loads(Path(f"{path}.report.json").read_text())
+            assert saved.keys() == expected.keys()
+            for key in ("nll_trace", "discarded_weights", "step_errors", "split_routes"):
+                assert saved[key] == expected[key], (f, key)
+
+    def test_no_out_dir_writes_no_file(self, labeled_dataset, tmp_path, monkeypatch):
+        data, labels = labeled_dataset
+        monkeypatch.chdir(tmp_path)
+        result = benchmark_arrays(data, labels, "mps", small_config(), max_folds=1, seed=5)
+        assert result.model_paths == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_model_kind_refused(self, labeled_dataset):
+        data, _ = labeled_dataset
+        with pytest.raises(DataError, match="unknown model kind 'peps'"):
+            train_model("peps", data, small_config(), seed=0)
 
 
 class TestRunConfig:

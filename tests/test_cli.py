@@ -209,9 +209,17 @@ class TestBenchmarkCommand:
             "--seed", "1", "--max-folds", "1", "--out", str(tmp_path / "bench_out"),
         ])
         assert result.exit_code == 0, result.output
-        payload = json.loads((tmp_path / "bench_out" / "benchmark_mps.json").read_text())
+        out = tmp_path / "bench_out"
+        payload = json.loads((out / "benchmark_mps.json").read_text())
         assert len(payload["separation_auc"]) == 1
         assert payload["model_paths"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "benchmark_mps.json", "fold0_mps.tnad", "fold0_mps.tnad.report.json",
+        ]
+        fold_report = json.loads((out / "fold0_mps.tnad.report.json").read_text())
+        train_report = json.loads((workspace / "model.tnad.report.json").read_text())
+        assert fold_report.keys() == train_report.keys()
+        assert len(fold_report["nll_trace"]) == 1  # one sweep
 
 
 class TestExitCodes:

@@ -8,13 +8,13 @@ from tnad import DataError, MpsModel
 class TestInit:
     def test_smallest_chain_shapes(self):
         m = MpsModel.random(2, 2, init_bond=1, seed=0)
-        assert [c.shape for c in m.cores] == [(1, 2, 1), (1, 2, 1)]
+        assert [c.shape for c in m.tensors] == [(1, 2, 1), (1, 2, 1)]
         assert m.state_norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_same_seed_bitwise_identical(self):
         a = MpsModel.random(5, 3, init_bond=4, seed=11)
         b = MpsModel.random(5, 3, init_bond=4, seed=11)
-        for ca, cb in zip(a.cores, b.cores):
+        for ca, cb in zip(a.tensors, b.tensors):
             np.testing.assert_array_equal(ca, cb)
 
     def test_bonds_capped_at_exact_ranks(self):
@@ -72,7 +72,7 @@ class TestLogAmplitude:
         batch = helpers.random_encoded(rng, 3, 4, 2)
         before, _ = m.log_amplitudes(batch)
         scale = 7.5
-        m.cores[2] = m.cores[2] * scale
+        m.tensors[2] = m.tensors[2] * scale
         after, _ = m.log_amplitudes(batch)
         np.testing.assert_allclose(after - before, np.log(scale), atol=1e-12)
 
@@ -94,9 +94,9 @@ class TestLogAmplitude:
 class TestCanonicalize:
     def test_noop_when_centered(self):
         m = MpsModel.random(4, 2, init_bond=2, seed=7)
-        before = [c.copy() for c in m.cores]
+        before = [c.copy() for c in m.tensors]
         m.canonicalize(0)
-        for a, b in zip(before, m.cores):
+        for a, b in zip(before, m.tensors):
             np.testing.assert_array_equal(a, b)
 
     def test_isometries_toward_center(self):

@@ -88,22 +88,22 @@ def test_mps_center_moves_are_plain_qr_steps():
     """A move right is the QR of a core as ``(D_left * N, D_right)``, a move
     left that of its ``(D_left, N * D_right)`` transpose; odd bonds included."""
     model = MpsModel.random(6, 5, init_bond=39, seed=4)
-    reference = list(model.cores)  # moves replace cores, never write into them
+    reference = list(model.tensors)  # moves replace cores, never write into them
     model.canonicalize(3)
     for c in range(3):
         dl, n, dr = reference[c].shape
         q, r = np.linalg.qr(reference[c].reshape(dl * n, dr))
         reference[c] = q.reshape(dl, n, -1)
-        np.testing.assert_array_equal(model.cores[c], reference[c])
+        np.testing.assert_array_equal(model.tensors[c], reference[c])
         reference[c + 1] = np.tensordot(r, reference[c + 1], axes=(1, 0))
-    np.testing.assert_array_equal(model.cores[3], reference[3])
+    np.testing.assert_array_equal(model.tensors[3], reference[3])
     model.canonicalize(1)
     for c in (3, 2):
         dl, n, dr = reference[c].shape
         q, r = np.linalg.qr(reference[c].reshape(dl, n * dr).T)
-        np.testing.assert_array_equal(model.cores[c], q.T.reshape(-1, n, dr))
+        np.testing.assert_array_equal(model.tensors[c], q.T.reshape(-1, n, dr))
         reference[c - 1] = np.tensordot(reference[c - 1], r.T, axes=(2, 0))
-    np.testing.assert_array_equal(model.cores[1], reference[1])
+    np.testing.assert_array_equal(model.tensors[1], reference[1])
 
 
 def test_incremental_cache_matches_a_fresh_one(model):
@@ -294,9 +294,6 @@ def test_engine_rule_reproduces_both_former_layouts(phys_dim):
         assert model.parents == parents
         for u in range(model.n_nodes):
             assert model.axis_spec(u) == former_axis_spec(model, u)
-            if isinstance(model, TtnModel):
-                leg_refs = tuple(f for kind, f in former_axis_spec(model, u) if kind == "phys")
-                assert model.leaf_features[u] == (leg_refs or None)
         edges = [(u, v) for v in range(model.n_nodes) for u in model.neighbors(v) if u < v]
         assert model.bond_profile() == [model.tensors[v].shape[model.axis_to(v, u)]
                                         for u, v in edges]
@@ -326,7 +323,10 @@ class TestConstructionChecks:
         the parent list: a padded tree rebuilt from it pins its dummy feature."""
         model = TtnModel.random(5, 3, init_bond=4, seed=0)
         twin = TtnModel(model.tensors, model.parents, 5)
-        assert (twin.children, twin.leaf_features) == (model.children, model.leaf_features)
+        assert twin.children == model.children
+        assert [twin.axis_spec(u) for u in range(twin.n_nodes)] == [
+            model.axis_spec(u) for u in range(model.n_nodes)
+        ]
         assert (twin.padding, twin.center, twin.phys_dim) == (1, model.sweep_start(), 3)
         np.testing.assert_array_equal(
             reduced_density_matrix(twin, (4,)).matrix, reduced_density_matrix(model, (4,)).matrix

@@ -43,7 +43,7 @@ class TestRoundTrip:
         loaded = load_model(path)
         assert isinstance(loaded, MpsModel)
         assert loaded.phys_dim == 3
-        for a, b in zip(loaded.cores, model.cores):
+        for a, b in zip(loaded.tensors, model.tensors):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_allclose(
             score_samples(loaded, loaded.encoder.encode_batch(data)),
@@ -60,7 +60,7 @@ class TestRoundTrip:
         loaded = load_model(path)
         reference = model.copy()
         reference.canonicalize(0)
-        for a, b in zip(loaded.cores, reference.cores):
+        for a, b in zip(loaded.tensors, reference.tensors):
             np.testing.assert_array_equal(a, b)
         assert loaded.center == 0
 
@@ -379,7 +379,7 @@ class TestContentChecks:
         encoder, _ = fitted_encoder(3, 3, seed=6)
         path = tmp_path / "mps.tnad"
         save_model(path, MpsModel.random(3, 3, init_bond=2, seed=6, encoder=encoder))
-        last = load_model(path).cores[-1]  # (2, 3, 1)
+        last = load_model(path).tensors[-1]  # (2, 3, 1)
         # bonds [1, 0, 2, 1]: the first two cores hold no entries
         start = len(MAGIC) + struct.calcsize("<IBIII") + 16 * 3
         blob = path.read_bytes()[:start] + struct.pack("<4I", 1, 0, 2, 1)
@@ -420,7 +420,7 @@ class TestContentChecks:
         path = tmp_path / f"{kind}.tnad"
         if kind == "mps":
             save_model(path, MpsModel.random(6, 3, init_bond=4, seed=6, encoder=encoder))
-            return path, load_model(path).cores[2]
+            return path, load_model(path).tensors[2]
         save_model(path, TtnModel.random(6, 3, init_bond=4, seed=6, encoder=encoder))
         return path, load_model(path).tensors[1]
 

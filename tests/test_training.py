@@ -199,7 +199,7 @@ class TestTwoSiteGradient:
 
 
 def model_sites(model):
-    return model.n_sites if hasattr(model, "cores") else model.n_features
+    return model.n_sites if isinstance(model, MpsModel) else model.n_features
 
 
 def fail_next_split(monkeypatch, model):
@@ -395,10 +395,10 @@ class TestFit:
     def test_zero_sweeps_noop(self):
         data, encoder = self.make_toy()
         model = MpsModel.random(4, 3, init_bond=2, seed=0, encoder=encoder)
-        before = [c.copy() for c in model.cores]
+        before = [c.copy() for c in model.tensors]
         report = fit(model, encoder.encode_batch(data), TrainConfig(sweeps=0))
         assert report.nll_trace == []
-        for a, b in zip(before, model.cores):
+        for a, b in zip(before, model.tensors):
             np.testing.assert_array_equal(a, b)
 
     def test_nll_decreases_on_paired_toy(self):
@@ -630,7 +630,7 @@ model_class = MpsModel if kind == "mps" else TtnModel
 model = model_class.random(n_features, 5, init_bond=init_bond, seed=3, encoder=encoder)
 report = fit(model, encoder.encode_batch(data), TrainConfig(
     learning_rate=4e-3, sweeps=2, batch_size=batch, max_bond=max_bond, seed=5))
-tensors = model.cores if kind == "mps" else model.tensors
+tensors = model.tensors
 digest = hashlib.sha256(b"".join(np.ascontiguousarray(t).tobytes() for t in tensors))
 print(json.dumps({"trace": [x.hex() for x in report.nll_trace], "bonds": report.bond_profile,
                   "tensors": digest.hexdigest()}))

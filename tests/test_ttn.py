@@ -31,7 +31,8 @@ class TestBuild:
         below = {}
         for u in reversed(range(t.n_nodes)):  # children come after their parents
             kids = t.children[u]
-            below[u] = len(t.leaf_features[u]) if kids is None else below[kids[0]] + below[kids[1]]
+            legs = sum(kind == "phys" for kind, _ in t.axis_spec(u))
+            below[u] = legs if kids is None else below[kids[0]] + below[kids[1]]
         padded = t.n_features + t.padding
         for u in range(1, t.n_nodes):
             assert t.tensors[u].shape[0] <= min(2 ** below[u], 2 ** (padded - below[u]))
