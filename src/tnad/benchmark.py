@@ -13,7 +13,7 @@ and :func:`save_trained` writes it with its ``TrainReport`` beside it as
 leaves ``fold<f>_<kind>.tnad`` and ``fold<f>_<kind>.tnad.report.json``:
 ``nll_trace``, ``discarded_weights``, ``bond_profile``,
 ``seconds_per_sweep``, ``zero_amplitude_skips``, ``step_errors``,
-``cache_peak_bytes`` and ``split_routes``.
+``cache_peak_bytes``, ``split_routes`` and ``amplitude_routes``.
 """
 
 from __future__ import annotations

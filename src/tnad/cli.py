@@ -7,7 +7,6 @@ integrity errors.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -40,6 +39,18 @@ def _dataset_spec(data, label_column, anomaly_labels) -> DatasetSpec:
         label_column=label_column,
         anomaly_labels=tuple(anomaly_labels),
     )
+
+
+def _write_scores(path, scores, labels) -> None:
+    """The scores CSV: ``sample_id,nll[,label]`` lines ending in ``\\r\\n``, each
+    NLL to 10 significant digits (``inf`` where an amplitude vanishes), formatted
+    in one block; these are the bytes ``csv.writer`` gives the same rows."""
+    header, line, columns = "sample_id,nll", "%d,%.10g", [range(len(scores)), scores.tolist()]
+    if labels is not None:
+        header, line = header + ",label", line + ",%d"
+        columns.append(labels.tolist())
+    with open(path, "w", newline="") as handle:
+        handle.write("\r\n".join([header, *(line % row for row in zip(*columns))]) + "\r\n")
 
 
 @click.group()
@@ -81,16 +92,7 @@ def score(model_file, data, label_column, anomaly_labels, out):
     model = load_model(model_file)
     features, labels = load_csv(_dataset_spec(data, label_column, anomaly_labels))
     scores = score_samples(model, features)
-    with open(out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        if labels is None:
-            writer.writerow(["sample_id", "nll"])
-            writer.writerows((i, f"{s:.10g}") for i, s in enumerate(scores))
-        else:
-            writer.writerow(["sample_id", "nll", "label"])
-            writer.writerows(
-                (i, f"{s:.10g}", int(l)) for i, (s, l) in enumerate(zip(scores, labels))
-            )
+    _write_scores(out, scores, labels)
     click.echo(f"scores for {len(scores)} samples written to {out}")
 
 

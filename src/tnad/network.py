@@ -679,20 +679,23 @@ class Environments:
         back, log_back = self.message(v, c)
         return (out * back).sum(axis=1), log_out + log_back
 
-    def factors(self, edge, rows=None) -> tuple[list[np.ndarray], np.ndarray]:
+    def factors(self, edge, rows=None) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
         """Per-sample environment factors of the merged tensor at ``edge``, for ``rows``.
 
-        Returns ``([left, right], log_scale)``. ``left`` is the row-wise
-        Kronecker product, in axis order, of the vectors on the remaining
-        axes of ``edge[0]``, ``(len(rows), W0)``, and ``right`` that of
-        ``edge[1]``, ``(len(rows), W1)``: the bipartition at which
+        Returns ``([left, right], log_scale, legs)``. ``left`` is the
+        row-wise Kronecker product, in axis order, of the vectors on the
+        remaining axes of ``edge[0]``, ``(len(rows), W0)``, and ``right``
+        that of ``edge[1]``, ``(len(rows), W1)``: the bipartition at which
         :meth:`TensorNetwork.split_edge` cuts ``merge_edge(edge).reshape(W0,
         W1)``. The outer product of a sample's pair is the gradient of its
         amplitude with respect to the merged tensor, up to the per-sample
-        scale ``exp(log_scale)``. Only ``rows`` are read, leaf messages and
-        feature legs included; None reads every row.
+        scale ``exp(log_scale)``. ``legs`` holds the per-axis vectors the
+        two products are formed from, ``edge[0]``'s then ``edge[1]``'s,
+        each ``(len(rows), w)``, a bond to no node as its unit ``(len(rows),
+        1)``. Only ``rows`` are read, leaf messages and feature legs
+        included; None reads every row.
         """
-        pair, log_scale = [], 0.0
+        pair, legs, log_scale = [], [], 0.0
         for u, v in (edge, edge[::-1]):
             if rows is None:
                 self._keep_leaf_messages(u, v)
@@ -701,8 +704,9 @@ class Environments:
             for arr in arrays[1:]:
                 combined = (combined[:, :, None] * arr[:, None, :]).reshape(len(combined), -1)
             pair.append(combined)
+            legs.extend(arrays)
             log_scale = log_scale + logs
-        return pair, log_scale
+        return pair, log_scale, legs
 
 
 def up_bond_extents(parents, legs, phys_dim: int, init_bond: int) -> list[int]:

@@ -23,8 +23,21 @@ node, cut where the split cuts the merged tensor; both the factors and the
 amplitude are computed with per-sample log-scale renormalization, and the
 ratio gradient/amplitude is formed from the rescaled quantities directly
 so the scales cancel. The updates of an edge run on the batch's
-per-sample amplitudes; the merged tensor is formed once, just before the
-split.
+per-sample amplitudes, which start from the two node tensors, each met by
+its own factor; the merged tensor is formed once, just before the split.
+
+Each update needs the amplitudes ``K g`` of a gradient, with ``K = (L
+Lᵀ) ∘ (R Rᵀ)`` for the factor pair ``L``, ``R`` of widths ``W0``, ``W1``.
+Both factors are row-wise Kronecker products of per-leg vectors (feature
+legs and messages), so ``K`` is the entrywise product of the legs' own
+Gram matrices, ``n² Σw`` flops for ``n`` samples and leg widths ``w``.
+The step builds ``K`` when that and one product per update, ``n² (Σw +
+inner_steps)``, cost less than mapping every update through the factor
+pair, ``2 inner_steps n W0 W1``, and ``n <= W0 + W1``, so ``K`` holds no
+more entries than the pair: 256-row batches on wide edges build it, and
+a full batch of 2,000 rows takes the pair route at any MPS bond below
+200 (N = 5). ``TrainReport.amplitude_routes`` counts each fit's steps by
+route.
 
 Each sweep's entry of ``TrainReport.nll_trace`` is the full-data NLL read
 at the canonical center from the environment cache of all rows
@@ -115,6 +128,8 @@ class StepStats:
     error: str | None = None
     # route of the step's split (``SvdResult.route``); None if it aborted
     split_route: str | None = None
+    # route of the step's amplitude map, ``"gram"`` or ``"pair"``
+    amplitude_route: str | None = None
 
 
 @dataclass
@@ -122,7 +137,9 @@ class TrainReport:
     """Trace of a :func:`fit` run.
 
     ``split_routes`` counts the fit's splits by their
-    :attr:`~tnad.tensors.SvdResult.route`, fallbacks included.
+    :attr:`~tnad.tensors.SvdResult.route`, fallbacks included, and
+    ``amplitude_routes`` its steps, aborted ones too, by the route of their
+    amplitude map (``"gram"`` or ``"pair"``).
     """
 
     nll_trace: list[float] = field(default_factory=list)
@@ -134,6 +151,7 @@ class TrainReport:
     # most bytes the environment cache's stored messages held at once
     cache_peak_bytes: int = 0
     split_routes: dict[str, int] = field(default_factory=dict)
+    amplitude_routes: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -214,24 +232,41 @@ def _sample_weights(psi: np.ndarray) -> tuple[np.ndarray, int]:
     return weights, n_skipped
 
 
-def _amplitude_map(left: np.ndarray, right: np.ndarray, calls: int):
-    """``g -> K g``: the amplitudes of ``leftᵀ diag(g) right``.
+def _leg_gram(legs: list[np.ndarray]) -> np.ndarray:
+    """``∘ₐ (a aᵀ)`` over the per-leg operands ``a``: the Gram of their row-wise
+    Kronecker product (the Khatri-Rao identity), at ``n² Σw`` flops for leg widths ``w``.
+    """
+    # a @ a.T goes to BLAS syrk, which on OpenBLAS 0.3.31 runs 3-7x slower
+    # than gemm on a transposed copy for thin operands (one thread, 256 rows:
+    # 158 vs 22 us at width 5, 189 vs 58 us at 16, 200 vs 77 us at 25)
+    gram = legs[0] @ np.ascontiguousarray(legs[0].T)
+    leg_gram = np.empty_like(gram)
+    for a in legs[1:]:
+        gram *= np.matmul(a, np.ascontiguousarray(a.T), out=leg_gram)
+    return gram
 
-    ``K = (left leftᵀ) ∘ (right rightᵀ)`` is the entrywise product of the
-    factors' Gram matrices. Either this ``n x n`` matrix is built once and
-    each call is one matrix-vector product, or each call maps ``g`` into
-    the merged tensor and back out, two GEMMs of ``n x L x R`` (``n``
-    samples, factor widths ``L`` and ``R``). The Gram is built when, over
-    ``calls`` calls, it costs fewer flops and holds no more entries than
-    the factor pair.
+
+def _amplitude_map(left: np.ndarray, right: np.ndarray, legs: list[np.ndarray], calls: int):
+    """``(route, g -> K g)``: the amplitudes of ``leftᵀ diag(g) right``.
+
+    ``K = (left leftᵀ) ∘ (right rightᵀ)``, and since ``left`` and ``right``
+    are row-wise Kronecker products of ``legs``, ``K`` is the entrywise
+    product of the legs' own Gram matrices (:func:`_leg_gram`). Either this
+    ``n x n`` matrix is built once and each call is one matrix-vector
+    product (route ``"gram"``), or each call maps ``g`` into the merged
+    tensor and back out, two GEMMs of ``n x W0 x W1`` (``n`` samples,
+    factor widths ``W0`` and ``W1``; route ``"pair"``). Over ``calls``
+    calls the Gram costs ``n² (Σw + calls)`` flops for leg widths ``w``
+    and the pair ``2 calls n W0 W1``; the Gram is built when it costs
+    fewer and holds no more entries than the factor pair, ``n <= W0 + W1``.
     """
     n, width_l, width_r = left.shape[0], left.shape[1], right.shape[1]
-    gram_flops = n * n * (width_l + width_r + calls)
+    gram_flops = n * n * (sum(a.shape[1] for a in legs) + calls)
     pair_flops = 2 * calls * n * width_l * width_r
     if n <= width_l + width_r and gram_flops < pair_flops:
-        gram = (left @ left.T) * (right @ right.T)
-        return lambda g: gram @ g
-    return lambda g: _contract_fractions(_weighted_sum(g, left, right), left, right)
+        gram = _leg_gram(legs)
+        return "gram", lambda g: gram @ g
+    return "pair", lambda g: _contract_fractions(_weighted_sum(g, left, right), left, right)
 
 
 @single_blas_thread()
@@ -256,7 +291,7 @@ def two_site_gradient(
     the same sample weights.
     """
     env = model.environment_cache(batch)
-    (left, right), _ = env.factors(edge)
+    (left, right), _, _ = env.factors(edge)
     weights, n_skipped = _sample_weights(_contract_fractions(merged, left, right))
     if n_skipped:
         logger.warning("two_site_gradient: skipped %d zero-amplitude samples", n_skipped)
@@ -339,21 +374,23 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
     the node tensors still hold the state, and a QR step moves the center
     along ``edge`` for the rest of the sweep.
 
-    The updates run on the batch's amplitudes alone: every gradient is
+    The updates run on the batch's amplitudes alone, which start from the
+    two node tensors (:func:`_node_fractions`): every gradient is
     ``leftᵀ diag(g) right`` over the environment factor pair, so the
     merged tensor stays ``alpha * original + leftᵀ diag(c) right`` and is
-    formed once, by one GEMM, before the split. Since it stays near the
+    formed once, by one GEMM, before the split. ``StepStats.amplitude_route``
+    names the route of :func:`_amplitude_map`. Since it stays near the
     current state, :meth:`split_edge` may start the split from the bond's
     current basis: a split at the cap of a wide enough bond is a subspace
     split. ``StepStats.split_route`` names the route.
     """
     original = model.merge_edge(edge)
-    (left, right), log_scale = env.factors(edge, rows)
-    amplitudes_of = _amplitude_map(left, right, config.inner_steps)
+    (left, right), log_scale, legs = env.factors(edge, rows)
+    route, amplitudes_of = _amplitude_map(left, right, legs, config.inner_steps)
 
     alpha, coeffs = 1.0, np.zeros(left.shape[0])
     squared = float(np.sum(np.square(original)))
-    current = _score(_contract_fractions(original, left, right), log_scale)
+    current = _score(_node_fractions(model, edge, left, right), log_scale)
     loss_before = current.loss
     skipped = 0
     error = None
@@ -384,12 +421,13 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
     if error is not None:
         model.canonicalize(edge[1])
         env.push(*edge)
-        return StepStats(edge, 0.0, loss_before, loss_before, skipped, error)
+        return StepStats(edge, 0.0, loss_before, loss_before, skipped, error,
+                         amplitude_route=route)
 
     env.push(*edge)
     loss_after, _ = _mean_nll(_log_abs(_node_fractions(model, edge, left, right), log_scale))
     return StepStats(
-        edge, split.discarded_weight, loss_before, loss_after, skipped, None, split.route
+        edge, split.discarded_weight, loss_before, loss_after, skipped, None, split.route, route
     )
 
 
@@ -478,9 +516,10 @@ def fit(model, batch: np.ndarray, config: TrainConfig) -> TrainReport:
             stats = two_site_step(model, edge, env, rows, learning_rate, config)
             discards.append(stats.discarded_weight)
             report.zero_amplitude_skips += stats.skipped_samples
-            if stats.split_route is not None:
-                routes = report.split_routes
-                routes[stats.split_route] = routes.get(stats.split_route, 0) + 1
+            for routes, route in ((report.split_routes, stats.split_route),
+                                  (report.amplitude_routes, stats.amplitude_route)):
+                if route is not None:
+                    routes[route] = routes.get(route, 0) + 1
             if stats.error is not None:
                 message = f"sweep {sweep}, edge {stats.edge}: {stats.error}"
                 logger.warning("two-site step aborted (%s)", message)

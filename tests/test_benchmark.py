@@ -130,7 +130,8 @@ class TestFoldReports:
             expected = fit(model, rows, replace(config.train, seed=7 + f)).to_dict()
             saved = json.loads(Path(f"{path}.report.json").read_text())
             assert saved.keys() == expected.keys()
-            for key in ("nll_trace", "discarded_weights", "step_errors", "split_routes"):
+            for key in ("nll_trace", "discarded_weights", "step_errors", "split_routes",
+                        "amplitude_routes"):
                 assert saved[key] == expected[key], (f, key)
 
     def test_no_out_dir_writes_no_file(self, labeled_dataset, tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 import helpers
 from tnad import toy_two_clusters
-from tnad.cli import cli
+from tnad.cli import _write_scores, cli
 
 
 def write_csv(path, data, labels=None):
@@ -91,6 +91,37 @@ class TestScore:
         with open(out) as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["sample_id", "nll"]
+
+
+def csv_writer_scores(path, scores, labels):
+    """The scores CSV as ``csv.writer`` formats it, row by row: the reference bytes."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        if labels is None:
+            writer.writerow(["sample_id", "nll"])
+            writer.writerows((i, f"{s:.10g}") for i, s in enumerate(scores))
+        else:
+            writer.writerow(["sample_id", "nll", "label"])
+            writer.writerows(
+                (i, f"{s:.10g}", int(l)) for i, (s, l) in enumerate(zip(scores, labels))
+            )
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+@pytest.mark.parametrize("n_rows", [0, 1, 1037])
+def test_scores_are_written_in_the_bytes_of_csv_writer(tmp_path, labeled, n_rows):
+    rng = np.random.default_rng(n_rows)
+    scores = rng.normal(20.0, 8.0, n_rows) * 10.0 ** rng.integers(-12, 12, n_rows)
+    scores[: n_rows // 3] = np.round(scores[: n_rows // 3])
+    scores[1::97] = np.inf  # a zero-amplitude row scores inf
+    scores[2::101] = -0.0
+    labels = rng.random(n_rows) < 0.2 if labeled else None
+    csv_writer_scores(tmp_path / "want.csv", scores, labels)
+    _write_scores(tmp_path / "got.csv", scores, labels)
+    want = (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "got.csv").read_bytes() == want
+    assert want.count(b"\r\n") == n_rows + 1
+    assert (b"inf" in want) == (n_rows > 1)
 
 
 class TestExplain:

@@ -29,7 +29,7 @@ from tnad import (
 )
 from tnad.explain import _analysis_copy
 from tnad.network import BLOCK_ROWS, node_message, node_shapes, up_bond_extents
-from tnad.training import _contract_fractions
+from tnad.training import _contract_fractions, _leg_gram
 
 
 def chain_path(a, b):
@@ -119,12 +119,42 @@ def test_incremental_cache_matches_a_fresh_one(model):
         stats = two_site_step(model, edge, env, rng.choice(40, 16, replace=False), 5e-3, config)
         assert stats.error is None
         next_edge = schedule[(i + 1) % len(schedule)]
-        got, got_log = env.factors(next_edge)
-        want, want_log = model.environment_cache(batch).factors(next_edge)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
+        got, got_log, got_legs = env.factors(next_edge)
+        want, want_log, want_legs = model.environment_cache(batch).factors(next_edge)
+        assert (len(got), len(got_legs)) == (len(want), len(want_legs))
+        for a, b in zip(got + got_legs, want + want_legs):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(got_log, want_log)
+
+
+def test_leg_gram_is_the_factor_pair_gram_at_every_edge(model):
+    """At every edge of a sweep the step's legs rebuild its factor pair, and the
+    entrywise product of their Gram matrices is ``(L Lᵀ) ∘ (R Rᵀ)``: on the
+    MPS's end edges with the unit operand of the bond to no node, and on the
+    tree's padded leaf with its dummy feature."""
+    rng = np.random.default_rng(8)
+    batch = np.abs(helpers.random_encoded(rng, 24, model.n_features, model.phys_dim)) + 0.2
+    env = model.environment_cache(batch)
+    config = TrainConfig(learning_rate=5e-3, inner_steps=2, svd_rel_threshold=0.0)
+    unit_edges = dummy_edges = 0
+    for edge in model.sweep_schedule():
+        (left, right), _, legs = env.factors(edge)
+        n_left = model.tensors[edge[0]].ndim - 1
+        unit_edges += any(a.shape[1] == 1 and np.all(a == 1.0) for a in legs)
+        dummy_edges += any(a.strides[0] == 0 and a.shape[1] > 1 for a in legs)
+        for factor, part in ((left, legs[:n_left]), (right, legs[n_left:])):
+            kron = part[0]
+            for a in part[1:]:
+                kron = np.einsum("bi,bj->bij", kron, a).reshape(len(kron), -1)
+            np.testing.assert_array_equal(factor, kron)
+        got = _leg_gram(legs)
+        want = (left @ left.T) * (right @ right.T)
+        bound = (np.abs(left) @ np.abs(left).T) * (np.abs(right) @ np.abs(right).T)
+        assert np.all(np.abs(got - want) <= 1e-12 * bound)
+        two_site_step(model, edge, env, None, 5e-3, config)
+    assert unit_edges >= 2  # the edges at an end of the chain, or at the tree's root
+    # the padded leaf's two steps read its dummy feature's broadcast leg
+    assert dummy_edges == (2 if isinstance(model, TtnModel) else 0)
 
 
 def bipartition_case(case):
@@ -148,7 +178,7 @@ def test_factor_pair_is_the_split_bipartition(case):
     into every sample's amplitude."""
     model, edge = bipartition_case(case)
     batch = helpers.random_encoded(np.random.default_rng(4), 30, model.n_features, model.phys_dim)
-    (left, right), log_scale = model.environment_cache(batch).factors(edge)
+    (left, right), log_scale, _ = model.environment_cache(batch).factors(edge)
     merged = model.merge_edge(edge)
     n_first = model.tensors[edge[0]].ndim - 1
     assert left.shape == (30, int(np.prod(merged.shape[:n_first])))

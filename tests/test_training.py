@@ -302,7 +302,7 @@ class TestLossAfter:
         stats = two_site_step(model, edge, env, None, 5e-3, config)
         assert stats.error is None
         assert stats.discarded_weight > 0.0  # the cap truncated the split
-        (left, right), log_scale = env.factors(edge)
+        (left, right), log_scale, _ = env.factors(edge)
         psi = training._contract_fractions(model.merge_edge(edge), left, right)
         expected, _ = training._mean_nll(training._log_abs(psi, log_scale))
         assert stats.loss_after == pytest.approx(expected, rel=1e-12)
@@ -577,6 +577,29 @@ class TestRowCache:
         assert full.to_dict()["cache_peak_bytes"] == full.cache_peak_bytes
 
 
+class TestStartAmplitudes:
+    """A step starts from the two node tensors' amplitudes, not the merged tensor's."""
+
+    @pytest.mark.parametrize("kind", ["mps", "ttn"])
+    def test_equal_the_merged_tensor_at_every_edge_of_a_sweep(self, kind):
+        if kind == "mps":
+            model = MpsModel.random(7, 3, init_bond=4, seed=1)
+        else:
+            model = TtnModel.random(9, 3, init_bond=4, seed=2)  # padded: a dummy feature
+        batch = well_conditioned_batch(np.random.default_rng(14), model, 30)
+        env = model.environment_cache(batch)
+        config = TrainConfig(learning_rate=5e-3, inner_steps=2, svd_rel_threshold=0.0)
+        for edge in model.sweep_schedule():
+            (left, right), log_scale, _ = env.factors(edge)
+            want = training._contract_fractions(model.merge_edge(edge), left, right)
+            got = training._node_fractions(model, edge, left, right)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            loss, _ = training._mean_nll(training._log_abs(want, log_scale))
+            stats = two_site_step(model, edge, env, None, 5e-3, config)
+            assert stats.error is None
+            assert stats.loss_before == pytest.approx(loss, rel=1e-12)
+
+
 class TestSplitRoutes:
     """``TrainReport.split_routes``: which route made each of a fit's splits."""
 
@@ -612,6 +635,53 @@ class TestSplitRoutes:
         report = fit(model, raw, TrainConfig(sweeps=1, batch_size=None))
         assert len(report.step_errors) == 1
         assert sum(report.split_routes.values()) == len(model.sweep_schedule()) - 1
+
+
+class TestAmplitudeRoutes:
+    """``StepStats.amplitude_route`` and ``TrainReport.amplitude_routes``."""
+
+    @pytest.mark.parametrize("kind", ["mps", "ttn"])
+    # the edge's factor widths sum to 18 (mps) and 13 (ttn): 12 rows may take
+    # the Gram, 60 may not hold an n x n matrix larger than the factor pair
+    @pytest.mark.parametrize("rows, route", [(12, "gram"), (60, "pair")])
+    def test_a_step_reports_its_route(self, kind, rows, route):
+        model, edge, batch = TestSampleSpaceStep.make(kind, rows)
+        env = model.environment_cache(batch)
+        (left, right), _, _ = env.factors(edge)
+        assert (rows <= left.shape[1] + right.shape[1]) == (route == "gram")
+        stats = two_site_step(model, edge, env, None, 5e-3, TrainConfig(inner_steps=3))
+        assert stats.error is None
+        assert stats.amplitude_route == route
+
+    def test_more_rows_than_factor_entries_take_the_pair_route(self):
+        """Past ``n = W0 + W1`` the Gram is never built, however cheap its flops."""
+        model, edge, batch = TestSampleSpaceStep.make("mps", 19)
+        env = model.environment_cache(batch)
+        (left, right), _, legs = env.factors(edge)
+        (n, width_l), width_r = left.shape, right.shape[1]
+        assert n == width_l + width_r + 1
+        # over 50 updates the Gram would cost fewer flops than the pair
+        assert n * n * (sum(a.shape[1] for a in legs) + 50) < 2 * 50 * n * width_l * width_r
+        stats = two_site_step(model, edge, env, None, 5e-3, TrainConfig(inner_steps=50))
+        assert stats.amplitude_route == "pair"
+
+    @pytest.mark.parametrize("kind, max_bond", [("mps", 40), ("ttn", 16)])
+    def test_fit_counts_every_step(self, kind, max_bond):
+        # bonds grow from 2: narrow edges take the pair route, wide ones the Gram
+        model, report = TestSplitRoutes.fit_recipe(kind, 16, 600, 2, max_bond, 256)
+        routes = report.amplitude_routes
+        assert set(routes) == {"gram", "pair"}
+        assert sum(routes.values()) == 2 * len(model.sweep_schedule())
+        assert report.to_dict()["amplitude_routes"] == routes
+
+    def test_aborted_step_counts_its_route(self, monkeypatch):
+        raw = toy_two_clusters(80, 4, seed=2)
+        encoder = LegendreFeatureMap(3, fit_rescaler(raw))
+        model = MpsModel.random(4, 3, init_bond=2, seed=2, encoder=encoder)
+        fail_next_split(monkeypatch, model)
+        report = fit(model, raw, TrainConfig(sweeps=1, batch_size=None))
+        assert len(report.step_errors) == 1
+        assert report.amplitude_routes == {"pair": len(model.sweep_schedule())}
 
 
 # Child process for the thread-count test: one fit, printed as JSON. The
