@@ -136,16 +136,14 @@ def mi(source, model_file, data, label_column, display, out):
     if source == "model":
         if model_file is None:
             raise click.ClickException("--from model needs --model-file")
-        model = load_model(model_file)
-        matrices = all_to_all_mi(model)
-        matrix = matrices.display if display else matrices.raw
+        matrix = all_to_all_mi(load_model(model_file)).raw
     else:
         if data is None:
             raise click.ClickException("--from data needs --data")
         features, _ = load_csv(_dataset_spec(data, label_column, ()))
         matrix = histogram_mi_matrix(features)
-        if display:
-            matrix = mi_display(matrix)
+    if display:
+        matrix = mi_display(matrix)
     np.savetxt(out, matrix, delimiter=",", fmt="%.10g")
     click.echo(f"{matrix.shape[0]}x{matrix.shape[1]} MI matrix written to {out}")
 

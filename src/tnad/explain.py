@@ -14,9 +14,9 @@ one up pass give every single-feature density and all-to-all mutual
 information.
 
 From the (trace-normalized) density matrices this module derives the
-moments of each marginal, von Neumann entropies, mutual information
-between feature groups, per-feature anomaly flags, and conditional
-expected values for flagged features. Every public function
+moments of each single-feature marginal, von Neumann entropies, mutual
+information between feature groups, per-feature anomaly flags, and
+conditional expected values for flagged features. Every public function
 runs under :func:`tnad.tensors.single_blas_thread`.
 """
 
@@ -68,8 +68,6 @@ __all__ = [
 
 # largest density-matrix extent phys_dim ** n_sites a subsystem may have
 MAX_SUBSYSTEM_DIM = 256
-# moments integrate on a grid of (2 * phys_dim) ** n_sites nodes
-MAX_MOMENT_SITES = 3
 _MIN_CONDITIONAL_TRACE = 1e-30
 
 
@@ -92,18 +90,17 @@ class ReducedDensityMatrix:
 
 @dataclass(frozen=True)
 class MarginalStats:
-    """Moments of the normalized quasi-density of a subsystem.
+    """Moments of one feature's normalized quasi-density.
 
-    ``mean``/``std``/``covariance`` live in the rescaled [0, 1] domain;
+    ``mean``/``std`` live in the rescaled [0, 1] domain;
     ``raw_mean``/``raw_std`` are mapped back to the raw domain.
     """
 
-    sites: tuple[int, ...]
-    mean: np.ndarray
-    std: np.ndarray
-    covariance: np.ndarray
-    raw_mean: np.ndarray
-    raw_std: np.ndarray
+    feature: int
+    mean: float
+    std: float
+    raw_mean: float
+    raw_std: float
 
 
 @dataclass
@@ -337,54 +334,34 @@ def conditional_rdm(model, target_sites, conditions) -> ReducedDensityMatrix:
 # moments, entropies
 
 
-def _density_on_grid(rdm: ReducedDensityMatrix, axes_points) -> np.ndarray:
-    """Quasi-density evaluated on a tensor grid (one point array per site)."""
-    basis = np.ones((1, 1))  # row per grid point, column per basis product
-    for pts in axes_points:
-        basis = np.kron(basis, orthonormal_basis(rdm.phys_dim, pts).T)
-    values = ((basis @ rdm.matrix) * basis).sum(axis=1)
-    return values.reshape([len(pts) for pts in axes_points])
-
-
-def _quadrature(rdm: ReducedDensityMatrix):
-    """Gauss-Legendre nodes and the weighted unnormalized density on their tensor grid."""
-    nodes, weights = gauss_legendre_unit(2 * rdm.phys_dim)
-    w = weights
-    for _ in range(rdm.n_sites - 1):
-        w = np.multiply.outer(w, weights)
-    return nodes, w * _density_on_grid(rdm, [nodes] * rdm.n_sites)
-
-
 @single_blas_thread()
 def marginal_moments(rdm: ReducedDensityMatrix, rescaler) -> MarginalStats:
-    """Mean, variance, and covariance of the normalized quasi-density.
+    """Mean and standard deviation of one feature's normalized quasi-density.
 
-    Uses a Gauss-Legendre tensor grid with ``2 * phys_dim`` nodes per axis,
-    which integrates the polynomial integrands exactly, over at most
-    ``MAX_MOMENT_SITES`` features. ``rescaler`` maps the moments back to
-    the raw feature domain.
+    Integrates ``phi(x)^T rho phi(x)`` by Gauss-Legendre quadrature with
+    ``2 * phys_dim`` nodes, which is exact for these polynomial
+    integrands, and divides by its total. ``rescaler`` maps the moments
+    back to the raw feature domain. A density over any other number of
+    features, or one whose total is not finite and positive, is refused
+    with :class:`DataError`.
     """
-    if rdm.n_sites > MAX_MOMENT_SITES:
-        raise ResourceLimitError(
-            f"moments over {rdm.n_sites} features exceed the {MAX_MOMENT_SITES}-site grid budget"
-        )
-    nodes, wq = _quadrature(rdm)
-    k = rdm.n_sites
+    if rdm.n_sites != 1:
+        raise DataError(f"moments need one feature's density, got features {rdm.sites}")
+    (feature,) = rdm.sites
+    nodes, weights = gauss_legendre_unit(2 * rdm.phys_dim)
+    # one C-ordered row per node: a product's rounding depends on its operands' layout
+    basis = np.ascontiguousarray(orthonormal_basis(rdm.phys_dim, nodes).T)
+    wq = weights * ((basis @ rdm.matrix) * basis).sum(axis=1)
     total = float(wq.sum())
-    coords = np.meshgrid(*([nodes] * k), indexing="ij")
-    mean = np.array([float((wq * c).sum()) / total for c in coords])
-    second = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            second[i, j] = float((wq * coords[i] * coords[j]).sum()) / total
-    covariance = second - np.outer(mean, mean)
-    covariance = 0.5 * (covariance + covariance.T)
-    std = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    sites = list(rdm.sites)
-    span = rescaler.maximum[sites] - rescaler.minimum[sites]
-    raw_mean = rescaler.minimum[sites] + mean * span
-    raw_std = std * span
-    return MarginalStats(rdm.sites, mean, std, covariance, raw_mean, raw_std)
+    if not 0.0 < total < math.inf:
+        raise DataError(f"density of feature {feature} integrates to {total}, "
+                        "not to a finite positive total")
+    mean = float((wq * nodes).sum()) / total
+    variance = float((wq * nodes * nodes).sum()) / total - mean * mean
+    std = math.sqrt(max(variance, 0.0))
+    low = rescaler.minimum[feature]
+    span = rescaler.maximum[feature] - low
+    return MarginalStats(feature, mean, std, float(low + mean * span), float(std * span))
 
 
 @single_blas_thread()
@@ -564,17 +541,17 @@ def flag_features(model, raw_sample, k_sigma: float = 1.0) -> AnomalyExplanation
     for i in range(model.n_features):
         rdm = ReducedDensityMatrix((i,), _unit_density(singles[i]), model.phys_dim)
         stats = marginal_moments(rdm, encoder.rescaler)
-        deviation = abs(float(rescaled[i]) - float(stats.mean[0]))
+        deviation = abs(float(rescaled[i]) - stats.mean)
         flags.append(
             FeatureFlag(
                 index=i,
                 observed=float(raw[i]),
-                mean=float(stats.raw_mean[0]),
-                std=float(stats.raw_std[0]),
-                flagged=bool(deviation > k_sigma * float(stats.std[0])),
+                mean=stats.raw_mean,
+                std=stats.raw_std,
+                flagged=bool(deviation > k_sigma * stats.std),
                 observed_rescaled=float(rescaled[i]),
-                mean_rescaled=float(stats.mean[0]),
-                std_rescaled=float(stats.std[0]),
+                mean_rescaled=stats.mean,
+                std_rescaled=stats.std,
             )
         )
     return AnomalyExplanation(sample_id=0, nll=nll, k_sigma=k_sigma, features=flags)
@@ -603,8 +580,7 @@ def conditional_expectations(model, raw_sample, flagged) -> dict[int, float | No
     for f in flagged:
         try:
             rdm = conditional_rdm(model, (f,), conditions_all)
-            stats = marginal_moments(rdm, encoder.rescaler)
-            out[f] = float(stats.raw_mean[0])
+            out[f] = marginal_moments(rdm, encoder.rescaler).raw_mean
         except ConditioningError as exc:
             logger.warning("conditioning failed for feature %d: %s", f, exc)
             out[f] = None

@@ -36,6 +36,15 @@ class TtnModel(TensorNetwork):
 
     The parent list alone describes the tree (:func:`tree_layout`).
 
+    A padded tree is not a normalized density. It is scored with its dummy
+    feature pinned at :data:`~tnad.network.PAD_VALUE`, so the squared
+    amplitude over the real features integrates to ``phi(0.5)^T rho
+    phi(0.5)``, where ``rho`` is the dummy leg's density in the unit-norm
+    state. That mass is at most ``|phi(0.5)|^2`` (2.25 at ``phys_dim`` 4,
+    3.516 at 5), and training drives it there, so every NLL such a tree
+    reports, training and scores alike, sits up to ``log |phi(0.5)|^2``
+    nats (1.257 at ``phys_dim`` 5) below a normalized model's.
+
     Attributes
     ----------
     tensors : list of np.ndarray

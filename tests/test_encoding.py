@@ -107,10 +107,13 @@ class TestRescaler:
         # marginal_moments maps the rescaled mean back to the raw domain;
         # rescaling that raw mean gives the rescaled mean again
         r = fit_rescaler(np.array([[2.0, -1.0], [4.0, 5.0]]), margin=0.02)
-        a = np.random.default_rng(3).standard_normal((9, 9))
-        rdm = ReducedDensityMatrix((0, 1), a @ a.T / np.trace(a @ a.T), 3)
-        stats = marginal_moments(rdm, r)
-        np.testing.assert_allclose(r.transform(stats.raw_mean), stats.mean, atol=1e-12)
+        a = np.random.default_rng(3).standard_normal((3, 3))
+        for feature in (0, 1):
+            rdm = ReducedDensityMatrix((feature,), a @ a.T / np.trace(a @ a.T), 3)
+            stats = marginal_moments(rdm, r)
+            row = r.minimum.copy()
+            row[feature] = stats.raw_mean
+            assert r.transform(row)[feature] == pytest.approx(stats.mean, abs=1e-12)
 
     @pytest.mark.parametrize("shape", [(), (5, 1), (5, 3), (4, 5)])
     def test_last_axis_must_hold_every_feature(self, shape):

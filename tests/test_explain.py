@@ -2,6 +2,7 @@ import ast
 import logging
 import os
 import re
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from tnad import (
     fit,
     fit_rescaler,
     flag_features,
+    gauss_legendre_unit,
     marginal_moments,
     mutual_information,
     orthonormal_basis,
@@ -33,7 +35,6 @@ from tnad import (
     toy_correlated_pairs,
     von_neumann_entropy,
 )
-from tnad.explain import _density_on_grid, _quadrature
 
 
 def test_explain_has_one_path_for_both_model_kinds():
@@ -236,6 +237,12 @@ def test_padded_tree_densities_match_brute_force(n_features):
     )
 
 
+def quasi_density(rdm, x):
+    """``phi(x)^T rho phi(x)`` of a one-feature density at the points ``x``."""
+    phi = orthonormal_basis(rdm.phys_dim, x)
+    return ((rdm.matrix @ phi) * phi).sum(axis=0)
+
+
 class TestQuasiDensity:
     """The density ``phi(x)^T rho phi(x)`` that :func:`marginal_moments` integrates."""
 
@@ -246,21 +253,26 @@ class TestQuasiDensity:
 
     def test_constant_state_uniform_density(self):
         rdm = self.unit_rdm()
-        density = _density_on_grid(rdm, [np.array([0.0, 0.31, 0.5, 1.0])])
+        density = quasi_density(rdm, np.array([0.0, 0.31, 0.5, 1.0]))
         np.testing.assert_allclose(density, 1.0, atol=1e-10)
 
     def test_density_integrates_to_one(self):
         # the quadrature sum is the normalizer of the moments: the encoding
-        # is orthonormal, so a trace-normalized matrix integrates to one
+        # is orthonormal, so a trace-normalized matrix integrates to one,
+        # and a rescaled matrix has the same moments
         model = MpsModel.random(4, 3, init_bond=2, seed=2)
-        rdm = reduced_density_matrix(model, (1, 2))
-        _, weighted = _quadrature(rdm)
-        assert weighted.sum() == pytest.approx(1.0, abs=1e-8)
+        rdm = reduced_density_matrix(model, (1,))
+        nodes, weights = gauss_legendre_unit(2 * rdm.phys_dim)
+        assert (weights * quasi_density(rdm, nodes)).sum() == pytest.approx(1.0, abs=1e-8)
+        scaled = ReducedDensityMatrix(rdm.sites, 3.0 * rdm.matrix, rdm.phys_dim)
+        stats = marginal_moments(rdm, helpers.unit_rescaler(4))
+        rescaled = marginal_moments(scaled, helpers.unit_rescaler(4))
+        assert astuple(rescaled) == pytest.approx(astuple(stats), rel=1e-13)
 
     def test_nonnegative_on_grid(self):
         model = MpsModel.random(5, 2, init_bond=3, seed=3)
         rdm = reduced_density_matrix(model, (2,))
-        assert _density_on_grid(rdm, [np.linspace(0, 1, 50)]).min() >= -1e-10
+        assert quasi_density(rdm, np.linspace(0, 1, 50)).min() >= -1e-10
 
 
 class TestMarginalMoments:
@@ -269,8 +281,9 @@ class TestMarginalMoments:
         matrix[0, 0] = 1.0
         rdm = ReducedDensityMatrix((0,), matrix, 2)
         stats = marginal_moments(rdm, helpers.unit_rescaler(1))
-        assert stats.mean[0] == pytest.approx(0.5, abs=1e-12)
-        assert stats.covariance[0, 0] == pytest.approx(1.0 / 12.0, abs=1e-12)
+        assert all(type(value) is float for value in astuple(stats)[1:])
+        assert stats.mean == pytest.approx(0.5, abs=1e-12)
+        assert stats.std == pytest.approx(np.sqrt(1.0 / 12.0), abs=1e-12)
 
     def test_reflection_symmetric_state_centered(self):
         # second basis function is odd around 0.5, its square is symmetric
@@ -278,13 +291,38 @@ class TestMarginalMoments:
         matrix[1, 1] = 1.0
         rdm = ReducedDensityMatrix((0,), matrix, 2)
         stats = marginal_moments(rdm, helpers.unit_rescaler(1))
-        assert stats.mean[0] == pytest.approx(0.5, abs=1e-12)
+        assert stats.mean == pytest.approx(0.5, abs=1e-12)
 
-    def test_product_rdm_zero_covariance(self):
+    @pytest.mark.parametrize("kind", ["mps", "ttn"])
+    def test_matches_fine_grid_integral(self, kind):
+        # mean and std against a trapezoid rule on 40,001 points, taken
+        # without dividing by the total
+        model = (MpsModel if kind == "mps" else TtnModel).random(5, 4, init_bond=3, seed=8)
+        x = np.linspace(0.0, 1.0, 40001)
+        for feature in range(5):
+            rdm = reduced_density_matrix(model, (feature,))
+            density = quasi_density(rdm, x)
+            mean = np.trapezoid(x * density, x)
+            std = np.sqrt(np.trapezoid((x - mean) ** 2 * density, x))
+            stats = marginal_moments(rdm, helpers.unit_rescaler(5))
+            assert stats.feature == feature
+            assert stats.mean == pytest.approx(mean, abs=1e-7)
+            assert stats.std == pytest.approx(std, abs=1e-7)
+
+    def test_two_feature_density_refused(self):
         model = product_mps([[0.8, 0.6], [1.0, -0.4], [0.5, 1.0]])
         rdm = reduced_density_matrix(model, (0, 2))
-        stats = marginal_moments(rdm, helpers.unit_rescaler(3))
-        assert abs(stats.covariance[0, 1]) <= 1e-10
+        with pytest.raises(DataError, match=r"one feature's density, got features \(0, 2\)"):
+            marginal_moments(rdm, helpers.unit_rescaler(3))
+
+    @pytest.mark.parametrize(
+        "matrix", [np.zeros((3, 3)), np.full((3, 3), np.nan), -np.eye(3) / 3],
+        ids=["zero", "nan", "negative"],
+    )
+    def test_density_without_finite_positive_total_refused(self, matrix):
+        rdm = ReducedDensityMatrix((2,), matrix, 3)
+        with pytest.raises(DataError, match="density of feature 2 integrates to"):
+            marginal_moments(rdm, helpers.unit_rescaler(3))
 
     def test_raw_domain_mapping(self):
         data = np.array([[0.0, 10.0], [4.0, 30.0]])
@@ -293,14 +331,8 @@ class TestMarginalMoments:
         model.encoder = encoder
         rdm = reduced_density_matrix(model, (1,))
         stats = marginal_moments(rdm, encoder.rescaler)
-        assert stats.raw_mean[0] == pytest.approx(20.0, abs=1e-9)
-        assert stats.raw_std[0] == pytest.approx(20.0 * np.sqrt(1.0 / 12.0), abs=1e-9)
-
-    def test_site_budget(self):
-        model = MpsModel.random(6, 2, init_bond=2, seed=1)
-        rdm = reduced_density_matrix(model, (0, 1, 2, 3))
-        with pytest.raises(ResourceLimitError):
-            marginal_moments(rdm, helpers.unit_rescaler(6))
+        assert stats.raw_mean == pytest.approx(20.0, abs=1e-9)
+        assert stats.raw_std == pytest.approx(20.0 * np.sqrt(1.0 / 12.0), abs=1e-9)
 
 
 class TestEntropy:

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import helpers
-from tnad import DataError, TtnModel, orthonormal_basis
+from tnad import DataError, TtnModel, gauss_legendre_unit, orthonormal_basis, score_samples
 from tnad.network import PAD_VALUE
 from tnad.tensors import truncated_svd
 
@@ -120,6 +122,26 @@ class TestLogAmplitude:
         dummy = t.feature_leg(batch, 5)
         assert dummy.shape == (4, 2)
         np.testing.assert_array_equal(dummy, np.tile(orthonormal_basis(2, PAD_VALUE), (4, 1)))
+
+    @pytest.mark.parametrize("n_features, phys_dim", [(3, 2), (5, 3), (7, 3)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_padded_density_mass_is_the_pinned_dummy_density(self, n_features, phys_dim, seed):
+        # the density over the real features integrates to phi(0.5)^T rho phi(0.5),
+        # rho the dummy leg's density in the unit-norm state, not to one
+        t = TtnModel.random(n_features, phys_dim, init_bond=4, seed=seed)
+        leaf, axis = next((u, ax) for u in t.leaf_ids()
+                          for ax, spec in enumerate(t.axis_spec(u)) if spec == ("phys", n_features))
+        t.canonicalize(leaf)
+        node = np.moveaxis(t.tensors[leaf], axis, -1).reshape(-1, phys_dim)
+        rho = node.T @ node
+        pad = orthonormal_basis(phys_dim, PAD_VALUE)
+        # Gauss-Legendre with phys_dim nodes per axis is exact for psi^2
+        nodes, weights = gauss_legendre_unit(phys_dim)
+        grid = np.array(list(itertools.product(range(phys_dim), repeat=n_features)))
+        encoded = np.ascontiguousarray(np.moveaxis(orthonormal_basis(phys_dim, nodes[grid]), 0, -1))
+        mass = weights[grid].prod(axis=1) @ np.exp(-score_samples(t, encoded))
+        assert mass == pytest.approx(pad @ rho @ pad, rel=0, abs=1e-12)
+        assert mass <= pad @ pad + 1e-12
 
 
 class TestCanonicalize:
