@@ -309,11 +309,25 @@ class TestMarginalMoments:
             assert stats.mean == pytest.approx(mean, abs=1e-7)
             assert stats.std == pytest.approx(std, abs=1e-7)
 
-    def test_two_feature_density_refused(self):
+    def test_product_rdm_zero_covariance(self):
+        # the covariance is taken here on a tensor Gauss-Legendre grid of the
+        # two-feature density; its axis means are the one-feature moments
         model = product_mps([[0.8, 0.6], [1.0, -0.4], [0.5, 1.0]])
         rdm = reduced_density_matrix(model, (0, 2))
-        with pytest.raises(DataError, match=r"one feature's density, got features \(0, 2\)"):
-            marginal_moments(rdm, helpers.unit_rescaler(3))
+        nodes, weights = gauss_legendre_unit(2 * rdm.phys_dim)
+        phi = orthonormal_basis(rdm.phys_dim, nodes)
+        pair = np.einsum("ia,jb->ijab", phi.T, phi.T).reshape(len(nodes), len(nodes), -1)
+        density = np.einsum("ijk,kl,ijl->ij", pair, rdm.matrix, pair)
+        wq = np.outer(weights, weights) * density
+        total = wq.sum()
+        mean0 = (wq.sum(axis=1) * nodes).sum() / total
+        mean2 = (wq.sum(axis=0) * nodes).sum() / total
+        covariance = (wq * np.outer(nodes, nodes)).sum() / total - mean0 * mean2
+        assert abs(covariance) <= 1e-10
+        for feature, mean in ((0, mean0), (2, mean2)):
+            stats = marginal_moments(reduced_density_matrix(model, (feature,)),
+                                     helpers.unit_rescaler(3))
+            assert stats.mean == pytest.approx(mean, abs=1e-12)
 
     @pytest.mark.parametrize(
         "matrix", [np.zeros((3, 3)), np.full((3, 3), np.nan), -np.eye(3) / 3],
@@ -333,6 +347,15 @@ class TestMarginalMoments:
         stats = marginal_moments(rdm, encoder.rescaler)
         assert stats.raw_mean == pytest.approx(20.0, abs=1e-9)
         assert stats.raw_std == pytest.approx(20.0 * np.sqrt(1.0 / 12.0), abs=1e-9)
+
+    def test_site_budget(self):
+        # moments are taken of one feature's density: any wider one is refused
+        model = MpsModel.random(6, 2, init_bond=2, seed=1)
+        for sites in ((0, 2), (0, 1, 2, 3)):
+            rdm = reduced_density_matrix(model, sites)
+            with pytest.raises(DataError, match=re.escape(
+                    f"one feature's density, got features {sites}")):
+                marginal_moments(rdm, helpers.unit_rescaler(6))
 
 
 class TestEntropy:
