@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -105,22 +105,31 @@ class MarginalStats:
 
 @dataclass
 class FeatureFlag:
-    """Per-feature entry of an anomaly explanation (raw-domain values)."""
+    """One feature's entry of ``tnad explain``'s JSON: its fields are the
+    entry's keys, in order, and ``asdict`` gives the entry.
+
+    ``observed``, ``mean`` and ``std`` are raw-domain values; the moments are
+    those of the feature's learned marginal. ``conditional_expected`` is the
+    raw expected value given the other features, set for flagged features
+    when conditionals are computed, or None.
+    """
 
     index: int
     observed: float
     mean: float
     std: float
     flagged: bool
-    observed_rescaled: float
-    mean_rescaled: float
-    std_rescaled: float
     conditional_expected: float | None = None
 
 
 @dataclass
 class AnomalyExplanation:
-    """Scored sample with per-feature deviation flags and conditionals."""
+    """Scored sample with per-feature deviation flags and conditionals.
+
+    :meth:`to_dict` is ``tnad explain``'s JSON: ``sample_id``, ``nll``
+    (null when the sample's amplitude vanishes, where the NLL is infinite),
+    ``threshold`` (``k_sigma``) and one :class:`FeatureFlag` per feature.
+    """
 
     sample_id: int
     nll: float
@@ -133,19 +142,9 @@ class AnomalyExplanation:
     def to_dict(self) -> dict:
         return {
             "sample_id": self.sample_id,
-            "nll": self.nll,
+            "nll": self.nll if math.isfinite(self.nll) else None,
             "threshold": self.k_sigma,
-            "features": [
-                {
-                    "index": f.index,
-                    "observed": f.observed,
-                    "mean": f.mean,
-                    "std": f.std,
-                    "flagged": f.flagged,
-                    "conditional_expected": f.conditional_expected,
-                }
-                for f in self.features
-            ],
+            "features": [asdict(f) for f in self.features],
         }
 
 
@@ -342,12 +341,15 @@ def marginal_moments(rdm: ReducedDensityMatrix, rescaler) -> MarginalStats:
     ``2 * phys_dim`` nodes, which is exact for these polynomial
     integrands, and divides by its total. ``rescaler`` maps the moments
     back to the raw feature domain. A density over any other number of
-    features, or one whose total is not finite and positive, is refused
-    with :class:`DataError`.
+    features, one whose total is not finite and positive, or one of a
+    feature the rescaler does not cover is refused with :class:`DataError`.
     """
     if rdm.n_sites != 1:
         raise DataError(f"moments need one feature's density, got features {rdm.sites}")
     (feature,) = rdm.sites
+    if not 0 <= feature < rescaler.n_features:
+        raise DataError(f"feature {feature} is outside the rescaler's "
+                        f"{rescaler.n_features} features")
     nodes, weights = gauss_legendre_unit(2 * rdm.phys_dim)
     # one C-ordered row per node: a product's rounding depends on its operands' layout
     basis = np.ascontiguousarray(orthonormal_basis(rdm.phys_dim, nodes).T)
@@ -533,7 +535,7 @@ def flag_features(model, raw_sample, k_sigma: float = 1.0) -> AnomalyExplanation
     encoder = _require_encoder(model)
     raw = np.asarray(raw_sample, dtype=np.float64)
     rescaled = encoder.rescale_sample(raw)
-    log_abs, _ = model.log_amplitudes(encoder.encode_unit(rescaled)[None])
+    log_abs, _ = model.log_amplitudes(raw[None])
     nll = float(-2.0 * log_abs[0])
 
     _, singles = _bond_densities(_analysis_copy(model, 0))
@@ -542,18 +544,8 @@ def flag_features(model, raw_sample, k_sigma: float = 1.0) -> AnomalyExplanation
         rdm = ReducedDensityMatrix((i,), _unit_density(singles[i]), model.phys_dim)
         stats = marginal_moments(rdm, encoder.rescaler)
         deviation = abs(float(rescaled[i]) - stats.mean)
-        flags.append(
-            FeatureFlag(
-                index=i,
-                observed=float(raw[i]),
-                mean=stats.raw_mean,
-                std=stats.raw_std,
-                flagged=bool(deviation > k_sigma * stats.std),
-                observed_rescaled=float(rescaled[i]),
-                mean_rescaled=stats.mean,
-                std_rescaled=stats.std,
-            )
-        )
+        flagged = bool(deviation > k_sigma * stats.std)
+        flags.append(FeatureFlag(i, float(raw[i]), stats.raw_mean, stats.raw_std, flagged))
     return AnomalyExplanation(sample_id=0, nll=nll, k_sigma=k_sigma, features=flags)
 
 

@@ -2,13 +2,23 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import helpers
-from tnad import toy_two_clusters
+import tnad
+from tnad import (
+    FeatureFlag,
+    FeatureRescaler,
+    LegendreFeatureMap,
+    MpsModel,
+    conditional_rdm,
+    save_model,
+    toy_two_clusters,
+)
 from tnad.cli import _write_scores, cli
 
 
@@ -143,6 +153,56 @@ class TestExplain:
             assert set(entry) == {
                 "index", "observed", "mean", "std", "flagged", "conditional_expected"
             }
+            assert list(entry) == [field.name for field in fields(FeatureFlag)]
+
+    def test_no_conditionals_skips_conditioning_only(self, workspace, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return conditional_rdm(*args)
+
+        monkeypatch.setattr(tnad.explain, "conditional_rdm", counted)
+        payloads = {}
+        for flags in ((), ("--no-conditionals",)):
+            out = workspace / f"explanation{len(flags)}.json"
+            calls.clear()
+            result = CliRunner().invoke(cli, [
+                "explain", "--model-file", str(workspace / "model.tnad"),
+                "--data", str(workspace / "probe.csv"), "--label-column", "class",
+                "--sample", "35", "--out", str(out), *flags,
+            ])
+            assert result.exit_code == 0, result.output
+            payloads[flags] = json.loads(out.read_text()), len(calls)
+        (default, conditioned), (skipped, not_conditioned) = payloads.values()
+        flagged = [f["index"] for f in default["features"] if f["flagged"]]
+        assert flagged and conditioned == len(flagged)
+        assert not_conditioned == 0
+        assert all(f["conditional_expected"] is None for f in skipped["features"])
+        assert skipped["nll"] == default["nll"]
+        assert [f["flagged"] for f in skipped["features"]] == [
+            f["flagged"] for f in default["features"]]
+
+    def test_vanishing_amplitude_writes_strict_json(self, tmp_path):
+        # phi_1(0.5) = 0, so the row (0.5, 0.3) has amplitude exactly zero
+        model = MpsModel([np.array([0.0, 1.0]).reshape(1, 2, 1),
+                          np.array([1.0, 0.0]).reshape(1, 2, 1)], center=1)
+        model.encoder = LegendreFeatureMap(2, FeatureRescaler(np.zeros(2), np.ones(2)))
+        save_model(tmp_path / "model.tnad", model)
+        (tmp_path / "row.csv").write_text("a,b\n0.5,0.3\n")
+        out = tmp_path / "explanation.json"
+        result = CliRunner().invoke(cli, [
+            "explain", "--model-file", str(tmp_path / "model.tnad"),
+            "--data", str(tmp_path / "row.csv"), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "NLL inf" in result.output
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload["nll"] is None
 
     @pytest.mark.parametrize("k_sigma", ["nan", "inf"])
     def test_non_finite_k_sigma_exits_two(self, workspace, tmp_path, k_sigma):

@@ -348,6 +348,11 @@ class TestMarginalMoments:
         assert stats.raw_mean == pytest.approx(20.0, abs=1e-9)
         assert stats.raw_std == pytest.approx(20.0 * np.sqrt(1.0 / 12.0), abs=1e-9)
 
+    def test_feature_outside_the_rescaler_refused(self):
+        rdm = reduced_density_matrix(MpsModel.random(6, 2, init_bond=2, seed=1), (5,))
+        with pytest.raises(DataError, match="feature 5 is outside the rescaler's 2 features"):
+            marginal_moments(rdm, helpers.unit_rescaler(2))
+
     def test_site_budget(self):
         # moments are taken of one feature's density: any wider one is refused
         model = MpsModel.random(6, 2, init_bond=2, seed=1)
@@ -543,6 +548,16 @@ def trained_toy_model(kind="mps", seed=0):
     return model, data
 
 
+def rescaled_deviations(model, raw):
+    """Each feature's distance from its marginal mean and the marginal's std, rescaled."""
+    rescaled = model.encoder.rescale_sample(raw)
+    out = []
+    for i in range(model.n_features):
+        stats = marginal_moments(reduced_density_matrix(model, (i,)), model.encoder.rescaler)
+        out.append((abs(float(rescaled[i]) - stats.mean), stats.std))
+    return out
+
+
 class TestFlagging:
     def test_sample_at_means_unflagged(self):
         model, _ = trained_toy_model()
@@ -556,10 +571,8 @@ class TestFlagging:
         huge = flag_features(model, sample, k_sigma=1e6)
         assert huge.flagged_indices() == []
         tiny = flag_features(model, sample, k_sigma=1e-9)
-        deviations = [
-            abs(f.observed_rescaled - f.mean_rescaled) > 0 for f in tiny.features
-        ]
-        assert tiny.flagged_indices() == [i for i, d in enumerate(deviations) if d]
+        deviations = rescaled_deviations(model, sample)
+        assert tiny.flagged_indices() == [i for i, (d, _) in enumerate(deviations) if d > 0]
 
     @pytest.mark.parametrize("k_sigma", [0.0, -1.0, np.nan, np.inf])
     def test_k_sigma_must_be_positive_and_finite(self, k_sigma):
@@ -577,9 +590,8 @@ class TestFlagging:
     def test_flag_rule_consistency(self):
         model, data = trained_toy_model()
         explanation = flag_features(model, data[5], k_sigma=1.0)
-        for f in explanation.features:
-            expected = abs(f.observed_rescaled - f.mean_rescaled) > f.std_rescaled
-            assert f.flagged == expected
+        deviations = rescaled_deviations(model, data[5])
+        assert [f.flagged for f in explanation.features] == [d > std for d, std in deviations]
 
     def test_nll_matches_score(self):
         model, data = trained_toy_model()
