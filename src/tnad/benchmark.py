@@ -138,7 +138,12 @@ class BenchmarkResult:
     config: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The result as strict JSON values: an infinite EER threshold is None."""
+        payload = asdict(self)
+        for eer in payload["eer_thresholds"]:
+            if not np.isfinite(eer["threshold"]):
+                eer["threshold"] = None
+        return payload
 
 
 def train_model(kind: str, features: np.ndarray, config: RunConfig, seed: int):
@@ -164,7 +169,7 @@ def save_trained(path, model, report: TrainReport) -> Path:
     """
     save_model(path, model)
     report_path = Path(f"{path}.report.json")
-    report_path.write_text(json.dumps(report.to_dict(), indent=2))
+    report_path.write_text(json.dumps(report.to_dict(), indent=2, allow_nan=False))
     return report_path
 
 

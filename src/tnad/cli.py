@@ -116,7 +116,7 @@ def explain(model_file, data, sample_id, k_sigma, label_column, no_conditionals,
         model, features[sample_id], k_sigma=k_sigma, sample_id=sample_id,
         with_conditionals=not no_conditionals,
     )
-    Path(out).write_text(json.dumps(explanation.to_dict(), indent=2))
+    Path(out).write_text(json.dumps(explanation.to_dict(), indent=2, allow_nan=False))
     flagged = explanation.flagged_indices()
     click.echo(f"sample {sample_id}: NLL {explanation.nll:.4f}, "
                f"{len(flagged)} flagged feature(s) -> {out}")
@@ -167,7 +167,7 @@ def benchmark(data, label_column, anomaly_labels, model_kind, config_path, seed,
     result = run_benchmark(spec, model_kind, config, out_dir=out,
                            max_folds=max_folds, seed=seed)
     out_path = Path(out) / f"benchmark_{model_kind}.json"
-    out_path.write_text(json.dumps(result.to_dict(), indent=2))
+    out_path.write_text(json.dumps(result.to_dict(), indent=2, allow_nan=False))
     click.echo(f"separation AUCROC {result.separation_mean:.4f} +- {result.separation_std:.4f}")
     click.echo(f"inductive  AUCROC {result.inductive_mean:.4f} +- {result.inductive_std:.4f}")
     click.echo(f"details written to {out_path}")

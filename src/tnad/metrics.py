@@ -39,18 +39,15 @@ def score_samples(model, batch: np.ndarray) -> np.ndarray:
     encodings and messages, and the ``(n,)`` results, never a second
     batch-sized array.
 
-    Samples with exactly zero amplitude would score infinite; they are
-    mapped to one more than the largest finite score so downstream metrics
-    stay finite while those samples still rank as the most anomalous.
+    A sample whose amplitude is exactly zero scores ``+inf``, whatever the
+    other rows, with a logged count; :func:`auc_roc` and
+    :func:`eer_threshold` rank it above every finite score.
     """
     log_abs, _ = model.log_amplitudes(batch)
     scores = -2.0 * log_abs
-    infinite = ~np.isfinite(scores)
-    if infinite.any():
-        finite_max = scores[~infinite].max() if (~infinite).any() else 0.0
-        scores = np.where(infinite, finite_max + 1.0, scores)
-        logger.warning("score_samples: %d zero-amplitude samples pinned above the rest",
-                       int(infinite.sum()))
+    n_infinite = int(np.count_nonzero(np.isinf(scores)))
+    if n_infinite:
+        logger.warning("score_samples: %d zero-amplitude samples score inf", n_infinite)
     return scores
 
 
@@ -89,10 +86,11 @@ def auc_roc(scores, labels) -> float:
 def eer_threshold(scores, labels) -> tuple[float, float, float]:
     """Operating point where true-positive and true-negative rates meet.
 
-    Scans the finite score grid for the threshold minimizing |TPR - TNR|
+    Scans the score grid for the threshold minimizing |TPR - TNR|
     (classify anomalous when score >= threshold); ties prefer higher TPR,
-    then the lower threshold. Returns (threshold, tpr, tnr). A NaN score is
-    refused as by :func:`auc_roc`.
+    then the lower threshold. Returns (threshold, tpr, tnr). The threshold
+    is ``inf`` where only infinite scores reach it, for example when every
+    anomaly scores ``inf``. A NaN score is refused as by :func:`auc_roc`.
     """
     scores, labels = _checked_scores(scores, labels)
     anomalies = np.sort(scores[labels])

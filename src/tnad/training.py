@@ -67,6 +67,9 @@ __all__ = ["TrainConfig", "StepStats", "TrainReport", "nll_loss", "two_site_grad
 # larger than the merged tensor, so a descending step may be that small.
 _MAX_DOUBLINGS = 3
 _MAX_HALVINGS = 10
+# the trial sizes in learning rates, shortest first: the first trial, 1,
+# is entry _MAX_HALVINGS
+_LADDER = 2.0 ** np.arange(-_MAX_HALVINGS, _MAX_DOUBLINGS + 1)
 
 
 @dataclass
@@ -79,13 +82,14 @@ class TrainConfig:
     and gradient, and counted in ``TrainReport.zero_amplitude_skips``.
 
     Each edge step runs up to ``inner_steps`` gradient updates, each a
-    monotone line search on the local NLL of the step's batch.
-    ``learning_rate`` (times ``lr_decay`` per finished sweep) is the first
-    trial step. While the local NLL keeps falling the step is doubled, at
-    most 3 times; if the first trial raises the NLL the step is halved, at
-    most 10 times, until a trial descends. A trial that leaves more samples
-    at zero amplitude than before never counts as a descent. When no trial
-    descends, the edge's inner loop ends early.
+    monotone line search on the local NLL of the step's batch. Its trial
+    steps are one ladder, ``learning_rate * 2**k`` for ``k = -10 .. 3``
+    (``learning_rate`` times ``lr_decay`` per finished sweep), priced all
+    at once. ``learning_rate`` is the first trial. While the local NLL
+    keeps falling the step is doubled, at most 3 times; if the first trial
+    raises the NLL, the longest halving that descends is taken. A trial
+    that leaves more samples at zero amplitude than before never counts as
+    a descent. When no trial descends, the edge's inner loop ends early.
     """
 
     learning_rate: float = 1e-2
@@ -195,8 +199,11 @@ def _reported_nll(log_abs: np.ndarray) -> float:
 
 def _log_abs(psi: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
     """Log magnitudes of rescaled amplitudes; ``-inf`` where one vanishes."""
+    log_abs = np.abs(psi)
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(psi)) + log_scale
+        np.log(log_abs, out=log_abs)
+    log_abs += log_scale
+    return log_abs
 
 
 def _contract_fractions(merged: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -298,69 +305,69 @@ def two_site_gradient(
     return _weighted_sum(weights, left, right).reshape(merged.shape)
 
 
-@dataclass
-class _Trial:
-    """Amplitudes and local NLL of the trial tensor ``(merged - size * grad) / norm``."""
+def _local_nll(psi: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Local NLL and zero count of each row of rescaled amplitudes ``psi`` ``(m, n)``.
 
-    psi: np.ndarray
-    loss: float
-    zeros: int
-    size: float = 0.0
-    norm: float = 1.0
-
-    def descends_from(self, other: "_Trial") -> bool:
-        # a zeroed sample leaves the local mean, which could
-        # lower the loss without fitting anything better: never reward that
-        return self.loss < other.loss and self.zeros <= other.zeros
-
-
-def _score(psi, log_scale, size=0.0, norm=1.0) -> _Trial:
-    loss, _ = _mean_nll(_log_abs(psi, log_scale))
-    return _Trial(psi, loss, int(np.count_nonzero(psi == 0.0)), size, norm)
+    A row whose plain mean is not finite, as where an amplitude vanishes,
+    takes :func:`_mean_nll`'s mean over its finite entries; no other row
+    holds a zero.
+    """
+    log_abs = _log_abs(psi, log_scale)
+    losses = -2.0 * log_abs.mean(axis=1)
+    zeros = np.zeros(len(losses), dtype=np.int64)
+    for i in np.flatnonzero(~np.isfinite(losses)):
+        losses[i] = _mean_nll(log_abs[i])[0]
+        zeros[i] = np.count_nonzero(psi[i] == 0.0)
+    return losses, zeros
 
 
-def _line_search(
-    current: _Trial, weights, psi_grad, squared, step, log_scale
-) -> _Trial | None:
+def _line_search(psi, loss, zeros, weights, psi_grad, squared, step, log_scale):
     """Monotone step from the merged tensor along ``-grad``: the descending trial, or None.
 
-    ``step`` is tried first. While the local NLL keeps falling the step is
-    doubled, at most ``_MAX_DOUBLINGS`` times; if the first trial does not
-    descend the step is halved, at most ``_MAX_HALVINGS`` times, until one
-    does. None means no trial descended.
+    The trial sizes are ``step * 2**k`` for ``k = -_MAX_HALVINGS ..
+    _MAX_DOUBLINGS``, all priced at once as one ``(14, n)`` array of
+    amplitudes. The rule reads that array as a sequential search would:
+    ``step`` first; while the local NLL keeps falling the step is doubled,
+    at most ``_MAX_DOUBLINGS`` times; if the first trial does not descend,
+    the longest shorter trial that descends from the current point is
+    taken. A trial that leaves more samples at zero amplitude never counts
+    as a descent, and one whose squared norm is not positive and finite is
+    never taken. Returns ``(size, norm, psi, loss, zeros)`` of the trial,
+    or None if no trial descends.
 
     Every trial is priced in sample space. With ``grad = leftᵀ
-    diag(weights) right``, ``psi_grad`` its amplitudes and ``current.psi``
-    those of the merged tensor, ``<merged, grad> = psi · weights`` and
-    ``|grad|² = weights · psi_grad``; ``squared`` is ``|merged|²``. The
-    amplitudes are linear in the step and the trial norm is a quadratic in
-    it, so no trial tensor is formed.
+    diag(weights) right``, ``psi_grad`` its amplitudes and ``psi`` those of
+    the merged tensor, ``<merged, grad> = psi · weights`` and ``|grad|² =
+    weights · psi_grad``; ``squared`` is ``|merged|²``. The amplitudes are
+    linear in the step and the trial norm is a quadratic in it, so no trial
+    tensor is formed.
     """
-    mg = float(current.psi @ weights)
-    gg = float(weights @ psi_grad)
-
-    def at(size):
-        norm2 = squared - 2.0 * size * mg + size * size * gg
-        if not (norm2 > 0.0 and np.isfinite(norm2)):
-            return None
-        norm = float(np.sqrt(norm2))
-        return _score((current.psi - size * psi_grad) / norm, log_scale, size, norm)
-
-    best = at(step)
-    if best is not None and best.descends_from(current):
-        for _ in range(_MAX_DOUBLINGS):
-            step *= 2.0
-            longer = at(step)
-            if longer is None or not longer.descends_from(best):
-                break
-            best = longer
-        return best
-    for _ in range(_MAX_HALVINGS):
-        step *= 0.5
-        shorter = at(step)
-        if shorter is not None and shorter.descends_from(current):
-            return shorter
-    return None
+    sizes = step * _LADDER
+    mg, gg = float(psi @ weights), float(weights @ psi_grad)
+    norm2 = squared - 2.0 * sizes * mg + sizes * sizes * gg
+    usable = (norm2 > 0.0) & np.isfinite(norm2)
+    norms = np.sqrt(np.where(usable, norm2, 1.0))
+    trials = sizes[:, None] * psi_grad
+    np.subtract(psi, trials, out=trials)
+    trials /= norms[:, None]
+    losses, zero_counts = _local_nll(trials, log_scale)
+    # a zeroed sample leaves the local mean, which could lower the loss
+    # without fitting anything better: never reward that
+    descends = usable & (losses < loss) & (zero_counts <= zeros)
+    first = _MAX_HALVINGS
+    if descends[first]:
+        longer = usable[first + 1:] & (losses[first + 1:] < losses[first:-1]) & (
+            zero_counts[first + 1:] <= zero_counts[first:-1])
+        pick = first + int(np.logical_and.accumulate(longer).sum())
+    elif descends[:first].any():
+        pick = int(np.flatnonzero(descends[:first])[-1])
+    else:
+        return None
+    # a copy frees the whole ladder now; a view of its row kept the block
+    # alive through the edge's later updates, and with glibc's malloc the
+    # heap it held raised the 57-feature tree workload's peak RSS by 3 MB
+    return (float(sizes[pick]), float(norms[pick]), trials[pick].copy(), float(losses[pick]),
+            int(zero_counts[pick]))
 
 
 def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainConfig) -> StepStats:
@@ -390,26 +397,28 @@ def two_site_step(model, edge, env, rows, learning_rate: float, config: TrainCon
 
     alpha, coeffs = 1.0, np.zeros(left.shape[0])
     squared = float(np.sum(np.square(original)))
-    current = _score(_node_fractions(model, edge, left, right), log_scale)
-    loss_before = current.loss
+    psi = _node_fractions(model, edge, left, right)
+    (loss,), (zeros,) = _local_nll(psi[None], log_scale)
+    loss_before = loss
     skipped = 0
     error = None
     for _ in range(config.inner_steps):
         try:
-            weights, n_skip = _sample_weights(current.psi)
+            weights, n_skip = _sample_weights(psi)
         except NumericalError as exc:
             error = str(exc)
             break
         skipped = max(skipped, n_skip)
         found = _line_search(
-            current, weights, amplitudes_of(weights), squared, learning_rate, log_scale
+            psi, loss, zeros, weights, amplitudes_of(weights), squared, learning_rate, log_scale
         )
         if found is None:
             break
-        alpha /= found.norm
-        coeffs = (coeffs - found.size * weights) / found.norm
+        size, norm, psi, loss, zeros = found
+        alpha /= norm
+        coeffs = (coeffs - size * weights) / norm
         # an accepted trial is divided by its own norm
-        current, squared = found, 1.0
+        squared = 1.0
 
     if error is None:
         merged = alpha * original + _weighted_sum(coeffs, left, right).reshape(original.shape)

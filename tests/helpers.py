@@ -262,6 +262,52 @@ def reference_step(model, edge, batch, learning_rate, inner_steps):
     return current["merged"], current["loss"]
 
 
+def sequential_line_search(psi, loss, zeros, weights, psi_grad, squared, step, log_scale):
+    """The sample-space line search tried one step size at a time.
+
+    The search as it stood before the library priced all its trials at
+    once, with the same arithmetic per trial, so the bits must agree:
+    ``step`` first; while trials descend the step doubles, at most 3 times,
+    else it halves, at most 10 times, until one descends from the current
+    point. A trial that zeroes more samples never descends, and one whose
+    squared norm is not positive and finite is never taken. Returns
+    ``(size, norm, psi, loss, zeros)`` of the trial taken, or None.
+    """
+    mg = float(psi @ weights)
+    gg = float(weights @ psi_grad)
+
+    def trial(size):
+        norm2 = squared - 2.0 * size * mg + size * size * gg
+        if not (norm2 > 0.0 and np.isfinite(norm2)):
+            return None
+        norm = float(np.sqrt(norm2))
+        moved = (psi - size * psi_grad) / norm
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(moved)) + log_scale
+        finite = np.isfinite(log_abs)
+        trial_loss = float(-2.0 * log_abs[finite].mean()) if finite.any() else float("inf")
+        return size, norm, moved, trial_loss, int(np.count_nonzero(moved == 0.0))
+
+    def descends(found, base_loss, base_zeros):
+        return found is not None and found[3] < base_loss and found[4] <= base_zeros
+
+    best = trial(step)
+    if descends(best, loss, zeros):
+        for _ in range(3):
+            step *= 2.0
+            longer = trial(step)
+            if not descends(longer, best[3], best[4]):
+                break
+            best = longer
+        return best
+    for _ in range(10):
+        step *= 0.5
+        shorter = trial(step)
+        if descends(shorter, loss, zeros):
+            return shorter
+    return None
+
+
 def brute_entropy(matrix):
     lam = np.linalg.eigvalsh(matrix)
     lam = lam[lam > 1e-14]

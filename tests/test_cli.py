@@ -280,7 +280,8 @@ class TestMi:
 
 
 class TestBenchmarkCommand:
-    def test_end_to_end(self, workspace, tmp_path):
+    @staticmethod
+    def run(tmp_path):
         rng = np.random.default_rng(5)
         regular = toy_two_clusters(400, 3, seed=7)
         native = rng.uniform(-0.5, 1.5, size=(60, 3))
@@ -300,7 +301,10 @@ class TestBenchmarkCommand:
             "--seed", "1", "--max-folds", "1", "--out", str(tmp_path / "bench_out"),
         ])
         assert result.exit_code == 0, result.output
-        out = tmp_path / "bench_out"
+        return tmp_path / "bench_out"
+
+    def test_end_to_end(self, workspace, tmp_path):
+        out = self.run(tmp_path)
         payload = json.loads((out / "benchmark_mps.json").read_text())
         assert len(payload["separation_auc"]) == 1
         assert payload["model_paths"]
@@ -311,6 +315,20 @@ class TestBenchmarkCommand:
         train_report = json.loads((workspace / "model.tnad.report.json").read_text())
         assert fold_report.keys() == train_report.keys()
         assert len(fold_report["nll_trace"]) == 1  # one sweep
+
+    def test_infinite_threshold_writes_strict_json(self, tmp_path, monkeypatch):
+        # every row scores inf, as under a model whose amplitudes all vanish:
+        # only an infinite threshold reaches the anomalies
+        monkeypatch.setattr(tnad.benchmark, "score_samples",
+                            lambda model, batch: np.full(len(batch), np.inf))
+        out = self.run(tmp_path)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads((out / "benchmark_mps.json").read_text(), parse_constant=refuse)
+        assert payload["eer_thresholds"] == [{"threshold": None, "tpr": 1.0, "tnr": 0.0}]
+        json.loads((out / "fold0_mps.tnad.report.json").read_text(), parse_constant=refuse)
 
 
 class TestExitCodes:

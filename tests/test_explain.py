@@ -216,6 +216,19 @@ class TestConditionalRdm:
         with pytest.raises(DataError):
             conditional_rdm(model, (1,), {1: 0.5})
 
+    @pytest.mark.xfail(raises=ConditioningError, strict=True, reason=(
+        "the conditioning rule compares the pinned features' joint density, "
+        "here about 1e-43, with an absolute floor of 1e-30"))
+    def test_product_state_conditional_is_the_marginal_at_30_features(self):
+        # each pin is possible, but together 29 of them carry about 98 nats
+        site = np.array([1.0, 0.9, 0.0])
+        model = product_mps([site / np.linalg.norm(site)] * 30)
+        conditions = {s: 0.1 for s in range(1, 30)}
+        np.testing.assert_allclose(
+            conditional_rdm(model, (0,), conditions).matrix,
+            reduced_density_matrix(model, (0,)).matrix, rtol=0, atol=1e-12,
+        )
+
 
 @pytest.mark.parametrize("n_features", [5, 7])
 def test_padded_tree_densities_match_brute_force(n_features):

@@ -86,6 +86,12 @@ def test_infinite_scores_still_rank():
 
 
 class TestEerThreshold:
+    def test_infinite_when_only_infinite_scores_reach_the_anomalies(self):
+        scores = np.array([0.5, 2.0, np.inf, 1.0, np.inf])
+        labels = np.array([False, False, True, False, True])
+        assert eer_threshold(scores, labels) == (np.inf, 1.0, 1.0)
+        assert eer_threshold(scores, labels) == brute_force_eer(scores, labels)
+
     def test_separable_case(self):
         scores = np.array([0.1, 0.2, 0.3, 0.7, 0.8, 0.9])
         labels = np.array([False, False, False, True, True, True])
@@ -132,18 +138,18 @@ class TestScoreSamples:
             amp = helpers.brute_amplitude(theta, batch[i])
             assert scores[i] == pytest.approx(-2 * np.log(abs(amp)), rel=1e-10)
 
-    def test_zero_amplitude_pinned_to_top(self):
+    def test_zero_amplitude_scores_inf(self, caplog):
         u = np.array([1.0, 0.0]).reshape(1, 2, 1)
         model = MpsModel([u, u.copy()], center=0)
         batch = np.array(
             [[[1.0, 0.5], [1.0, 0.2]], [[0.0, 1.0], [1.0, 0.3]]]  # second kills site 0
         )
-        scores = score_samples(model, batch)
-        assert np.isfinite(scores).all()
-        assert scores[1] == scores[0] + 1.0 or scores[1] > scores[0]
-        assert scores[1] == np.max(scores)
+        with caplog.at_level(logging.WARNING, logger="tnad.metrics"):
+            scores = score_samples(model, batch)
+        assert np.isfinite(scores[0]) and scores[1] == np.inf
+        assert "1 zero-amplitude samples score inf" in caplog.text
 
-    def test_zero_amplitude_pinned_through_a_raw_row(self):
+    def test_zero_amplitude_scores_inf_through_a_raw_row(self):
         # site 0 reads the second basis function, sqrt(3) (2x - 1): the raw
         # value 1.0 rescales to exactly 0.5 and zeroes it
         second, first = np.array([0.0, 1.0]), np.array([1.0, 0.0])
@@ -151,8 +157,18 @@ class TestScoreSamples:
         model.encoder = LegendreFeatureMap(2, FeatureRescaler(np.zeros(2), np.full(2, 2.0)))
         raw = np.array([[0.2, 0.3], [1.0, 0.3], [1.8, 1.1]])
         scores = score_samples(model, raw)
-        assert np.isfinite(scores).all()
-        assert scores[1] == max(scores[0], scores[2]) + 1.0
+        assert np.isfinite(scores[[0, 2]]).all() and scores[1] == np.inf
+
+    @pytest.mark.parametrize("others", [0, 3])
+    def test_vanishing_amplitude_scores_inf_whatever_the_other_rows(self, others):
+        # phi_1(0.5) = 0, so the row (0.5, 0.3) has amplitude exactly zero
+        model = MpsModel([np.array([0.0, 1.0]).reshape(1, 2, 1),
+                          np.array([1.0, 0.0]).reshape(1, 2, 1)], center=1)
+        model.encoder = LegendreFeatureMap(2, FeatureRescaler(np.zeros(2), np.ones(2)))
+        finite_rows = np.random.default_rng(0).uniform(0.6, 1.0, size=(others, 2))
+        scores = score_samples(model, np.vstack([[0.5, 0.3], finite_rows]))
+        assert scores[0] == np.inf
+        assert np.isfinite(scores[1:]).all()
 
 
 class TestHistogramMi:

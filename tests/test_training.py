@@ -359,31 +359,115 @@ class TestLineSearch:
     def start(self, merged):
         merged = np.array(merged) / np.linalg.norm(merged)
         psi = training._contract_fractions(merged, self.left, self.right)
-        return merged, training._score(psi, self.log_scale)
+        (loss,), (zeros,) = training._local_nll(psi[None], self.log_scale)
+        return merged, (psi, loss, zeros)
 
     def search(self, merged, current, grad, step):
         # left = eye(2): the sample weights are the gradient and K = I
         weights = np.array(grad)
         return training._line_search(
-            current, weights, weights, np.sum(np.square(merged)), step, self.log_scale
+            *current, weights, weights, np.sum(np.square(merged)), step, self.log_scale
         )
 
     def test_descent_doubles_at_most_three_times(self):
         merged, current = self.start([0.99, 0.141])
-        found = self.search(merged, current, [1.0, -1.0], 0.01)
-        assert found.size == 8 * 0.01
-        moved = merged + found.size * np.array([-1.0, 1.0])
-        assert found.norm == pytest.approx(np.linalg.norm(moved), rel=1e-14)
-        np.testing.assert_allclose(found.psi, moved / found.norm, rtol=1e-14)
-        assert found.loss < current.loss
+        size, norm, psi, loss, _ = self.search(merged, current, [1.0, -1.0], 0.01)
+        assert size == 8 * 0.01
+        moved = merged + size * np.array([-1.0, 1.0])
+        assert norm == pytest.approx(np.linalg.norm(moved), rel=1e-14)
+        np.testing.assert_allclose(psi, moved / norm, rtol=1e-14)
+        assert loss < current[1]
 
     def test_zeroing_a_sample_is_not_a_descent(self):
         # the first trial zeroes sample 0; "skip" then averages over sample 1
         # alone, which lowers the local NLL without fitting anything better
         merged, current = self.start([0.6, 0.8])
-        _, zeroed = self.start([0.0, 0.8])
-        assert zeroed.zeros == 1 and zeroed.loss < current.loss
+        _, (_, zeroed_loss, zeroed_zeros) = self.start([0.0, 0.8])
+        assert zeroed_zeros == 1 and zeroed_loss < current[1]
         assert self.search(merged, current, [1.0, 0.0], 0.6) is None
+
+
+class TestLadderOracle:
+    """``_line_search``, all trials priced at once, against the sequential
+    search of ``helpers``: the same trial, bit for bit."""
+
+    @staticmethod
+    def problem(seed, n=16, width=6):
+        """A sample-space update of a unit merged tensor ``m`` with amplitudes
+        ``psi = A m`` for a random ``A``: its NLL weights and their amplitudes."""
+        rng = np.random.default_rng(seed)
+        factor = rng.standard_normal((n, width)) + 1.0
+        merged = rng.standard_normal(width)
+        merged /= np.linalg.norm(merged)
+        psi = factor @ merged
+        weights = (-2.0 / n) / psi
+        psi_grad = factor @ (factor.T @ weights)
+        log_scale = rng.standard_normal(n)
+        return psi, weights, psi_grad, float(merged @ merged), log_scale
+
+    @staticmethod
+    def agree(psi, weights, psi_grad, squared, step, log_scale):
+        """Both searches' trial, asserted bit-equal; None if neither descends."""
+        (loss,), (zeros,) = training._local_nll(psi[None], log_scale)
+        args = (psi, loss, zeros, weights, psi_grad, squared, step, log_scale)
+        got = training._line_search(*args)
+        want = helpers.sequential_line_search(*args)
+        assert (got is None) == (want is None)
+        if got is not None:
+            size, norm, amplitudes, got_loss, got_zeros = got
+            assert (size, norm, got_loss, got_zeros) == (want[0], want[1], want[3], want[4])
+            np.testing.assert_array_equal(amplitudes, want[2])
+        return got
+
+    def test_random_problems(self):
+        exponents = set()
+        for seed in range(40):
+            psi, weights, psi_grad, squared, log_scale = self.problem(seed)
+            step = 10.0 ** np.random.default_rng(seed + 100).uniform(-4.0, 0.0)
+            found = self.agree(psi, weights, psi_grad, squared, step, log_scale)
+            exponents.add(int(np.log2(found[0] / step)))
+        # the problems reach the longest trial, the first and a halving
+        assert {3, 0, -1} <= exponents
+
+    @pytest.mark.parametrize("k", [0, 2], ids=["first", "doubled"])
+    def test_trial_that_zeroes_a_sample(self, k):
+        psi, weights, psi_grad, squared, log_scale = self.problem(4)
+        # powers of two: the trial 2**k times the step zeroes sample j exactly,
+        # the one of the largest local NLL, which lowers the local mean
+        step, j = 2.0 ** -7, int(np.argmin(np.log(np.abs(psi)) + log_scale))
+        size = step * 2.0 ** k
+        psi_grad[j] = psi[j] / size
+        # only the zero rule keeps that trial: it lowers the local NLL
+        norm2 = squared - 2.0 * size * (psi @ weights) + size * size * (weights @ psi_grad)
+        losses, zeros = training._local_nll(
+            np.stack([psi, (psi - size * psi_grad) / np.sqrt(norm2)]), log_scale)
+        assert losses[1] < losses[0] and tuple(zeros) == (0, 1)
+        found = self.agree(psi, weights, psi_grad, squared, step, log_scale)
+        assert found[0] < size and found[4] == 0
+
+    @pytest.mark.parametrize("crossing", [3.0, 0.75, 1.5 * 2.0 ** -6],
+                             ids=["doubling", "first", "halving"])
+    def test_long_steps_without_a_positive_norm(self, crossing):
+        # a part of the weights orthogonal to psi leaves <merged, grad> as it
+        # is and makes |grad|² negative, so the squared trial norm
+        # ``squared + 4 size - scale size²`` falls below zero past ``crossing``
+        # times the step
+        psi, weights, psi_grad, squared, log_scale = self.problem(5)
+        step = 1e-3
+        scale = (squared + 4.0 * crossing * step) / (crossing * step) ** 2
+        across = psi_grad - (psi_grad @ psi) / (psi @ psi) * psi
+        weights = weights - (scale + weights @ psi_grad) / (across @ psi_grad) * across
+        sizes = step * 2.0 ** np.arange(-10, 4)
+        norm2 = squared - 2.0 * sizes * float(psi @ weights) + sizes * sizes * float(
+            weights @ psi_grad)
+        assert (norm2 <= 0.0).any() and (norm2 > 0.0).any()
+        found = self.agree(psi, weights, psi_grad, squared, step, log_scale)
+        assert found is None or found[0] < crossing * step
+
+    def test_no_trial_descends(self):
+        # the ascent direction: every trial this short raises the local NLL
+        psi, weights, psi_grad, squared, log_scale = self.problem(7)
+        assert self.agree(psi, -weights, -psi_grad, squared, 1e-3, log_scale) is None
 
 
 class TestFit:
